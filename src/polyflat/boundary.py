@@ -18,13 +18,21 @@ the version for which the boundary Pythagorean identities hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .dually_flat import _newton_inverse, bregman
 from .errors import DomainError, FaceBoundaryError, InvalidInputError, NumericalError
-from .polytope import FaceChart, HalfSpace, Polytope, product, restrict_polytope, vertices
+from .polytope import (
+    FaceChart,
+    HalfSpace,
+    Polytope,
+    face_chart,
+    product,
+    restrict_polytope,
+    vertices,
+)
 from .potential import SymplecticPotential, guillemin, restrict_potential
 
 ACTIVE_TOL = 1e-12   # |facet value| below this counts as "on the face"
@@ -82,19 +90,13 @@ def boundary_point(chart: FaceChart, ambient=None, chart_coords=None) -> Boundar
     return BoundaryPoint(chart=chart, ambient=tuple(ambient), chart_coords=tuple(chart_coords))
 
 
-@lru_cache(maxsize=64)
-def _restricted(phi: SymplecticPotential, chart: FaceChart):
-    return restrict_potential(phi, chart), restrict_polytope(chart.polytope, chart)
-
-
 def boundary_divergence(
     phi: SymplecticPotential, chart: FaceChart, eta: BoundaryPoint, eta2: BoundaryPoint
 ) -> float:
     """Face divergence D_F: Bregman divergence of the restricted potential."""
     if eta.chart != chart or eta2.chart != chart:
         raise InvalidInputError("boundary points must use the given chart")
-    phi_f, _ = _restricted(phi, chart)
-    return bregman(phi_f, eta.chart_array, eta2.chart_array)
+    return bregman(restrict_potential(phi, chart), eta.chart_array, eta2.chart_array)
 
 
 def extended_divergence(phi: SymplecticPotential, xi_closure, xi2) -> float:
@@ -198,7 +200,8 @@ def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2) -> Boundary
     P = chart.polytope
     if np.any(P.facet_values(xi2) <= 0):
         raise DomainError("projection argument must be interior")
-    phi_f, face_poly = _restricted(phi, chart)
+    phi_f = restrict_potential(phi, chart)
+    face_poly = restrict_polytope(P, chart)
     if chart.dim_face == 0:
         return boundary_point(chart, chart_coords=())
     target = chart.basis_array.T @ phi.gradient(xi2)
@@ -255,7 +258,7 @@ def pythagoras_boundary_foot(
     a = boundary_divergence(phi, chart, eta, eta2)
     b = limit_divergence(phi, chart, eta2, xi2)
     c = limit_divergence(phi, chart, eta, xi2)
-    phi_f, _ = _restricted(phi, chart)
+    phi_f = restrict_potential(phi, chart)
     mismatch = phi_f.gradient(eta2.chart_array) - chart.basis_array.T @ phi.gradient(xi2)
     perp_defect = float(np.max(np.abs(mismatch), initial=0.0))
     return PythagorasReport(
@@ -321,7 +324,8 @@ class ProductBoundaryReport:
         }
 
 
-def _random_interior(P, rng, margin=1e-3):
+def random_interior(P: Polytope, rng, margin: float = 1e-3) -> np.ndarray:
+    """A random interior point whose facet values all exceed margin."""
     verts = np.array([v.array for v in vertices(P)])
     for _ in range(200):
         x = rng.dirichlet(np.ones(len(verts))) @ verts
@@ -330,10 +334,10 @@ def _random_interior(P, rng, margin=1e-3):
     raise NumericalError("failed to draw an interior point with the requested margin")
 
 
-def _random_face_point(chart, rng, margin=1e-3):
+def random_face_point(chart: FaceChart, rng, margin: float = 1e-3) -> BoundaryPoint:
+    """A random point of the open face whose inactive facet values exceed margin."""
     P = chart.polytope
-    verts = [v for v in vertices(P) if set(chart.face_active) <= set(v.active)]
-    arr = np.array([v.array for v in verts])
+    arr = np.array([v.array for v in chart.vertices])
     for _ in range(200):
         x = rng.dirichlet(np.ones(len(arr))) @ arr
         values = P.facet_values(x)
@@ -369,21 +373,19 @@ def product_boundary_check(
     phi_prod = guillemin(P_prod, scale)
     phi_base = guillemin(P, scale)
     phi_ray = guillemin(ray, scale)
+    charts = [face_chart(P, (r,)) for r in range(1, P.n_facets + 1)]
     rng = np.random.default_rng(seed)
     add_max = side_max = bottom_max = 0.0
-    n = P.dim
     for _ in range(samples):
-        x1 = _random_interior(P, rng)
-        x1b = _random_interior(P, rng)
+        x1 = random_interior(P, rng)
+        x1b = random_interior(P, rng)
         t1, t2 = rng.uniform(0.2, 3.0, size=2)
         joint = bregman(phi_prod, np.append(x1, t1), np.append(x1b, t2))
         split = bregman(phi_base, x1, x1b) + bregman(phi_ray, (t1,), (t2,))
         add_max = max(add_max, abs(joint - split))
 
         # corner on a side face: (eta, t1) with eta on a random facet of P
-        facet = int(rng.integers(P.n_facets)) + 1
-        chart = _face_chart_cached(P, (facet,))
-        eta = _random_face_point(chart, rng)
+        eta = random_face_point(charts[int(rng.integers(P.n_facets))], rng)
         lhs = extended_divergence(phi_prod, np.append(eta.ambient_array, t1), np.append(x1, t2))
         rhs = extended_divergence(
             phi_prod, np.append(eta.ambient_array, t1), np.append(x1, t1)
@@ -404,10 +406,3 @@ def product_boundary_check(
         tolerance_additivity=tolerance_additivity,
         tolerance_pythagoras=tolerance_pythagoras,
     )
-
-
-@lru_cache(maxsize=64)
-def _face_chart_cached(P, active):
-    from .polytope import face_chart
-
-    return face_chart(P, active)

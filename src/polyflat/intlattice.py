@@ -133,23 +133,6 @@ def determinant(rows):
     return det
 
 
-def invert_unimodular(rows):
-    """Inverse of a unimodular integer matrix, as integer rows."""
-    n = len(rows)
-    inv = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        col = solve_square(rows, e)
-        if col is None:
-            raise InvalidInputError("matrix is singular")
-        inv.append(col)
-    # columns of the solves are the columns of the inverse
-    out = [[inv[j][i] for j in range(n)] for i in range(n)]
-    if any(v.denominator != 1 for row in out for v in row):
-        raise InvalidInputError("matrix is not unimodular")
-    return [[int(v) for v in row] for row in out]
-
-
 def integer_kernel(rows, n):
     """Canonical basis of the lattice {u in Z^n : rows @ u = 0}.
 

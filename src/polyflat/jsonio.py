@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .mixture import MixtureFamily
 from .polynomial import Polynomial
-from .polytope import HalfSpace, Polytope, as_fraction
+from .polytope import Polytope, as_fraction, halfspace
 from .potential import AffineLogTerm, SymplecticPotential, guillemin
 
 
@@ -28,13 +28,7 @@ def parse_polytope(data) -> Polytope:
     try:
         dim = int(data["dim"])
         bounded = bool(data.get("bounded", True))
-        halfspaces = tuple(
-            HalfSpace(
-                normal=tuple(int(v) for v in hs["normal"]),
-                offset=as_fraction(hs["offset"]),
-            )
-            for hs in data["halfspaces"]
-        )
+        halfspaces = tuple(halfspace(hs["normal"], hs["offset"]) for hs in data["halfspaces"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed polytope: {exc}") from exc
     return Polytope(dim=dim, halfspaces=halfspaces, bounded=bounded)

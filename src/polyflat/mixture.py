@@ -17,16 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import intlattice
 from .errors import DegenerateError, DomainError, InvalidInputError, NotTorifiableError
-from .polytope import (
-    DelzantReport,
-    HalfSpace,
-    Polytope,
-    _drop_redundant,
-    as_fraction,
-    validate_delzant,
-)
+from .polytope import DelzantReport, Polytope, as_fraction, reduced_polytope, validate_delzant
 
 
 @dataclass(frozen=True)
@@ -173,20 +165,8 @@ def from_mixture(theta: MixtureFamily) -> TorificationReport:
             if beta <= 0:
                 raise DegenerateError("constant outcome weight is nonpositive")
             continue
-        prim, g = intlattice.primitivize(scaled)
-        constraints.append((prim, beta * lcm / g))
-    seen = {}
-    for prim, off in constraints:
-        if prim not in seen or off < seen[prim]:
-            seen[prim] = off
-    unique = sorted(seen.items())
-    kept = _drop_redundant(unique, theta.dim)
-    if not kept:
+        constraints.append((scaled, beta * lcm))
+    if not constraints:
         raise DegenerateError("mixture family has no defining constraints")
-    bounded = not intlattice.cone_rays([c for c, _ in kept], theta.dim)
-    P = Polytope(
-        dim=theta.dim,
-        halfspaces=tuple(HalfSpace(normal=prim, offset=off) for prim, off in kept),
-        bounded=bounded,
-    )
-    return TorificationReport(polytope=P, delzant=validate_delzant(P), bounded=bounded)
+    P = reduced_polytope(constraints, theta.dim)
+    return TorificationReport(polytope=P, delzant=validate_delzant(P), bounded=P.bounded)

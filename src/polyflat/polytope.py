@@ -30,14 +30,14 @@ from .errors import (
 
 
 def as_fraction(value):
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', integral floats and Fractions to Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
-    if isinstance(value, float) and value == int(value):
+    if isinstance(value, float) and value.is_integer():  # False for inf and nan
         return Fraction(int(value))
     raise InvalidInputError(f"offset {value!r} is not an exact rational")
 
@@ -68,6 +68,8 @@ class HalfSpace:
 
 
 def halfspace(normal, offset):
+    if any(isinstance(v, float) and not v.is_integer() for v in normal):
+        raise InvalidInputError(f"normal {list(normal)} is not integral")
     return HalfSpace(tuple(int(v) for v in normal), as_fraction(offset))
 
 
@@ -334,6 +336,21 @@ class FaceChart:
                 out.add(r)
         return frozenset(out)
 
+    @cached_property
+    def vertices(self):
+        """The polytope's vertices that lie on the face, in vertex order."""
+        return _face_vertices(self.polytope, self.face_active)
+
+    @cached_property
+    def face_polytope(self):
+        """The face as a polytope in chart coordinates.
+
+        Inactive facets are pulled back through the chart, re-primitivized, and
+        redundant constraints are dropped.
+        """
+        pulled = _pulled_back(self.polytope, self.vanishing, self.basis, self.origin)
+        return reduced_polytope(pulled, self.dim_face)
+
     def to_ambient(self, u):
         u = np.asarray(u, dtype=float)
         return self.origin_array + self.basis_array @ u
@@ -375,31 +392,45 @@ def face_chart(P: Polytope, active) -> FaceChart:
     return FaceChart(polytope=P, face_active=active, origin=origin, basis=tuple(basis), dim_face=k)
 
 
+def _face_vertices(P, active):
+    active = set(active)
+    return tuple(v for v in vertices(P) if active <= set(v.active))
+
+
+def _pulled_back(P, skip, basis, point):
+    """Facets not in skip as (coefficients, offset) constraints on u -> point + basis @ u.
+
+    A facet constant on the face is dropped, after checking it is nonnegative.
+    """
+    pulled = []
+    for r, hs in enumerate(P.halfspaces, start=1):
+        if r in skip:
+            continue
+        coeffs = tuple(sum(c * v for c, v in zip(col, hs.normal)) for col in basis)
+        off = hs.value(point)
+        if all(c == 0 for c in coeffs):
+            if off < 0:
+                raise EmptyFaceError(f"facet {r} excludes the face")
+            continue
+        pulled.append((coeffs, off))
+    return pulled
+
+
 def _face_origin(P, active, basis):
-    active_set = set(active)
     if not active:
         return P.interior_point
-    face_vertices = [v for v in vertices(P) if active_set <= set(v.active)]
-    # pulled-back inactive constraints, used both for the bounded test and FM
-    pulled = []
+    face_vertices = _face_vertices(P, active)
     part = intlattice.solve_particular(
         [P.halfspaces[r - 1].normal for r in active],
         [-P.halfspaces[r - 1].offset for r in active],
     )
     if part is None:
         raise EmptyFaceError("active facet equations are inconsistent")
-    for r, hs in enumerate(P.halfspaces, start=1):
-        if r in active_set:
-            continue
-        coeffs = [sum(c * v for c, v in zip(col, hs.normal)) for col in basis]
-        off = hs.value(part)
-        if all(c == 0 for c in coeffs):
-            if off < 0:
-                raise EmptyFaceError(f"facet {r} excludes the face")
-            continue  # constant positive or identically-zero facet
-        pulled.append((coeffs, off))
+    # used both for the bounded test and Fourier-Motzkin
+    pulled = _pulled_back(P, set(active), basis, part)
     k = len(basis)
-    face_bounded = not intlattice.cone_rays([c for c, _ in pulled], k) if k else True
+    # vertices(P) has verified P.bounded, and every face of a bounded P is bounded
+    face_bounded = P.bounded or not k or not intlattice.cone_rays([c for c, _ in pulled], k)
     if face_bounded and face_vertices:
         m = len(face_vertices)
         return tuple(sum(v.coords[i] for v in face_vertices) / m for i in range(P.dim))
@@ -454,38 +485,31 @@ def _is_redundant(cons, others, k):
     return True
 
 
-def restrict_polytope(P: Polytope, chart: FaceChart) -> Polytope:
-    """The face as a polytope in chart coordinates.
+def reduced_polytope(constraints, dim) -> Polytope:
+    """The polytope {u : coeffs . u + offset >= 0} in irredundant primitive form.
 
-    Inactive facets are pulled back through the chart, re-primitivized, and
-    redundant constraints are dropped.
+    ``constraints`` are (integer coefficients, rational offset) pairs with
+    nonzero coefficients.  Each is re-primitivized, parallel constraints keep
+    the tightest offset, redundant ones are dropped, and boundedness is tested
+    exactly.
     """
-    if chart.polytope is not P and chart.polytope != P:
-        raise InvalidInputError("chart does not belong to this polytope")
-    k = chart.dim_face
-    pulled = []
-    for r, hs in enumerate(P.halfspaces, start=1):
-        if r in chart.vanishing:
-            continue
-        coeffs = tuple(sum(c * v for c, v in zip(col, hs.normal)) for col in chart.basis)
-        off = hs.value(chart.origin)
-        if all(c == 0 for c in coeffs):
-            if off < 0:
-                raise EmptyFaceError(f"facet {r} excludes the face")
-            continue
-        prim, g = intlattice.primitivize(coeffs)
-        pulled.append((prim, off / g))
-    # identical normals: keep the tightest offset
     tightest = {}
-    for prim, off in pulled:
+    for coeffs, off in constraints:
+        prim, g = intlattice.primitivize(coeffs)
+        off = off / g
         if prim not in tightest or off < tightest[prim]:
             tightest[prim] = off
-    unique = [(prim, off) for prim, off in tightest.items()]
-    unique.sort(key=lambda c: (c[0], c[1]))
-    kept = _drop_redundant(unique, k)
+    kept = _drop_redundant(sorted(tightest.items()), dim)
     halfspaces = tuple(HalfSpace(normal=prim, offset=off) for prim, off in kept)
-    bounded = not intlattice.cone_rays([hs.normal for hs in halfspaces], k) if k else True
-    return Polytope(dim=k, halfspaces=halfspaces, bounded=bounded)
+    bounded = not intlattice.cone_rays([hs.normal for hs in halfspaces], dim) if dim else True
+    return Polytope(dim=dim, halfspaces=halfspaces, bounded=bounded)
+
+
+def restrict_polytope(P: Polytope, chart: FaceChart) -> Polytope:
+    """The face as a polytope in chart coordinates: the chart's ``face_polytope``."""
+    if chart.polytope is not P and chart.polytope != P:
+        raise InvalidInputError("chart does not belong to this polytope")
+    return chart.face_polytope
 
 
 def product(P1: Polytope, P2: Polytope) -> Polytope:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 from .polynomial import Polynomial
-from .polytope import FaceChart, Polytope, restrict_polytope, vertices
+from .polytope import FaceChart, Polytope, vertices
 
 # facet values inside [-EXTENDED_TOL, 0] are treated as exact zeros of the
 # continuous extension; anything more negative is outside the closed domain
@@ -58,6 +58,11 @@ class SymplecticPotential:
                 raise InvalidInputError("log term normal has wrong length")
 
     @cached_property
+    def _restrictions(self):
+        """restrict_potential results of this potential, keyed by face chart."""
+        return {}
+
+    @cached_property
     def _normals(self):
         a = np.array([t.normal for t in self.log_terms], dtype=float)
         a = a.reshape(len(self.log_terms), self.dim)
@@ -86,7 +91,7 @@ class SymplecticPotential:
 
     def _strict_values(self, xi):
         z = self.term_values(xi)
-        bad = np.nonzero(z <= 0)[0]
+        bad = np.nonzero(~(z > 0))[0]  # also catches nan
         if bad.size:
             raise DomainError(
                 f"log argument {z[bad[0]]:.3e} of term {bad[0] + 1} is not positive"
@@ -102,8 +107,9 @@ class SymplecticPotential:
     def value_extended(self, xi) -> float:
         """Continuous extension of phi to the closed domain (0 log 0 = 0 termwise)."""
         z = self.term_values(xi)
-        if np.any(z < -EXTENDED_TOL):
-            bad = int(np.argmin(z))
+        outside = ~(z >= -EXTENDED_TOL)  # also catches nan
+        if np.any(outside):
+            bad = int(np.argmax(outside))
             raise DomainError(f"term {bad + 1} is negative ({z[bad]:.3e}); point not in domain")
         z = np.maximum(z, 0.0)
         zlogz = np.where(z > 0.0, z * np.log(np.where(z > 0.0, z, 1.0)), 0.0)
@@ -152,8 +158,18 @@ def restrict_potential(phi: SymplecticPotential, chart: FaceChart) -> Symplectic
 
     Terms that vanish identically on the face contribute 0 log 0 = 0 and are
     dropped; the remaining terms and the correction are composed with the
-    affine chart map u -> origin + basis @ u.
+    affine chart map u -> origin + basis @ u.  Every kept term must be
+    nonnegative at the face's vertices, which proves it nonnegative on a
+    bounded face; on an unbounded face the rest is checked at evaluation.
+    The result is memoized on phi, per chart.
     """
+    restricted = phi._restrictions.get(chart)
+    if restricted is None:
+        restricted = phi._restrictions[chart] = _restrict(phi, chart)
+    return restricted
+
+
+def _restrict(phi, chart):
     B = chart.basis_array
     origin = chart.origin_array
     kept = []
@@ -171,28 +187,17 @@ def restrict_potential(phi: SymplecticPotential, chart: FaceChart) -> Symplectic
                 normal=tuple(pulled_normal), offset=pulled_offset, weight=term.weight
             )
         )
-    _check_positive_on_face(kept, chart)
+    for v in chart.vertices:
+        u = chart.to_chart(v.array)
+        for idx, term in enumerate(kept):
+            if float(np.dot(term.normal, u) + term.offset) < -1e-9:
+                raise DomainError(f"log term {idx + 1} is negative at a vertex of the face")
     return SymplecticPotential(
         dim=chart.dim_face,
         scale=phi.scale,
         log_terms=tuple(kept),
         correction=phi.correction.compose_affine(origin, B),
     )
-
-
-def _check_positive_on_face(terms, chart):
-    """Reject pulled-back log terms that go negative on the face."""
-    if not terms:
-        return
-    face_poly = restrict_polytope(chart.polytope, chart)
-    if not face_poly.bounded:
-        return  # desk-scale check is vertex-based; unbounded faces checked at eval time
-    for v in vertices(face_poly):
-        u = v.array
-        for idx, term in enumerate(terms):
-            val = float(np.dot(term.normal, u) + term.offset) if len(u) else term.offset
-            if val < -1e-9:
-                raise DomainError(f"log term {idx + 1} is negative on the face interior")
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import (
-    _random_face_point,
-    _random_interior,
     boundary_point,
     continuity_check,
     product_boundary_check,
     project_to_face,
     pythagoras_boundary_foot,
     pythagoras_interior_foot,
+    random_face_point,
+    random_interior,
 )
 from .dually_flat import bregman, bregman_expanded, from_dual, to_dual
 from .errors import PolyflatError
@@ -105,7 +105,7 @@ def run_scenario(
 
     worst = 0.0
     for _ in range(counts["legendre_points"]):
-        x = _random_interior(P, rng)
+        x = random_interior(P, rng)
         pair = to_dual(phi, x)
         back = from_dual(phi, P, pair.y_array)
         worst = max(worst, float(np.max(np.abs(back.x_array - x))))
@@ -121,8 +121,8 @@ def run_scenario(
 
     worst = 0.0
     for _ in range(counts["divergence_pairs"]):
-        a = _random_interior(P, rng)
-        b = _random_interior(P, rng)
+        a = random_interior(P, rng)
+        b = random_interior(P, rng)
         worst = max(worst, abs(bregman(phi, a, b) - bregman_expanded(phi, P, a, b)))
     results.append(
         CheckResult(
@@ -139,8 +139,8 @@ def run_scenario(
         factor = phi.scale * float(sum(float(hs.offset) for hs in P.halfspaces))
         worst = 0.0
         for _ in range(counts["divergence_pairs"]):
-            a = _random_interior(P, rng)
-            b = _random_interior(P, rng)
+            a = random_interior(P, rng)
+            b = random_interior(P, rng)
             worst = max(worst, abs(bregman(phi, a, b) - factor * kl(theta, a, b)))
         results.append(
             CheckResult(
@@ -164,8 +164,8 @@ def run_scenario(
         worst = 0.0
         all_passed = True
         for _ in range(counts["continuity_pairs"]):
-            eta = _random_face_point(chart, rng)
-            eta2 = _random_face_point(chart, rng)
+            eta = random_face_point(chart, rng)
+            eta2 = random_face_point(chart, rng)
             rep = continuity_check(phi, chart, eta, eta2, tolerance=tol["continuity_gap"])
             worst = max(worst, rep.gaps[-1])
             all_passed = all_passed and rep.passed
@@ -181,8 +181,8 @@ def run_scenario(
 
         worst = 0.0
         for _ in range(counts["boundary_feet"]):
-            xi2 = _random_interior(P, rng)
-            eta = _random_face_point(chart, rng)
+            xi2 = random_interior(P, rng)
+            eta = random_face_point(chart, rng)
             foot = project_to_face(phi, chart, xi2)
             if negative_control:
                 step = 0.05 * _face_step(chart, rng)
@@ -207,9 +207,9 @@ def run_scenario(
         worst_id = 0.0
         worst_orth = 0.0
         for _ in range(counts["interior_triples"]):
-            eta = _random_face_point(chart, rng)
-            xi = _random_interior(P, rng)
-            xi2 = _random_interior(P, rng)
+            eta = random_face_point(chart, rng)
+            xi = random_interior(P, rng)
+            xi2 = random_interior(P, rng)
             rep = pythagoras_interior_foot(phi, chart, eta, xi, xi2)
             worst_id = max(worst_id, abs(rep.residual - rep.perp_value))
             # rebuild xi2 so the dual velocity is orthogonal to the flat segment

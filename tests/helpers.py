@@ -1,10 +1,11 @@
-"""Shared test utilities: finite-difference oracles and sampling."""
+"""Shared test utilities: finite-difference oracles and lattice transforms."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from polyflat.polytope import vertices
+from polyflat.errors import InvalidInputError
+from polyflat.intlattice import solve_square
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -28,28 +29,21 @@ def fd_jacobian(f, x, h=1e-6):
     return J
 
 
-def random_interior(P, rng, margin=1e-3):
-    verts = np.array([v.array for v in vertices(P)])
-    while True:
-        x = rng.dirichlet(np.ones(len(verts))) @ verts
-        if float(np.min(P.facet_values(x))) > margin:
-            return x
-
-
-def random_face_point(chart, rng, margin=1e-3):
-    P = chart.polytope
-    verts = np.array(
-        [v.array for v in vertices(P) if set(chart.face_active) <= set(v.active)]
-    )
-    while True:
-        x = rng.dirichlet(np.ones(len(verts))) @ verts
-        values = P.facet_values(x)
-        if all(
-            values[r - 1] > margin
-            for r in range(1, P.n_facets + 1)
-            if r not in chart.vanishing
-        ):
-            return x
+def invert_unimodular(rows):
+    """Inverse of a unimodular integer matrix, as integer rows."""
+    n = len(rows)
+    inv = []
+    for j in range(n):
+        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
+        col = solve_square(rows, e)
+        if col is None:
+            raise InvalidInputError("matrix is singular")
+        inv.append(col)
+    # columns of the solves are the columns of the inverse
+    out = [[inv[j][i] for j in range(n)] for i in range(n)]
+    if any(v.denominator != 1 for row in out for v in row):
+        raise InvalidInputError("matrix is not unimodular")
+    return [[int(v) for v in row] for row in out]
 
 
 def random_unimodular(rng, n):
@@ -75,11 +69,10 @@ def random_unimodular(rng, n):
 
 def transform_polytope(P, M, t):
     """Image of P under xi -> M xi + t (M unimodular, t rational)."""
-    from polyflat import intlattice
     from polyflat.polytope import HalfSpace, Polytope
 
     n = P.dim
-    Minv = intlattice.invert_unimodular(M)
+    Minv = invert_unimodular(M)
     halfspaces = []
     for hs in P.halfspaces:
         # new normal is M^-T nu; new offset keeps l'(M xi + t) = l(xi)

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import fd_gradient, fd_jacobian, random_face_point, random_interior
+from helpers import fd_gradient, fd_jacobian
 from polyflat.boundary import (
     boundary_divergence,
     boundary_point,
@@ -18,6 +18,8 @@ from polyflat.boundary import (
     project_to_face,
     pythagoras_boundary_foot,
     pythagoras_interior_foot,
+    random_face_point,
+    random_interior,
 )
 from polyflat.dually_flat import (
     GeodesicSpec,
@@ -97,8 +99,8 @@ def test_criterion_3_boundary_continuity(triangle, square):
         for facet in range(1, P.n_facets + 1):
             chart = face_chart(P, [facet])
             for _ in range(20):
-                eta = boundary_point(chart, ambient=random_face_point(chart, rng))
-                eta2 = boundary_point(chart, ambient=random_face_point(chart, rng))
+                eta = random_face_point(chart, rng)
+                eta2 = random_face_point(chart, rng)
                 report = continuity_check(phi, chart, eta, eta2, k_max=8)
                 worst = max(worst, report.gaps[-1])
                 ok &= report.gaps[-1] <= 1e-5
@@ -120,7 +122,7 @@ def test_criterion_4_boundary_foot_pythagoras(triangle, square):
         for _ in range(50):
             chart = charts[int(rng.integers(len(charts)))]
             xi2 = random_interior(P, rng)
-            eta = boundary_point(chart, ambient=random_face_point(chart, rng))
+            eta = random_face_point(chart, rng)
             foot = project_to_face(phi, chart, xi2)
             report = pythagoras_boundary_foot(phi, chart, eta, foot, xi2)
             worst = max(worst, abs(report.residual))
@@ -155,7 +157,7 @@ def test_criterion_5_interior_foot_pythagoras(triangle):
     ok = True
     worst_id = 0.0
     for _ in range(1000):
-        eta = boundary_point(chart, ambient=random_face_point(chart, rng))
+        eta = random_face_point(chart, rng)
         xi = random_interior(triangle, rng)
         xi2 = random_interior(triangle, rng)
         report = pythagoras_interior_foot(phi, chart, eta, xi, xi2)
@@ -165,7 +167,7 @@ def test_criterion_5_interior_foot_pythagoras(triangle):
     worst_orth = 0.0
     done = 0
     while done < 100:
-        eta = boundary_point(chart, ambient=random_face_point(chart, rng))
+        eta = random_face_point(chart, rng)
         xi = random_interior(triangle, rng, margin=0.02)
         seg = eta.ambient_array - xi
         w = np.array([-seg[1], seg[0]])

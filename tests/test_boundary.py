@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_face_point, random_interior
 from polyflat.boundary import (
     boundary_divergence,
     boundary_point,
@@ -15,6 +14,8 @@ from polyflat.boundary import (
     project_to_face,
     pythagoras_boundary_foot,
     pythagoras_interior_foot,
+    random_face_point,
+    random_interior,
 )
 from polyflat.dually_flat import GeodesicSpec, bregman, dual_geodesic_limit, from_dual
 from polyflat.errors import DomainError
@@ -74,10 +75,9 @@ def test_boundary_divergence_chart_invariance(tri_setup, square, rng):
     for _ in range(20):
         a = random_face_point(chart, rng)
         b = random_face_point(chart, rng)
-        d1 = boundary_divergence(phi, chart, boundary_point(chart, ambient=a),
-                                 boundary_point(chart, ambient=b))
-        d2 = boundary_divergence(phi, alt, boundary_point(alt, ambient=a),
-                                 boundary_point(alt, ambient=b))
+        d1 = boundary_divergence(phi, chart, a, b)
+        d2 = boundary_divergence(phi, alt, boundary_point(alt, ambient=a.ambient),
+                                 boundary_point(alt, ambient=b.ambient))
         assert abs(d1 - d2) < 1e-10
 
 
@@ -127,7 +127,7 @@ def test_limit_divergence_path_independent(tri_setup, rng):
 def test_limit_divergence_strictly_positive(tri_setup, rng):
     _, phi, chart = tri_setup
     for _ in range(50):
-        eta = boundary_point(chart, ambient=random_face_point(chart, rng))
+        eta = random_face_point(chart, rng)
         xi2 = random_interior(chart.polytope, rng)
         assert limit_divergence(phi, chart, eta, xi2) > 0
 
@@ -138,7 +138,7 @@ def test_limit_divergence_zero_probability_terms(tri_setup, rng):
     triangle, phi, chart = tri_setup
     s = phi.scale
     for _ in range(20):
-        eta = boundary_point(chart, ambient=random_face_point(chart, rng))
+        eta = random_face_point(chart, rng)
         xi2 = random_interior(triangle, rng)
         l_eta = triangle.facet_values(eta.ambient_array)
         l_xi = triangle.facet_values(xi2)
@@ -238,7 +238,7 @@ def test_pythagoras_boundary_foot_random(tri_setup, square, rng):
     for P, phi, chart in cases:
         for _ in range(50):
             xi2 = random_interior(P, rng)
-            eta = boundary_point(chart, ambient=random_face_point(chart, rng))
+            eta = random_face_point(chart, rng)
             foot = project_to_face(phi, chart, xi2)
             report = pythagoras_boundary_foot(phi, chart, eta, foot, xi2)
             assert report.perp_value <= 1e-8
@@ -248,7 +248,7 @@ def test_pythagoras_boundary_foot_random(tri_setup, square, rng):
 def test_pythagoras_interior_foot_identity(tri_setup, rng):
     triangle, phi, chart = tri_setup
     for _ in range(1000):
-        eta = boundary_point(chart, ambient=random_face_point(chart, rng))
+        eta = random_face_point(chart, rng)
         xi = random_interior(triangle, rng)
         xi2 = random_interior(triangle, rng)
         report = pythagoras_interior_foot(phi, chart, eta, xi, xi2)
@@ -259,7 +259,7 @@ def test_pythagoras_interior_foot_orthogonal(tri_setup, rng):
     triangle, phi, chart = tri_setup
     done = 0
     while done < 50:
-        eta = boundary_point(chart, ambient=random_face_point(chart, rng))
+        eta = random_face_point(chart, rng)
         xi = random_interior(triangle, rng, margin=0.02)
         seg = eta.ambient_array - xi
         w = np.array([-seg[1], seg[0]])
@@ -324,7 +324,7 @@ def test_boundary_ops_with_polynomial_correction(triangle, rng):
         foot = project_to_face(phi, chart, xi2)
         mismatch = phi_f.gradient(foot.chart_array) - chart.basis_array.T @ phi.gradient(xi2)
         assert np.max(np.abs(mismatch)) <= 1e-9
-        eta = boundary_point(chart, ambient=random_face_point(chart, rng))
+        eta = random_face_point(chart, rng)
         report = pythagoras_boundary_foot(phi, chart, eta, foot, xi2)
         assert abs(report.residual) <= 1e-8
     eta = boundary_point(chart, ambient=(0.45, 0.55))

@@ -67,6 +67,20 @@ def test_validate_malformed(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+def test_validate_rejects_overflowing_offset(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"dim": 1, "halfspaces": [{"normal": [1], "offset": 0},'
+        ' {"normal": [-1], "offset": 1e400}]}'
+    )
+    assert main(["validate", str(path)]) == 2
+
+
+def test_validate_rejects_fractional_normal(tmp_path):
+    bad = {"dim": 1, "halfspaces": [{"normal": [1.5], "offset": 0}, {"normal": [-1], "offset": 1}]}
+    assert main(["validate", write(tmp_path, "frac.json", bad)]) == 2
+
+
 def test_validate_missing_file():
     assert main(["validate", "/nonexistent/nowhere.json"]) == 2
 
@@ -80,6 +94,12 @@ def test_divergence_table(tri_input, tmp_path, capsys):
     assert out["rows"][0]["divergence"] == pytest.approx(
         0.5 * math.log(0.75) + 0.5 * math.log(1.5), abs=1e-9
     )
+
+
+def test_divergence_rejects_nan_point(tri_input, tmp_path):
+    points = tmp_path / "nan.json"
+    points.write_text('{"pairs": [[[NaN, 0.25], [0.25, 0.25]]]}')
+    assert main(["divergence", tri_input, "--points", str(points)]) == 2
 
 
 def test_geodesic_csv_roundtrip(tri_input, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_interior
+from polyflat.boundary import random_interior
 from polyflat.dually_flat import (
     GeodesicSpec,
     bregman,

@@ -5,6 +5,7 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from helpers import invert_unimodular
 from polyflat import intlattice
 from polyflat.errors import InvalidInputError
 
@@ -94,11 +95,11 @@ def test_strict_interior_point_infeasible():
 
 def test_invert_unimodular():
     M = [[2, 1], [1, 1]]
-    Minv = intlattice.invert_unimodular(M)
+    Minv = invert_unimodular(M)
     prod = [
         [sum(M[i][k] * Minv[k][j] for k in range(2)) for j in range(2)]
         for i in range(2)
     ]
     assert prod == [[1, 0], [0, 1]]
     with pytest.raises(InvalidInputError):
-        intlattice.invert_unimodular([[2, 0], [0, 1]])
+        invert_unimodular([[2, 0], [0, 1]])

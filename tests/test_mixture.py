@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_interior, random_unimodular, transform_polytope
+from helpers import random_unimodular, transform_polytope
+from polyflat.boundary import random_interior
 from polyflat.dually_flat import bregman
 from polyflat.errors import DegenerateError, DomainError, InvalidInputError, NotTorifiableError
 from polyflat.mixture import MixtureFamily, from_mixture, kl, to_mixture, zero_sum_check

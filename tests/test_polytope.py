@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from polyflat.errors import (
 from polyflat.polytope import (
     FaceChart,
     Polytope,
+    as_fraction,
     contains,
     face_chart,
     facet_value,
@@ -52,6 +54,20 @@ def test_halfspace_validation():
         halfspace((2, 4), 1)  # not primitive
     with pytest.raises(InvalidInputError):
         Polytope(dim=2, halfspaces=(halfspace((1, 0), 0), halfspace((1, 0), 0)))
+    with pytest.raises(InvalidInputError):
+        halfspace((1.5, 0), 1)  # never truncated to an integer normal
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_as_fraction_rejects_non_finite(value):
+    with pytest.raises(InvalidInputError):
+        as_fraction(value)
+
+
+def test_restrict_polytope_is_memoized_on_the_chart(triangle):
+    chart = face_chart(triangle, [3])
+    assert restrict_polytope(triangle, chart) is restrict_polytope(triangle, chart)
+    assert chart.vertices == tuple(v for v in vertices(triangle) if 3 in v.active)
 
 
 def test_vertices_triangle(triangle):

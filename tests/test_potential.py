@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, fd_jacobian, random_interior
+from helpers import fd_gradient, fd_jacobian
+from polyflat.boundary import random_interior
 from polyflat.errors import DomainError
 from polyflat.polynomial import Polynomial
-from polyflat.polytope import FaceChart, face_chart, restrict_polytope, vertices
+from polyflat.polytope import FaceChart, face_chart, product, restrict_polytope, vertices
 from polyflat.potential import (
     AffineLogTerm,
     SymplecticPotential,
@@ -43,6 +44,13 @@ def test_value_domain_error(triangle):
         phi.value((0.0, 0.5))
     with pytest.raises(DomainError):
         phi.value((0.7, 0.7))
+
+
+@pytest.mark.parametrize("method", ["value", "gradient", "hessian", "value_extended"])
+def test_nan_point_is_a_domain_error(triangle, method):
+    phi = guillemin(triangle, 1.0)
+    with pytest.raises(DomainError):
+        getattr(phi, method)((math.nan, 0.25))
 
 
 def test_value_extended_boundary(triangle, half_line):
@@ -249,3 +257,30 @@ def test_restrict_potential_rejects_negative_terms(triangle):
     )
     with pytest.raises(DomainError):
         restrict_potential(bad, chart)
+
+
+def test_restrict_potential_is_memoized_per_chart(triangle):
+    phi = guillemin(triangle, 1.0)
+    chart = face_chart(triangle, [3])
+    assert restrict_potential(phi, chart) is restrict_potential(phi, chart)
+    twin = guillemin(triangle, 1.0)  # equal to phi, but its own memo
+    assert restrict_potential(twin, chart) is not restrict_potential(phi, chart)
+
+
+def test_restrict_potential_checks_faces_of_unbounded_polytopes(triangle, half_line):
+    prod = product(triangle, half_line)
+    bad = SymplecticPotential(
+        dim=3, scale=1.0, log_terms=(AffineLogTerm(normal=(1.0, 0.0, 0.0), offset=-0.25),)
+    )
+    # bottom face triangle x {0}: bounded, negative at the vertex (0, 0, 0)
+    bottom = face_chart(prod, [4])
+    assert restrict_polytope(prod, bottom).bounded
+    with pytest.raises(DomainError):
+        restrict_potential(bad, bottom)
+    # side face (edge x1 + x2 = 1) x ray: unbounded, negative at the vertex (0, 1, 0)
+    side = face_chart(prod, [3])
+    assert not restrict_polytope(prod, side).bounded
+    with pytest.raises(DomainError):
+        restrict_potential(bad, side)
+    phi_f = restrict_potential(guillemin(prod, 1.0), side)
+    assert phi_f.dim == 2 and len(phi_f.log_terms) == 3
