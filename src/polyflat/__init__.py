@@ -29,6 +29,7 @@ from .dually_flat import (
     from_dual,
     geodesic_point,
     metric_pair,
+    newton_solve,
     to_dual,
 )
 from .errors import (

@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dually_flat import _newton_inverse, bregman
+from . import rowwise
+from .dually_flat import bregman, newton_solve
 from .errors import DomainError, FaceBoundaryError, InvalidInputError, NumericalError
 from .polytope import (
     FaceChart,
@@ -31,7 +32,6 @@ from .polytope import (
     face_chart,
     product,
     restrict_polytope,
-    vertices,
 )
 from .potential import SymplecticPotential, guillemin, restrict_potential
 
@@ -90,41 +90,65 @@ def boundary_point(chart: FaceChart, ambient=None, chart_coords=None) -> Boundar
     return BoundaryPoint(chart=chart, ambient=tuple(ambient), chart_coords=tuple(chart_coords))
 
 
-def boundary_divergence(
-    phi: SymplecticPotential, chart: FaceChart, eta: BoundaryPoint, eta2: BoundaryPoint
-) -> float:
-    """Face divergence D_F: Bregman divergence of the restricted potential."""
-    if eta.chart != chart or eta2.chart != chart:
+def _coords(chart: FaceChart, eta, chart_coords=False):
+    """Coordinates of one boundary point, or the rows (m, d) of a sequence of them.
+
+    Ambient coordinates by default, chart coordinates with chart_coords; every
+    point must use the given chart.
+    """
+    single = isinstance(eta, BoundaryPoint)
+    points = (eta,) if single else tuple(eta)
+    if any(p.chart != chart for p in points):
         raise InvalidInputError("boundary points must use the given chart")
-    return bregman(restrict_potential(phi, chart), eta.chart_array, eta2.chart_array)
+    if single:
+        return eta.chart_array if chart_coords else eta.ambient_array
+    if chart_coords:
+        rows, width = [p.chart_coords for p in points], chart.dim_face
+    else:
+        rows, width = [p.ambient for p in points], chart.polytope.dim
+    return np.array(rows, dtype=float).reshape(len(points), width)
 
 
-def extended_divergence(phi: SymplecticPotential, xi_closure, xi2) -> float:
+def boundary_divergence(phi: SymplecticPotential, chart: FaceChart, eta, eta2):
+    """Face divergence D_F: Bregman divergence of the restricted potential.
+
+    eta and eta2 are BoundaryPoints, giving a float, or equally long
+    sequences of them, giving an (m,) array.
+    """
+    u = _coords(chart, eta, chart_coords=True)
+    u2 = _coords(chart, eta2, chart_coords=True)
+    return bregman(restrict_potential(phi, chart), u, u2)
+
+
+def extended_divergence(phi: SymplecticPotential, xi_closure, xi2):
     """Continuous extension of the divergence in its first argument.
 
     Equals the Bregman divergence for interior xi_closure and the limit of
-    D(xi || xi2) as xi approaches a boundary point.
+    D(xi || xi2) as xi approaches a boundary point.  Points and results are
+    shaped as in ``bregman``.
     """
     xi_closure = np.asarray(xi_closure, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
-    return float(
+    d = (
         phi.value_extended(xi_closure)
         - phi.value(xi2)
-        - (xi_closure - xi2) @ phi.gradient(xi2)
+        - rowwise.dot(xi_closure - xi2, phi.gradient(xi2))
     )
+    return float(d) if np.ndim(d) == 0 else d
 
 
-def limit_divergence(
-    phi: SymplecticPotential, chart: FaceChart, eta: BoundaryPoint, xi2
-) -> float:
-    """Limit divergence D'_F(eta || xi2) of a face point against an interior point."""
-    if eta.chart != chart:
-        raise InvalidInputError("boundary point must use the given chart")
+def limit_divergence(phi: SymplecticPotential, chart: FaceChart, eta, xi2):
+    """Limit divergence D'_F(eta || xi2) of a face point against an interior point.
+
+    One BoundaryPoint against a point (n,), or a sequence of m of them against
+    the rows of xi2 (m, n).
+    """
+    ambient = _coords(chart, eta)
     xi2 = np.asarray(xi2, dtype=float)
     values = chart.polytope.facet_values(xi2)
-    if np.any(values <= 0):
+    if not np.all(values > 0):
         raise DomainError("second argument must be interior")
-    return extended_divergence(phi, eta.ambient_array, xi2)
+    return extended_divergence(phi, ambient, xi2)
 
 
 @dataclass(frozen=True)
@@ -165,19 +189,19 @@ def continuity_check(
     anchor = np.array([float(c) for c in P.interior_point])
     active = sorted(chart.vanishing)
 
-    def approach(point, delta):
+    def approach(point, deltas):
+        """Points along point -> anchor with smallest active facet value delta."""
         w = anchor - point
         rates = [
             float(np.dot(P.halfspaces[r - 1].normal, w)) for r in active
         ]
-        s = delta / min(rates)
-        return point + s * w
+        s = np.array(deltas) / min(rates)
+        return point + s[:, None] * w
 
-    estimates = []
-    for k in range(1, k_max + 1):
-        inner = approach(eta.ambient_array, 10.0 ** (-(k + 2)))
-        outer = approach(eta2.ambient_array, 10.0**-k)
-        estimates.append(bregman(phi, inner, outer))
+    ks = range(1, k_max + 1)
+    inner = approach(eta.ambient_array, [10.0 ** (-(k + 2)) for k in ks])
+    outer = approach(eta2.ambient_array, [10.0**-k for k in ks])
+    estimates = bregman(phi, inner, outer).tolist()
     gaps = tuple(abs(e - target) for e in estimates)
     tail = gaps[-4:]
     decreasing = all(a > b for a, b in zip(tail, tail[1:]))
@@ -188,33 +212,40 @@ def continuity_check(
     )
 
 
-def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2) -> BoundaryPoint:
+def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2):
     """The face point minimizing the limit divergence against xi2.
 
     Solved by Newton on the chart: the first-order condition equates the
     chart gradient of the restricted potential with the pullback of
     grad phi(xi2).  Initialized at the Euclidean projection of xi2 onto the
-    affine hull of the face.
+    affine hull of the face.  A point xi2 of shape (n,) gives a
+    BoundaryPoint; a batch (m, n) gives a tuple of m of them, solved
+    together, and the first row that does not converge raises.
     """
     xi2 = np.asarray(xi2, dtype=float)
     P = chart.polytope
-    if np.any(P.facet_values(xi2) <= 0):
+    if not np.all(P.facet_values(xi2) > 0):
         raise DomainError("projection argument must be interior")
+    X2 = xi2.reshape(-1, P.dim)
     phi_f = restrict_potential(phi, chart)
     face_poly = restrict_polytope(P, chart)
     if chart.dim_face == 0:
-        return boundary_point(chart, chart_coords=())
-    target = chart.basis_array.T @ phi.gradient(xi2)
-    u0 = chart.to_chart(xi2)
-    if float(np.min(face_poly.facet_values(u0), initial=np.inf)) <= 1e-9:
-        u0 = None  # Euclidean projection is outside the face; use the centroid start
-    u, residual, status = _newton_inverse(phi_f, face_poly, target, x0=u0)
-    if status != "converged":
-        raise FaceBoundaryError(
-            f"projection minimizer lies on the face boundary or did not converge "
-            f"({status}, residual {residual:.3e})"
-        )
-    return boundary_point(chart, chart_coords=u)
+        feet = tuple(boundary_point(chart, chart_coords=()) for _ in X2)
+    else:
+        target = rowwise.times(phi.gradient(X2), chart.basis_array)
+        u0 = np.array([chart.to_chart(x) for x in X2]).reshape(len(X2), chart.dim_face)
+        # where the Euclidean projection is outside the face, start at the centroid
+        outside = np.min(face_poly.facet_values(u0), axis=1, initial=np.inf) <= 1e-9
+        if outside.any():
+            u0[outside] = np.array(face_poly.interior_point, dtype=float)
+        u, residual, status, _ = newton_solve(phi_f, face_poly, target, X0=u0)
+        for i in np.flatnonzero(status != "converged")[:1]:
+            raise FaceBoundaryError(
+                f"projection minimizer lies on the face boundary or did not converge "
+                f"({status[i]}, residual {residual[i]:.3e})"
+            )
+        feet = tuple(boundary_point(chart, chart_coords=row) for row in u)
+    return feet if xi2.ndim == 2 else feet[0]
 
 
 @dataclass(frozen=True)
@@ -239,57 +270,71 @@ class PythagorasReport:
         }
 
 
+def _reports(a, b, c, perp, tolerance):
+    """One PythagorasReport for float terms, a tuple of them for (m,) arrays."""
+    residual = a + b - c
+    if np.ndim(residual) == 0:
+        return PythagorasReport(
+            residual=residual, perp_value=float(perp), terms=(a, b, c), tolerance=tolerance
+        )
+    return tuple(
+        PythagorasReport(residual=r, perp_value=p, terms=(x, y, z), tolerance=tolerance)
+        for r, p, x, y, z in zip(
+            residual.tolist(), perp.tolist(), a.tolist(), b.tolist(), c.tolist()
+        )
+    )
+
+
 def pythagoras_boundary_foot(
     phi: SymplecticPotential,
     chart: FaceChart,
-    eta: BoundaryPoint,
-    eta2: BoundaryPoint,
+    eta,
+    eta2,
     xi2,
     tolerance: float = 1e-8,
-) -> PythagorasReport:
+):
     """Additivity D_F(eta||eta2) + D'_F(eta2||xi2) = D'_F(eta||xi2).
 
     The hypothesis is that eta2 is the foot of the dual geodesic from xi2,
     certified first-order: perp_value reports the infinity norm of the chart
     gradient mismatch at eta2, which vanishes exactly when eta2 is the
-    projection of xi2 onto the face.
+    projection of xi2 onto the face.  BoundaryPoints and a point xi2 (n,)
+    give one report; sequences of m BoundaryPoints and a batch xi2 (m, n)
+    give a tuple of m reports.
     """
     xi2 = np.asarray(xi2, dtype=float)
     a = boundary_divergence(phi, chart, eta, eta2)
     b = limit_divergence(phi, chart, eta2, xi2)
     c = limit_divergence(phi, chart, eta, xi2)
-    phi_f = restrict_potential(phi, chart)
-    mismatch = phi_f.gradient(eta2.chart_array) - chart.basis_array.T @ phi.gradient(xi2)
-    perp_defect = float(np.max(np.abs(mismatch), initial=0.0))
-    return PythagorasReport(
-        residual=a + b - c, perp_value=perp_defect, terms=(a, b, c), tolerance=tolerance
-    )
+    face_gradient = restrict_potential(phi, chart).gradient(_coords(chart, eta2, True))
+    mismatch = face_gradient - rowwise.times(phi.gradient(xi2), chart.basis_array)
+    perp_defect = np.max(np.abs(mismatch), axis=-1, initial=0.0)
+    return _reports(a, b, c, perp_defect, tolerance)
 
 
 def pythagoras_interior_foot(
     phi: SymplecticPotential,
     chart: FaceChart,
-    eta: BoundaryPoint,
+    eta,
     xi,
     xi2,
     tolerance: float = 1e-9,
-) -> PythagorasReport:
+):
     """Additivity D'_F(eta||xi) + D(xi||xi2) = D'_F(eta||xi2).
 
     perp_value is the mixed pairing (eta - xi) . (y(xi2) - y(xi)) expressing
     metric orthogonality at xi of the straight segment toward eta and the dual
     geodesic toward xi2; the residual equals it identically, so the additivity
-    holds exactly when the two directions are perpendicular.
+    holds exactly when the two directions are perpendicular.  Shapes are as in
+    ``pythagoras_boundary_foot``.
     """
     xi = np.asarray(xi, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
     a = limit_divergence(phi, chart, eta, xi)
     b = bregman(phi, xi, xi2)
     c = limit_divergence(phi, chart, eta, xi2)
-    pairing = float((eta.ambient_array - xi) @ (phi.gradient(xi2) - phi.gradient(xi)))
-    return PythagorasReport(
-        residual=a + b - c, perp_value=pairing, terms=(a, b, c), tolerance=tolerance
-    )
+    pairing = rowwise.dot(_coords(chart, eta) - xi, phi.gradient(xi2) - phi.gradient(xi))
+    return _reports(a, b, c, pairing, tolerance)
 
 
 @dataclass(frozen=True)
@@ -326,9 +371,10 @@ class ProductBoundaryReport:
 
 def random_interior(P: Polytope, rng, margin: float = 1e-3) -> np.ndarray:
     """A random interior point whose facet values all exceed margin."""
-    verts = np.array([v.array for v in vertices(P)])
+    verts = P.vertex_array
+    weights = np.ones(len(verts))
     for _ in range(200):
-        x = rng.dirichlet(np.ones(len(verts))) @ verts
+        x = rng.dirichlet(weights) @ verts
         if float(np.min(P.facet_values(x))) > margin:
             return x
     raise NumericalError("failed to draw an interior point with the requested margin")
@@ -337,18 +383,19 @@ def random_interior(P: Polytope, rng, margin: float = 1e-3) -> np.ndarray:
 def random_face_point(chart: FaceChart, rng, margin: float = 1e-3) -> BoundaryPoint:
     """A random point of the open face whose inactive facet values exceed margin."""
     P = chart.polytope
-    arr = np.array([v.array for v in chart.vertices])
+    arr = chart.vertex_array
+    weights = np.ones(len(arr))
+    inactive = [r - 1 for r in range(1, P.n_facets + 1) if r not in chart.vanishing]
     for _ in range(200):
-        x = rng.dirichlet(np.ones(len(arr))) @ arr
-        values = P.facet_values(x)
-        ok = all(
-            values[r - 1] > margin
-            for r in range(1, P.n_facets + 1)
-            if r not in chart.vanishing
-        )
-        if ok:
+        x = rng.dirichlet(weights) @ arr
+        if np.all(P.facet_values(x)[inactive] > margin):
             return boundary_point(chart, ambient=x)
     raise NumericalError("failed to draw a face-interior point")
+
+
+def _with(x, t):
+    """Rows of x with the column t appended (the point in P x [0, inf))."""
+    return np.column_stack([x, np.broadcast_to(t, len(x))])
 
 
 def product_boundary_check(
@@ -365,6 +412,7 @@ def product_boundary_check(
     random configurations: divergence additivity across the factors, the
     Pythagorean identity with the corner on a side face (a facet of P crossed
     with the ray), and the one with the corner on the bottom face P x {0}.
+    All configurations are drawn first and then evaluated together.
     """
     if not P.bounded:
         raise InvalidInputError("the bounded factor must be a bounded polytope")
@@ -375,29 +423,32 @@ def product_boundary_check(
     phi_ray = guillemin(ray, scale)
     charts = [face_chart(P, (r,)) for r in range(1, P.n_facets + 1)]
     rng = np.random.default_rng(seed)
-    add_max = side_max = bottom_max = 0.0
+    x1, x1b, t, eta = [], [], [], []
     for _ in range(samples):
-        x1 = random_interior(P, rng)
-        x1b = random_interior(P, rng)
-        t1, t2 = rng.uniform(0.2, 3.0, size=2)
-        joint = bregman(phi_prod, np.append(x1, t1), np.append(x1b, t2))
-        split = bregman(phi_base, x1, x1b) + bregman(phi_ray, (t1,), (t2,))
-        add_max = max(add_max, abs(joint - split))
-
+        x1.append(random_interior(P, rng))
+        x1b.append(random_interior(P, rng))
+        t.append(rng.uniform(0.2, 3.0, size=2))
         # corner on a side face: (eta, t1) with eta on a random facet of P
-        eta = random_face_point(charts[int(rng.integers(P.n_facets))], rng)
-        lhs = extended_divergence(phi_prod, np.append(eta.ambient_array, t1), np.append(x1, t2))
-        rhs = extended_divergence(
-            phi_prod, np.append(eta.ambient_array, t1), np.append(x1, t1)
-        ) + bregman(phi_prod, np.append(x1, t1), np.append(x1, t2))
-        side_max = max(side_max, abs(lhs - rhs))
+        eta.append(random_face_point(charts[int(rng.integers(P.n_facets))], rng).ambient)
+    x1, x1b, eta = (np.array(a).reshape(samples, P.dim) for a in (x1, x1b, eta))
+    t1, t2 = np.array(t).reshape(samples, 2).T
 
-        # corner on the bottom face: (x1, 0) against interior points
-        lhs = extended_divergence(phi_prod, np.append(x1, 0.0), np.append(x1b, t2))
-        rhs = extended_divergence(
-            phi_prod, np.append(x1, 0.0), np.append(x1, t2)
-        ) + bregman(phi_prod, np.append(x1, t2), np.append(x1b, t2))
-        bottom_max = max(bottom_max, abs(lhs - rhs))
+    joint = bregman(phi_prod, _with(x1, t1), _with(x1b, t2))
+    split = bregman(phi_base, x1, x1b) + bregman(phi_ray, t1[:, None], t2[:, None])
+    add_max = float(np.max(np.abs(joint - split), initial=0.0))
+
+    lhs = extended_divergence(phi_prod, _with(eta, t1), _with(x1, t2))
+    rhs = extended_divergence(phi_prod, _with(eta, t1), _with(x1, t1)) + bregman(
+        phi_prod, _with(x1, t1), _with(x1, t2)
+    )
+    side_max = float(np.max(np.abs(lhs - rhs), initial=0.0))
+
+    # corner on the bottom face: (x1, 0) against interior points
+    lhs = extended_divergence(phi_prod, _with(x1, 0.0), _with(x1b, t2))
+    rhs = extended_divergence(phi_prod, _with(x1, 0.0), _with(x1, t2)) + bregman(
+        phi_prod, _with(x1, t2), _with(x1b, t2)
+    )
+    bottom_max = float(np.max(np.abs(lhs - rhs), initial=0.0))
     return ProductBoundaryReport(
         samples=samples,
         additivity_max=add_max,

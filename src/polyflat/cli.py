@@ -158,14 +158,21 @@ def cmd_validate(args):
     return 0 if report.valid else 1
 
 
+def _point_pairs(pairs, dim):
+    """The first and the second points of a list of pairs, as two (m, dim) arrays."""
+    firsts, seconds = [], []
+    for a, b in pairs:
+        firsts.append(a)
+        seconds.append(b)
+    return (np.array(v, dtype=float).reshape(len(pairs), dim) for v in (firsts, seconds))
+
+
 def cmd_divergence(args):
     P, phi = _load_problem(args.file)
     if phi is None:
         raise PolyflatError("input file must carry a potential")
-    pairs = _load_json(args.points)["pairs"]
-    rows = []
-    for a, b in pairs:
-        rows.append((list(map(float, a)), list(map(float, b)), bregman(phi, a, b)))
+    xi, xi2 = _point_pairs(_load_json(args.points)["pairs"], P.dim)
+    rows = list(zip(xi.tolist(), xi2.tolist(), bregman(phi, xi, xi2).tolist()))
     if args.format == "json":
         payload = {"rows": [{"xi": a, "xi2": b, "divergence": d} for a, b, d in rows]}
         _emit(jsonio.dumps(payload), args.out)
@@ -227,13 +234,11 @@ def cmd_boundary(args):
     if phi is None:
         raise PolyflatError("input file must carry a potential")
     chart = face_chart(P, _parse_face(args.face))
-    pairs = _load_json(args.points)["pairs"]
-    rows = []
-    for a, b in pairs:
-        eta = boundary_point(chart, ambient=a)
-        eta2 = boundary_point(chart, ambient=b)
-        rows.append((list(map(float, a)), list(map(float, b)),
-                     boundary_divergence(phi, chart, eta, eta2)))
+    a, b = _point_pairs(_load_json(args.points)["pairs"], P.dim)
+    etas = [boundary_point(chart, ambient=x) for x in a]
+    etas2 = [boundary_point(chart, ambient=x) for x in b]
+    divergences = boundary_divergence(phi, chart, etas, etas2)
+    rows = list(zip(a.tolist(), b.tolist(), divergences.tolist()))
     if args.format == "json":
         payload = {
             "face": list(chart.face_active),

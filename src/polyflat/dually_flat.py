@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from . import rowwise
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -72,91 +74,204 @@ def to_dual(phi: SymplecticPotential, xi) -> DualPair:
     return DualPair(x=tuple(xi), y=tuple(phi.gradient(xi)))
 
 
-def _newton_start(P: Polytope):
-    if P.bounded:
-        return np.array([float(c) for c in P.centroid])
-    return np.array([float(c) for c in P.interior_point])
+class NewtonSolve(NamedTuple):
+    """Outcome of ``newton_solve``, one entry per target row.
 
-
-def _newton_inverse(phi, P, y_target, x0=None, margin=NEWTON_MARGIN, tol=NEWTON_TOL,
-                    max_iter=NEWTON_MAX_ITER):
-    """Damped Newton solve of grad phi(x) = y_target.
-
-    Iterates are kept strictly inside P (facet margin >= `margin`) by step
-    halving, and a step is only accepted if it decreases the residual.
-    Returns (x, residual, status) with status one of "converged", "stalled",
-    "diverged", "maxiter".
+    status is "converged", "stalled", "diverged" or "maxiter"; iterations
+    counts the accepted Newton steps.
     """
-    y_target = np.asarray(y_target, dtype=float)
-    x = np.asarray(x0, dtype=float) if x0 is not None else _newton_start(P)
-    residual = phi.gradient(x) - y_target
-    res_norm = float(np.max(np.abs(residual)))
-    for _ in range(max_iter):
-        if res_norm <= tol:
-            return x, res_norm, "converged"
+
+    x: np.ndarray
+    residual: np.ndarray
+    status: np.ndarray
+    iterations: np.ndarray
+
+
+def newton_solve(phi: SymplecticPotential, P: Polytope, Y, X0=None) -> NewtonSolve:
+    """Damped Newton solves of grad phi(x) = y, one per row of Y, all at once.
+
+    Each row starts from X0 (broadcast against Y) or from the vertex
+    centroid of P (an exact interior point when P is unbounded).  Iterates
+    are kept strictly inside P (facet margin >= 1e-15) and in the domain of
+    phi by step halving, at most 60 times, and a step is only accepted if it
+    decreases the infinity-norm residual.  A row converges at residual
+    <= 1e-10; it stalls when no step is accepted or its Hessian is singular,
+    diverges when an iterate leaves the box |x| <= 1e12, and stops after
+    200 Newton steps otherwise.  A target of shape (n,) gives one x, float,
+    str and int; a batch (m, n) gives arrays of m rows.
+    """
+    Y = np.asarray(Y, dtype=float)
+    single = Y.ndim == 1
+    Y = Y.reshape(-1, P.dim)
+    m = len(Y)
+    X = np.empty(Y.shape)
+    X[...] = P.interior_point if X0 is None else X0
+    res = np.empty(m)
+    status = np.empty(m, dtype="<U9")
+    iterations = np.empty(m, dtype=int)
+    # the rows still iterating, compacted: their row numbers, iterates, targets,
+    # residual vectors and residual norms
+    rows, x, y = np.arange(m), X.copy(), Y
+    r = phi.gradient(x) - y
+    r_norm = _max_abs(r)
+
+    def finish(leaving, why, steps_taken):
+        nonlocal rows, x, y, r, r_norm
+        out = rows[leaving]
+        if len(out) == m:  # every row at once, still in order
+            X[...], res[...], status[...], iterations[...] = x, r_norm, why, steps_taken
+        else:
+            X[out], res[out], status[out], iterations[out] = (
+                x[leaving], r_norm[leaving], why, steps_taken
+            )
+        if len(out) == len(rows):
+            rows = out[:0]
+        else:
+            stay = ~leaving
+            rows, x, y, r, r_norm = rows[stay], x[stay], y[stay], r[stay], r_norm[stay]
+
+    # masks are tested with np.count_nonzero, the cheapest full test on the
+    # small arrays of a solve
+    for k in range(NEWTON_MAX_ITER):
+        done = r_norm <= NEWTON_TOL
+        if np.count_nonzero(done):
+            finish(done, "converged", k)
+            if not rows.size:
+                break
+        H = phi.hessian(x)
         try:
-            step = np.linalg.solve(phi.hessian(x), -residual)
+            steps = np.linalg.solve(H, -r[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            return x, res_norm, "stalled"
-        alpha = 1.0
-        accepted = False
-        for _ in range(60):
-            cand = x + alpha * step
-            if np.min(P.facet_values(cand), initial=np.inf) >= margin:
-                try:
-                    cand_res = phi.gradient(cand) - y_target
-                except DomainError:
-                    cand_res = None
-                if cand_res is not None:
-                    cand_norm = float(np.max(np.abs(cand_res)))
-                    if cand_norm < res_norm:
-                        x, residual, res_norm = cand, cand_res, cand_norm
-                        accepted = True
-                        break
-            alpha *= 0.5
-        if not accepted:
-            return x, res_norm, "stalled"
-        if np.max(np.abs(x)) > 1e12:
-            return x, res_norm, "diverged"
-    return x, res_norm, "maxiter"
+            steps, solved = _steps_one_by_one(H, -r)
+            finish(~solved, "stalled", k)
+            steps = steps[solved]
+        accepted = _line_search(phi, P, x, y, r, r_norm, steps)
+        if np.count_nonzero(accepted) < len(accepted):
+            finish(~accepted, "stalled", k)
+        if np.maximum.reduce(np.abs(x), axis=None, initial=0.0) > 1e12:
+            finish(_max_abs(x) > 1e12, "diverged", k + 1)
+        if not rows.size:
+            break
+    else:
+        finish(np.ones(len(rows), dtype=bool), "maxiter", NEWTON_MAX_ITER)
+    if single:
+        return NewtonSolve(X[0], float(res[0]), str(status[0]), int(iterations[0]))
+    return NewtonSolve(X, res, status, iterations)
 
 
-def from_dual(phi: SymplecticPotential, P: Polytope, y, x0=None) -> DualPair:
-    """Invert the gradient map: the point x with grad phi(x) = y.
+def _max_abs(a):
+    """Infinity norm of each row."""
+    return np.maximum.reduce(np.abs(a), axis=1, initial=0.0)
 
-    Starts from the vertex centroid (or an exact interior point for unbounded
-    polyhedra) and converges to infinity-norm residual <= 1e-10.
+
+def _steps_one_by_one(H, rhs):
+    """Solutions of H_i s_i = rhs_i row by row, and which H_i were nonsingular."""
+    steps = np.zeros_like(rhs)
+    solved = np.ones(len(H), dtype=bool)
+    for i in range(len(H)):
+        try:
+            steps[i] = np.linalg.solve(H[i], rhs[i])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return steps, solved
+
+
+def _line_search(phi, P, x, y, r, r_norm, steps):
+    """Step halving from the iterates x; x, r and r_norm take each accepted step in place.
+
+    Returns which rows accepted a step.
     """
-    y = np.asarray(y, dtype=float)
-    x, res, status = _newton_inverse(phi, P, y, x0=x0)
-    if status == "converged":
-        return DualPair(x=tuple(x), y=tuple(y))
+    accepted = np.zeros(len(x), dtype=bool)
+    # the rows still halving, compacted; they all share the step length alpha
+    todo, xs, ss, ys, ns = np.arange(len(x)), x, steps, y, r_norm
+    alpha = 1.0
+    for _ in range(60):
+        cand = xs + alpha * ss
+        ok = np.minimum.reduce(P.facet_values(cand), axis=1, initial=np.inf) >= NEWTON_MARGIN
+        inside = np.count_nonzero(ok)
+        if not inside:
+            alpha *= 0.5
+            continue
+        every = inside == len(ok)
+        try:
+            cand_r = phi.gradient(cand if every else cand[ok])
+        except DomainError:  # phi has log terms other than P's facets
+            ok &= np.minimum.reduce(phi.term_values(cand), axis=1, initial=np.inf) > 0
+            every = False
+            cand_r = phi.gradient(cand[ok])
+        cand_r -= ys if every else ys[ok]
+        cand_norm = _max_abs(cand_r)
+        better = cand_norm < (ns if every else ns[ok])
+        if every and np.count_nonzero(better) == len(better):
+            if len(todo) == len(x):  # every row takes its first step
+                x[...], r[...], r_norm[...], accepted[...] = cand, cand_r, cand_norm, True
+            else:
+                x[todo], r[todo], r_norm[todo], accepted[todo] = cand, cand_r, cand_norm, True
+            break
+        won = np.zeros(len(todo), dtype=bool)
+        won[ok] = better
+        if np.count_nonzero(won):
+            moved = todo[won]
+            x[moved], r[moved], r_norm[moved] = cand[won], cand_r[better], cand_norm[better]
+            accepted[moved] = True
+            keep = ~won
+            todo, xs, ss, ys, ns = todo[keep], xs[keep], ss[keep], ys[keep], ns[keep]
+        alpha *= 0.5
+    return accepted
+
+
+def _unsolved(P: Polytope, y, x, residual, status) -> NumericalError:
+    """The error from_dual raises for a target whose solve ended in `status`."""
     if not P.bounded and (
         status == "diverged"
         or (status == "stalled" and float(np.min(P.facet_values(x))) <= 10 * NEWTON_MARGIN)
     ):
-        raise NoSolutionError(
+        return NoSolutionError(
             f"dual coordinate {y.tolist()} is not attained by the gradient map "
             f"(iterate escaped toward the boundary or infinity)",
-            residual=res,
+            residual=residual,
         )
-    raise NumericalError(
-        f"gradient-map inversion did not converge ({status}) with residual {res:.3e}",
-        residual=res,
+    return NumericalError(
+        f"gradient-map inversion did not converge ({status}) with residual {residual:.3e}",
+        residual=residual,
     )
 
 
+def from_dual(phi: SymplecticPotential, P: Polytope, y, x0=None):
+    """Invert the gradient map: the point x with grad phi(x) = y.
+
+    Starts from the vertex centroid (or an exact interior point for unbounded
+    polyhedra) and converges to infinity-norm residual <= 1e-10.  A target
+    of shape (n,) gives a DualPair; a batch (m, n) gives a tuple of m pairs,
+    solved together.  The first target that does not converge raises.
+    """
+    y = np.asarray(y, dtype=float)
+    x, res, status, _ = newton_solve(phi, P, y, X0=x0)
+    if y.ndim == 1:
+        if status != "converged":
+            raise _unsolved(P, y, x, res, status)
+        return DualPair(x=tuple(x), y=tuple(y))
+    for i in np.flatnonzero(status != "converged")[:1]:
+        raise _unsolved(P, y[i], x[i], float(res[i]), str(status[i]))
+    return tuple(DualPair(x=tuple(a), y=tuple(b)) for a, b in zip(x, y))
+
+
 def dual_potential(phi: SymplecticPotential, xi) -> float:
-    """Legendre dual psi at y(xi): -phi(xi) + xi . grad phi(xi)."""
+    """Legendre dual psi at y(xi): -phi(xi) + xi . grad phi(xi); a float or an (m,) array."""
     xi = np.asarray(xi, dtype=float)
-    return float(-phi.value(xi) + xi @ phi.gradient(xi))
+    psi = -phi.value(xi) + rowwise.dot(xi, phi.gradient(xi))
+    return float(psi) if np.ndim(psi) == 0 else psi
 
 
-def bregman(phi: SymplecticPotential, xi, xi2) -> float:
-    """Bregman divergence D(xi || xi2) of the potential; nonnegative."""
+def bregman(phi: SymplecticPotential, xi, xi2):
+    """Bregman divergence D(xi || xi2) of the potential; nonnegative.
+
+    A float for points of shape (n,), an (m,) array for batches (m, n).
+    """
     xi = np.asarray(xi, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
-    return float(phi.value(xi) - phi.value(xi2) - (xi - xi2) @ phi.gradient(xi2))
+    d = phi.value(xi) - phi.value(xi2) - rowwise.dot(xi - xi2, phi.gradient(xi2))
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def _match_facet_terms(phi: SymplecticPotential, P: Polytope):
@@ -186,14 +301,15 @@ def _match_facet_terms(phi: SymplecticPotential, P: Polytope):
     return pairing
 
 
-def bregman_expanded(phi: SymplecticPotential, P: Polytope, xi, xi2) -> float:
+def bregman_expanded(phi: SymplecticPotential, P: Polytope, xi, xi2):
     """Divergence via the facet-wise expansion
 
         s * sum_r ( l_r(xi) log(l_r(xi)/l_r(xi2)) - (xi - xi2) . nu_r )
           + (xi2 - xi) . grad f(xi2) + f(xi) - f(xi2)
 
     valid when the log terms of phi are exactly the facets of P with unit
-    weights (plus the polynomial correction f).
+    weights (plus the polynomial correction f).  Points and results are
+    shaped as in ``bregman``.
     """
     if _match_facet_terms(phi, P) is None:
         raise InvalidInputError(
@@ -203,12 +319,13 @@ def bregman_expanded(phi: SymplecticPotential, P: Polytope, xi, xi2) -> float:
     xi2 = np.asarray(xi2, dtype=float)
     l1 = P.facet_values(xi)
     l2 = P.facet_values(xi2)
-    if np.any(l1 <= 0) or np.any(l2 <= 0):
+    if not (np.all(l1 > 0) and np.all(l2 > 0)):  # also catches nan
         raise DomainError("both points must be interior")
     diff = xi - xi2
-    total = float(np.sum(l1 * np.log(l1 / l2) - P.normal_matrix @ diff))
+    total = np.sum(l1 * np.log(l1 / l2) - rowwise.times(diff, P.normal_matrix.T), axis=-1)
     f = phi.correction
-    return phi.scale * total + float(-diff @ f.gradient(xi2)) + f(xi) - f(xi2)
+    d = phi.scale * total - rowwise.dot(diff, f.gradient(xi2)) + f(xi) - f(xi2)
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def cosine_residual(phi: SymplecticPotential, p, q, r) -> float:
@@ -332,7 +449,7 @@ def dual_geodesic_limit(phi: SymplecticPotential, P: Polytope, spec: GeodesicSpe
     x_guess = start
     for k in range(21):
         t = float(2**k)
-        x_guess, _, _ = _newton_inverse(phi, P, y0 + t * direction, x0=x_guess)
+        x_guess = newton_solve(phi, P, y0 + t * direction, X0=x_guess).x
         trace.append((t, x_guess))
         diff = float(np.max(np.abs(x_guess - prev)))
         prev = x_guess

@@ -83,7 +83,7 @@ def parse_potential(data, polytope: Polytope | None = None) -> SymplecticPotenti
             correction = Polynomial.from_monomials(
                 int(dim),
                 [
-                    (tuple(int(e) for e in m["exponents"]), float(m["coeff"]))
+                    (tuple(m["exponents"]), float(m["coeff"]))
                     for m in data["correction"].get("monomials", [])
                 ],
             )

@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import rowwise
 from .errors import DegenerateError, DomainError, InvalidInputError, NotTorifiableError
 from .polytope import DelzantReport, Polytope, as_fraction, reduced_polytope, validate_delzant
 
@@ -65,8 +66,9 @@ class MixtureFamily:
         return a
 
     def probabilities(self, xi):
+        """Weights p(r | xi): (N,) at a point, (m, N) for a batch (m, n)."""
         xi = np.asarray(xi, dtype=float)
-        return self._alpha_array @ xi + self._beta_array
+        return rowwise.times(xi, self._alpha_array.T) + self._beta_array
 
     def as_dict(self):
         return {
@@ -96,11 +98,12 @@ def to_mixture(P: Polytope) -> MixtureFamily:
     return MixtureFamily(alphas=alphas, betas=betas)
 
 
-def kl(theta: MixtureFamily, xi, xi2) -> float:
+def kl(theta: MixtureFamily, xi, xi2):
     """Kullback-Leibler divergence sum_r p(r|xi) log(p(r|xi) / p(r|xi2)).
 
     Follows the standard zero conventions: a zero weight at xi contributes
-    nothing; a positive weight against a zero weight at xi2 yields math.inf.
+    nothing; a positive weight against a zero weight at xi2 yields inf.  A
+    float for points of shape (n,), an (m,) array for batches (m, n).
     """
     p = theta.probabilities(xi)
     q = theta.probabilities(xi2)
@@ -108,14 +111,10 @@ def kl(theta: MixtureFamily, xi, xi2) -> float:
         raise DomainError("probabilities are negative; point outside the closed domain")
     p = np.maximum(p, 0.0)
     q = np.maximum(q, 0.0)
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi == 0.0:
-            continue
-        if qi == 0.0:
-            return math.inf
-        total += pi * math.log(pi / qi)
-    return total
+    pos = p > 0.0
+    with np.errstate(divide="ignore"):
+        total = np.sum(p * np.log(np.where(pos, p, 1.0) / np.where(pos, q, 1.0)), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from . import intlattice
+from . import intlattice, rowwise
 from .errors import (
     EmptyFaceError,
     InconsistencyError,
@@ -133,17 +133,25 @@ class Polytope:
         return a
 
     def facet_values(self, point):
-        """Float facet values l_r at a point, in input order."""
+        """Float facet values l_r in input order: (N,) at a point, (m, N) for a batch (m, n)."""
         point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
-            raise InvalidInputError(f"point of length {point.shape} in dimension {self.dim}")
-        if self.dim == 0:
-            return np.zeros(0)
-        return self.normal_matrix @ point + self.offset_array
+        if point.ndim not in (1, 2) or point.shape[-1] != self.dim:
+            raise InvalidInputError(f"point of shape {point.shape} in dimension {self.dim}")
+        return rowwise.times(point, self.normal_matrix.T) + self.offset_array
 
     @cached_property
     def vertex_list(self):
         return _enumerate_vertices(self)
+
+    @cached_property
+    def vertex_array(self):
+        """The vertices as rows of a read-only float array, in vertex order."""
+        return _vertex_array(self.vertex_list, self.dim)
+
+    @cached_property
+    def _charts(self):
+        """face_chart results of this polytope, keyed by sorted facet indices."""
+        return {}
 
     @cached_property
     def centroid(self):
@@ -342,6 +350,11 @@ class FaceChart:
         return _face_vertices(self.polytope, self.face_active)
 
     @cached_property
+    def vertex_array(self):
+        """``vertices`` as rows of a read-only float array (ambient coordinates)."""
+        return _vertex_array(self.vertices, self.polytope.dim)
+
+    @cached_property
     def face_polytope(self):
         """The face as a polytope in chart coordinates.
 
@@ -370,12 +383,19 @@ def face_chart(P: Polytope, active) -> FaceChart:
     The origin is a rational relative-interior point (the mean of the face's
     vertices when the face is bounded); the basis is the Hermite-canonical
     basis of the integer kernel of the active normals, so charts are
-    deterministic.
+    deterministic.  The chart is built once per face and memoized on P.
     """
     active = tuple(sorted(set(int(r) for r in active)))
     for r in active:
         if not 1 <= r <= P.n_facets:
             raise InvalidInputError(f"facet index {r} out of range 1..{P.n_facets}")
+    chart = P._charts.get(active)
+    if chart is None:
+        chart = P._charts[active] = _build_chart(P, active)
+    return chart
+
+
+def _build_chart(P, active):
     rows = [P.halfspaces[r - 1].normal for r in active]
     if rows and intlattice.rank(rows) != len(rows):
         raise EmptyFaceError("active facet normals are linearly dependent")
@@ -390,6 +410,12 @@ def face_chart(P: Polytope, active) -> FaceChart:
         )
     origin = _face_origin(P, active, basis)
     return FaceChart(polytope=P, face_active=active, origin=origin, basis=tuple(basis), dim_face=k)
+
+
+def _vertex_array(verts, dim):
+    a = np.array([v.array for v in verts]).reshape(len(verts), dim)
+    a.flags.writeable = False
+    return a
 
 
 def _face_vertices(P, active):

@@ -18,9 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import rowwise
 from .errors import DomainError, InvalidInputError
 from .polynomial import Polynomial
-from .polytope import FaceChart, Polytope, vertices
+from .polytope import FaceChart, Polytope
 
 # facet values inside [-EXTENDED_TOL, 0] are treated as exact zeros of the
 # continuous extension; anything more negative is outside the closed domain
@@ -81,57 +82,73 @@ class SymplecticPotential:
         a.flags.writeable = False
         return a
 
-    def term_values(self, xi):
+    def _points(self, xi):
+        """xi as a float array of shape (n,) or (m, n)."""
         xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.dim,):
-            raise InvalidInputError(f"point has shape {xi.shape}, expected ({self.dim},)")
-        if not self.log_terms:
-            return np.zeros(0)
-        return self._normals @ xi + self._offsets
-
-    def _strict_values(self, xi):
-        z = self.term_values(xi)
-        bad = np.nonzero(~(z > 0))[0]  # also catches nan
-        if bad.size:
-            raise DomainError(
-                f"log argument {z[bad[0]]:.3e} of term {bad[0] + 1} is not positive"
+        if xi.ndim not in (1, 2) or xi.shape[-1] != self.dim:
+            raise InvalidInputError(
+                f"point has shape {xi.shape}, expected ({self.dim},) or (m, {self.dim})"
             )
-        return z
+        return xi
 
-    def value(self, xi) -> float:
-        """phi(xi) on the interior; raises DomainError on a nonpositive log argument."""
-        z = self._strict_values(xi)
-        out = float(self.scale * np.dot(self._weights, z * np.log(z))) if z.size else 0.0
-        return out + self.correction(xi)
+    def term_values(self, xi):
+        """Log-term arguments L_r, of shape (R,) for a point and (m, R) for a batch."""
+        return rowwise.times(self._points(xi), self._normals.T) + self._offsets
 
-    def value_extended(self, xi) -> float:
+    def _checked(self, xi, extended=False):
+        """xi as an (n,) or (m, n) float array, and its log-term arguments.
+
+        Raises DomainError unless every coordinate is finite and every argument
+        is positive (at least -EXTENDED_TOL when extended).
+        """
+        xi = self._points(xi)
+        z = rowwise.times(xi, self._normals.T) + self._offsets
+        inside = z >= -EXTENDED_TOL if extended else z > 0  # false for nan
+        finite = np.isfinite(xi)
+        # count_nonzero is the cheapest full test on the small arrays of a solve
+        if np.count_nonzero(inside) == inside.size and np.count_nonzero(finite) == xi.size:
+            return xi, z
+        if not finite.all():
+            raise DomainError("point has a non-finite coordinate")
+        i = np.flatnonzero(~inside)[0]
+        r = i % z.shape[-1] + 1
+        if extended:
+            raise DomainError(f"term {r} is negative ({z.flat[i]:.3e}); point not in domain")
+        raise DomainError(f"log argument {z.flat[i]:.3e} of term {r} is not positive")
+
+    def value(self, xi):
+        """phi on the interior; raises DomainError on a nonpositive log argument.
+
+        A float for a point of shape (n,), an (m,) array for a batch (m, n).
+        """
+        xi, z = self._checked(xi)
+        out = self.scale * rowwise.times(z * np.log(z), self._weights) + self.correction(xi)
+        return out if xi.ndim == 2 else float(out)
+
+    def value_extended(self, xi):
         """Continuous extension of phi to the closed domain (0 log 0 = 0 termwise)."""
-        z = self.term_values(xi)
-        outside = ~(z >= -EXTENDED_TOL)  # also catches nan
-        if np.any(outside):
-            bad = int(np.argmax(outside))
-            raise DomainError(f"term {bad + 1} is negative ({z[bad]:.3e}); point not in domain")
+        xi, z = self._checked(xi, extended=True)
         z = np.maximum(z, 0.0)
         zlogz = np.where(z > 0.0, z * np.log(np.where(z > 0.0, z, 1.0)), 0.0)
-        out = float(self.scale * np.dot(self._weights, zlogz)) if z.size else 0.0
-        return out + self.correction(xi)
+        out = self.scale * rowwise.times(zlogz, self._weights) + self.correction(xi)
+        return out if xi.ndim == 2 else float(out)
 
     def gradient(self, xi) -> np.ndarray:
-        """scale * sum w_r nu_r (log L_r + 1) + grad f."""
-        z = self._strict_values(xi)
-        g = self.correction.gradient(np.asarray(xi, dtype=float))
-        if z.size:
-            g = g + self.scale * (self._weights * (np.log(z) + 1.0)) @ self._normals
+        """scale * sum w_r nu_r (log L_r + 1) + grad f; (n,) or (m, n)."""
+        xi, z = self._checked(xi)
+        g = self.correction.gradient(xi)
+        if self.log_terms:
+            g = g + self.scale * rowwise.times(self._weights * (np.log(z) + 1.0), self._normals)
         return g
 
     def hessian(self, xi) -> np.ndarray:
-        """scale * sum w_r nu_r nu_r^T / L_r + Hess f; symmetric by construction."""
-        z = self._strict_values(xi)
-        h = self.correction.hessian(np.asarray(xi, dtype=float))
-        if z.size:
-            scaled = self._normals * (self._weights / z)[:, None]
-            h = h + self.scale * scaled.T @ self._normals
-        return 0.5 * (h + h.T)
+        """scale * sum w_r nu_r nu_r^T / L_r + Hess f; (n, n) or (m, n, n), symmetric."""
+        xi, z = self._checked(xi)
+        h = self.correction.hessian(xi)
+        if self.log_terms:
+            scaled = self._normals * (self._weights / z)[..., None]
+            h = h + self.scale * np.swapaxes(scaled, -1, -2) @ self._normals
+        return 0.5 * (h + np.swapaxes(h, -1, -2))
 
     def as_dict(self):
         return {
@@ -245,7 +262,7 @@ def validity_scan(
     if not P.bounded:
         raise InvalidInputError("validity scan requires a bounded polytope")
     rng = np.random.default_rng(seed)
-    verts = np.array([v.array for v in vertices(P)])
+    verts = P.vertex_array
     base_count = max(samples // 8, 1)
     points = []
     for _ in range(base_count):
@@ -265,23 +282,20 @@ def validity_scan(
         if not np.isfinite(t_exit):
             continue
         points.append(z + (1.0 - delta) * t_exit * d)
-    min_eig = np.inf
-    prod_min, prod_max = np.inf, -np.inf
-    failures = []
-    for x in points:
-        vals = P.facet_values(x)
-        if np.any(vals <= 0):
-            continue
-        H = phi.hessian(x)
-        eig = float(np.min(np.linalg.eigvalsh(H)))
-        det_prod = float(np.linalg.det(H) * np.prod(vals))
-        min_eig = min(min_eig, eig)
-        prod_min = min(prod_min, det_prod)
-        prod_max = max(prod_max, det_prod)
-        if not _is_positive_definite(H) or det_prod <= 0:
-            failures.append(
-                {"point": [float(c) for c in x], "min_eigenvalue": eig, "det_product": det_prod}
-            )
+    points = np.array(points)
+    vals = P.facet_values(points)
+    inside = np.all(vals > 0, axis=1)
+    H = phi.hessian(points[inside])
+    eigs = np.linalg.eigvalsh(H).min(axis=1, initial=np.inf)
+    det_prods = np.linalg.det(H) * np.prod(vals[inside], axis=1)
+    failures = [
+        {"point": [float(c) for c in x], "min_eigenvalue": float(eig), "det_product": float(dp)}
+        for x, h, eig, dp in zip(points[inside], H, eigs, det_prods)
+        if not _is_positive_definite(h) or dp <= 0
+    ]
+    min_eig = float(np.min(eigs, initial=np.inf))
+    prod_min = float(np.min(det_prods, initial=np.inf))
+    prod_max = float(np.max(det_prods, initial=-np.inf))
     return ValidityReport(
         passed=not failures,
         samples=len(points),

@@ -23,7 +23,7 @@ from .boundary import (
     random_face_point,
     random_interior,
 )
-from .dually_flat import bregman, bregman_expanded, from_dual, to_dual
+from .dually_flat import bregman, bregman_expanded, from_dual, newton_solve
 from .errors import PolyflatError
 from .mixture import kl, to_mixture, zero_sum_check
 from .polytope import Polytope, face_chart, validate_delzant
@@ -103,12 +103,10 @@ def run_scenario(
         )
     )
 
-    worst = 0.0
-    for _ in range(counts["legendre_points"]):
-        x = random_interior(P, rng)
-        pair = to_dual(phi, x)
-        back = from_dual(phi, P, pair.y_array)
-        worst = max(worst, float(np.max(np.abs(back.x_array - x))))
+    n = counts["legendre_points"]
+    x = np.array([random_interior(P, rng) for _ in range(n)]).reshape(n, P.dim)
+    back = np.array([pair.x for pair in from_dual(phi, P, phi.gradient(x))]).reshape(x.shape)
+    worst = _worst(np.abs(back - x))
     results.append(
         CheckResult(
             check="legendre-roundtrip",
@@ -119,11 +117,8 @@ def run_scenario(
         )
     )
 
-    worst = 0.0
-    for _ in range(counts["divergence_pairs"]):
-        a = random_interior(P, rng)
-        b = random_interior(P, rng)
-        worst = max(worst, abs(bregman(phi, a, b) - bregman_expanded(phi, P, a, b)))
+    a, b = _draw_pairs(counts["divergence_pairs"], P, rng)
+    worst = _worst(np.abs(bregman(phi, a, b) - bregman_expanded(phi, P, a, b)))
     results.append(
         CheckResult(
             check="divergence-expansion",
@@ -137,11 +132,8 @@ def run_scenario(
     if zero_sum_check(P):
         theta = to_mixture(P)
         factor = phi.scale * float(sum(float(hs.offset) for hs in P.halfspaces))
-        worst = 0.0
-        for _ in range(counts["divergence_pairs"]):
-            a = random_interior(P, rng)
-            b = random_interior(P, rng)
-            worst = max(worst, abs(bregman(phi, a, b) - factor * kl(theta, a, b)))
+        a, b = _draw_pairs(counts["divergence_pairs"], P, rng)
+        worst = _worst(np.abs(bregman(phi, a, b) - factor * kl(theta, a, b)))
         results.append(
             CheckResult(
                 check="kl-relation",
@@ -179,21 +171,23 @@ def run_scenario(
             )
         )
 
-        worst = 0.0
+        xi2, etas, steps = [], [], []
         for _ in range(counts["boundary_feet"]):
-            xi2 = random_interior(P, rng)
-            eta = random_face_point(chart, rng)
-            foot = project_to_face(phi, chart, xi2)
+            xi2.append(random_interior(P, rng))
+            etas.append(random_face_point(chart, rng))
             if negative_control:
-                step = 0.05 * _face_step(chart, rng)
-                for cand in (foot.chart_array + step, foot.chart_array - step):
-                    try:
-                        foot = boundary_point(chart, chart_coords=cand)
-                        break
-                    except PolyflatError:
-                        continue
-            rep = pythagoras_boundary_foot(phi, chart, eta, foot, xi2)
-            worst = max(worst, abs(rep.residual))
+                steps.append(0.05 * _face_step(chart, rng))
+        xi2 = np.array(xi2).reshape(len(etas), P.dim)
+        feet = list(project_to_face(phi, chart, xi2))
+        for i, step in enumerate(steps):
+            for cand in (feet[i].chart_array + step, feet[i].chart_array - step):
+                try:
+                    feet[i] = boundary_point(chart, chart_coords=cand)
+                    break
+                except PolyflatError:
+                    continue
+        reps = pythagoras_boundary_foot(phi, chart, etas, feet, xi2)
+        worst = max((abs(rep.residual) for rep in reps), default=0.0)
         results.append(
             CheckResult(
                 check="pythagoras-boundary-foot",
@@ -204,23 +198,23 @@ def run_scenario(
             )
         )
 
-        worst_id = 0.0
-        worst_orth = 0.0
+        etas, xi, xi2, w = [], [], [], []
         for _ in range(counts["interior_triples"]):
-            eta = random_face_point(chart, rng)
-            xi = random_interior(P, rng)
-            xi2 = random_interior(P, rng)
-            rep = pythagoras_interior_foot(phi, chart, eta, xi, xi2)
-            worst_id = max(worst_id, abs(rep.residual - rep.perp_value))
-            # rebuild xi2 so the dual velocity is orthogonal to the flat segment
-            seg = eta.ambient_array - xi
-            w = _orthogonal_direction(seg, rng)
-            try:
-                x_orth = from_dual(phi, P, phi.gradient(xi) + 0.3 * w)
-            except PolyflatError:
-                continue
-            rep2 = pythagoras_interior_foot(phi, chart, eta, xi, x_orth.x_array)
-            worst_orth = max(worst_orth, abs(rep2.residual))
+            etas.append(random_face_point(chart, rng))
+            xi.append(random_interior(P, rng))
+            xi2.append(random_interior(P, rng))
+            # a dual velocity orthogonal to the flat segment toward eta
+            w.append(_orthogonal_direction(etas[-1].ambient_array - xi[-1], rng))
+        xi, xi2, w = (np.array(v).reshape(len(etas), P.dim) for v in (xi, xi2, w))
+        reps = pythagoras_interior_foot(phi, chart, etas, xi, xi2)
+        worst_id = max((abs(rep.residual - rep.perp_value) for rep in reps), default=0.0)
+        # rebuild xi2 so the dual velocity is orthogonal; skip targets Newton cannot reach
+        x_orth, _, status, _ = newton_solve(phi, P, phi.gradient(xi) + 0.3 * w)
+        ok = status == "converged"
+        reps = pythagoras_interior_foot(
+            phi, chart, [e for e, keep in zip(etas, ok) if keep], xi[ok], x_orth[ok]
+        )
+        worst_orth = max((abs(rep.residual) for rep in reps), default=0.0)
         results.append(
             CheckResult(
                 check="pythagoras-interior-identity",
@@ -270,6 +264,18 @@ def run_scenario(
         )
 
     return results, all(r.passed for r in results)
+
+
+def _draw_pairs(count, P, rng):
+    """count pairs of interior points, drawn pair by pair, as two (count, n) arrays."""
+    pairs = [(random_interior(P, rng), random_interior(P, rng)) for _ in range(count)]
+    a, b = np.array(pairs).reshape(count, 2, P.dim).transpose(1, 0, 2)
+    return a, b
+
+
+def _worst(errors):
+    """The largest entry of an array of nonnegative errors, 0.0 when empty."""
+    return float(np.max(errors, initial=0.0))
 
 
 def _face_step(chart, rng):

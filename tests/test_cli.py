@@ -102,6 +102,38 @@ def test_divergence_rejects_nan_point(tri_input, tmp_path):
     assert main(["divergence", tri_input, "--points", str(points)]) == 2
 
 
+def test_divergence_rejects_non_integral_correction_exponent(tmp_path):
+    problem = write(
+        tmp_path,
+        "frac.json",
+        {
+            "polytope": TRIANGLE,
+            "potential": {
+                "log_terms": TRIANGLE["halfspaces"],
+                "correction": {"monomials": [{"exponents": [1.5, 0], "coeff": 0.25}]},
+            },
+        },
+    )
+    points = write(tmp_path, "pts.json", {"pairs": [[[0.25, 0.25], [0.2, 0.3]]]})
+    assert main(["divergence", problem, "--points", points]) == 2
+
+
+def test_divergence_table_is_one_batch(tri_input, tmp_path, capsys):
+    pairs = [[[0.25, 0.25], [1 / 3, 1 / 3]], [[0.1, 0.7], [0.6, 0.2]], [[0.3, 0.3], [0.3, 0.3]]]
+    points = write(tmp_path, "pts.json", {"pairs": pairs})
+    assert main(["divergence", tri_input, "--points", points]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    phi = parse_potential({"guillemin_of": "polytope", "scale": 1.0}, parse_polytope(TRIANGLE))
+    from polyflat.dually_flat import bregman
+
+    assert [r["xi"] for r in rows] == [a for a, _ in pairs]
+    for row, (a, b) in zip(rows, pairs):
+        assert row["divergence"] == pytest.approx(bregman(phi, a, b), rel=1e-11, abs=1e-15)
+    empty = write(tmp_path, "empty.json", {"pairs": []})
+    assert main(["divergence", tri_input, "--points", empty]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == []
+
+
 def test_geodesic_csv_roundtrip(tri_input, tmp_path):
     spec = write(
         tmp_path,

@@ -28,6 +28,35 @@ def test_polynomial_compose_affine():
         assert g(np.array([u])) == pytest.approx((1 + u) * (2 - u), abs=1e-12)
 
 
+def test_polynomial_batches_match_rows():
+    f = Polynomial.from_monomials(2, [((2, 1), 2.0), ((0, 1), -3.0), ((0, 0), 1.0), ((3, 0), 0.5)])
+    pts = np.array([[1.5, -0.5], [0.2, 0.7], [-1.0, 2.0]])
+    np.testing.assert_array_equal(f(pts), [f(p) for p in pts])
+    np.testing.assert_array_equal(f.gradient(pts), [f.gradient(p) for p in pts])
+    np.testing.assert_array_equal(f.hessian(pts), [f.hessian(p) for p in pts])
+    assert isinstance(f(pts[0]), float)
+    zero = Polynomial.zero(2)
+    assert zero(pts[0]) == 0.0 and zero(pts).shape == (3,)
+    assert zero.gradient(pts).shape == (3, 2) and zero.hessian(pts).shape == (3, 2, 2)
+
+
+@pytest.mark.parametrize("exponents", [(1.5, 0), (0, "2"), (math.nan, 1)])
+def test_polynomial_rejects_non_integral_exponents(exponents):
+    with pytest.raises(InvalidInputError):
+        Polynomial.from_monomials(2, [(exponents, 1.0)])
+
+
+def test_polynomial_accepts_integral_float_exponents():
+    f = Polynomial.from_monomials(2, [((2.0, 0), 1.0)])
+    assert f.terms == (((2, 0), 1.0),)
+
+
+def test_potential_schema_rejects_non_integral_exponents():
+    data = {"dim": 2, "correction": {"monomials": [{"exponents": [1.5, 0], "coeff": 1.0}]}}
+    with pytest.raises(InvalidInputError):
+        jsonio.parse_potential(data)
+
+
 def test_polynomial_zero_and_cancellation():
     f = Polynomial.from_monomials(1, [((2,), 1.0), ((2,), -1.0)])
     assert f.is_zero

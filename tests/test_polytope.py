@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from helpers import random_unimodular, transform_polytope
@@ -62,6 +63,33 @@ def test_halfspace_validation():
 def test_as_fraction_rejects_non_finite(value):
     with pytest.raises(InvalidInputError):
         as_fraction(value)
+
+
+def test_face_chart_is_memoized_on_the_polytope(triangle):
+    assert face_chart(triangle, (1,)) is face_chart(triangle, (1,))
+    assert face_chart(triangle, [3, 1, 3]) is face_chart(triangle, (1, 3))
+    assert face_chart(triangle, (1,)) is not face_chart(triangle, (2,))
+
+
+def test_vertex_arrays_are_read_only_and_match_the_vertices(triangle):
+    np.testing.assert_array_equal(
+        triangle.vertex_array, [v.array for v in vertices(triangle)]
+    )
+    chart = face_chart(triangle, (3,))
+    np.testing.assert_array_equal(chart.vertex_array, [[0.0, 1.0], [1.0, 0.0]])
+    for a in (triangle.vertex_array, chart.vertex_array):
+        with pytest.raises(ValueError):
+            a[0, 0] = 5.0
+
+
+def test_facet_values_batch(triangle):
+    pts = np.array([[0.2, 0.3], [0.5, 0.5], [2.0, -1.0]])
+    got = triangle.facet_values(pts)
+    assert got.shape == (3, 3)
+    for row, p in zip(got, pts):
+        np.testing.assert_array_equal(row, triangle.facet_values(p))
+    with pytest.raises(InvalidInputError):
+        triangle.facet_values(np.zeros((2, 3)))
 
 
 def test_restrict_polytope_is_memoized_on_the_chart(triangle):

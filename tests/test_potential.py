@@ -5,7 +5,7 @@ import pytest
 
 from helpers import fd_gradient, fd_jacobian
 from polyflat.boundary import random_interior
-from polyflat.errors import DomainError
+from polyflat.errors import DomainError, InvalidInputError
 from polyflat.polynomial import Polynomial
 from polyflat.polytope import FaceChart, face_chart, product, restrict_polytope, vertices
 from polyflat.potential import (
@@ -51,6 +51,40 @@ def test_nan_point_is_a_domain_error(triangle, method):
     phi = guillemin(triangle, 1.0)
     with pytest.raises(DomainError):
         getattr(phi, method)((math.nan, 0.25))
+
+
+@pytest.mark.parametrize("method", ["value", "gradient", "hessian", "value_extended"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_without_log_terms_is_a_domain_error(method, bad):
+    # the correction alone used to carry nan and inf through silently
+    phi = SymplecticPotential(
+        dim=2, correction=Polynomial.from_monomials(2, [((1, 0), 1.0), ((0, 2), 0.5)])
+    )
+    with pytest.raises(DomainError):
+        getattr(phi, method)((bad, 0.2))
+    with pytest.raises(DomainError):
+        getattr(phi, method)([(0.1, 0.2), (0.3, bad)])
+
+
+@pytest.mark.parametrize("method", ["value", "gradient", "hessian"])
+def test_batch_with_one_bad_row_is_a_domain_error(triangle, method):
+    phi = guillemin(triangle, 1.0)
+    with pytest.raises(DomainError):
+        getattr(phi, method)([(0.2, 0.2), (math.nan, 0.25)])
+    with pytest.raises(DomainError):
+        getattr(phi, method)([(0.2, 0.2), (0.7, 0.7)])
+
+
+def test_batch_shapes(triangle):
+    phi = guillemin(triangle, 1.0)
+    pts = np.array([[0.2, 0.3], [0.1, 0.1], [0.5, 0.25]])
+    assert phi.value(pts).shape == (3,) and isinstance(phi.value(pts[0]), float)
+    assert phi.value_extended(pts).shape == (3,)
+    assert phi.gradient(pts).shape == (3, 2) and phi.hessian(pts).shape == (3, 2, 2)
+    assert phi.term_values(pts).shape == (3, 3)
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 2))):
+        with pytest.raises(InvalidInputError):
+            phi.value(bad)
 
 
 def test_value_extended_boundary(triangle, half_line):
