@@ -41,7 +41,7 @@ from .dually_flat import (
     geodesic_point,
     to_dual,
 )
-from .errors import DomainError, PolyflatError
+from .errors import DomainError, InvalidInputError, PolyflatError
 from .mixture import from_mixture, to_mixture, zero_sum_check
 from .polytope import face_chart, validate_delzant
 from .verify import run_scenario
@@ -160,11 +160,10 @@ def cmd_validate(args):
 
 def _point_pairs(pairs, dim):
     """The first and the second points of a list of pairs, as two (m, dim) arrays."""
-    firsts, seconds = [], []
-    for a, b in pairs:
-        firsts.append(a)
-        seconds.append(b)
-    return (np.array(v, dtype=float).reshape(len(pairs), dim) for v in (firsts, seconds))
+    points = np.array(pairs, dtype=float)
+    if pairs and points.shape[1:] != (2, dim):
+        raise InvalidInputError(f"each pair must hold two points of dimension {dim}")
+    return points.reshape(len(pairs), 2, dim).transpose(1, 0, 2)
 
 
 def cmd_divergence(args):

@@ -118,20 +118,20 @@ def newton_solve(phi: SymplecticPotential, P: Polytope, Y, X0=None) -> NewtonSol
     def finish(leaving, why, steps_taken):
         nonlocal rows, x, y, r, r_norm
         out = rows[leaving]
-        if len(out) == m:  # every row at once, still in order
+        if len(out) == m:  # the whole batch at once, still in row order
             X[...], res[...], status[...], iterations[...] = x, r_norm, why, steps_taken
+            rows, x, y, r, r_norm = rows[:0], x[:0], y[:0], r[:0], r_norm[:0]
         else:
             X[out], res[out], status[out], iterations[out] = (
                 x[leaving], r_norm[leaving], why, steps_taken
             )
-        if len(out) == len(rows):
-            rows = out[:0]
-        else:
             stay = ~leaving
             rows, x, y, r, r_norm = rows[stay], x[stay], y[stay], r[stay], r_norm[stay]
 
-    # masks are tested with np.count_nonzero, the cheapest full test on the
-    # small arrays of a solve
+    # a one-row solve runs this loop a few times on arrays of one row, so its
+    # time is mostly per-call overhead: each mask is tested with
+    # np.count_nonzero before finish is called, and the whole batch leaving or
+    # stepping at once is written with slices, not index arrays
     for k in range(NEWTON_MAX_ITER):
         done = r_norm <= NEWTON_TOL
         if np.count_nonzero(done):
@@ -144,12 +144,15 @@ def newton_solve(phi: SymplecticPotential, P: Polytope, Y, X0=None) -> NewtonSol
         except np.linalg.LinAlgError:
             steps, solved = _steps_one_by_one(H, -r)
             finish(~solved, "stalled", k)
+            if not rows.size:
+                break
             steps = steps[solved]
         accepted = _line_search(phi, P, x, y, r, r_norm, steps)
         if np.count_nonzero(accepted) < len(accepted):
             finish(~accepted, "stalled", k)
-        if np.maximum.reduce(np.abs(x), axis=None, initial=0.0) > 1e12:
-            finish(_max_abs(x) > 1e12, "diverged", k + 1)
+        diverged = _max_abs(x) > 1e12
+        if np.count_nonzero(diverged):
+            finish(diverged, "diverged", k + 1)
         if not rows.size:
             break
     else:
@@ -189,33 +192,31 @@ def _line_search(phi, P, x, y, r, r_norm, steps):
         cand = xs + alpha * ss
         ok = np.minimum.reduce(P.facet_values(cand), axis=1, initial=np.inf) >= NEWTON_MARGIN
         inside = np.count_nonzero(ok)
-        if not inside:
-            alpha *= 0.5
-            continue
-        every = inside == len(ok)
-        try:
-            cand_r = phi.gradient(cand if every else cand[ok])
-        except DomainError:  # phi has log terms other than P's facets
-            ok &= np.minimum.reduce(phi.term_values(cand), axis=1, initial=np.inf) > 0
-            every = False
-            cand_r = phi.gradient(cand[ok])
-        cand_r -= ys if every else ys[ok]
-        cand_norm = _max_abs(cand_r)
-        better = cand_norm < (ns if every else ns[ok])
-        if every and np.count_nonzero(better) == len(better):
-            if len(todo) == len(x):  # every row takes its first step
+        if inside:
+            # the rows inside P: a whole slice, which copies nothing, when that is all of them
+            sel = slice(None) if inside == len(ok) else ok
+            try:
+                cand_r = phi.gradient(cand[sel])
+            except DomainError:  # phi has log terms other than P's facets
+                ok &= np.minimum.reduce(phi.term_values(cand), axis=1, initial=np.inf) > 0
+                sel = ok
+                cand_r = phi.gradient(cand[ok])
+            cand_r -= ys[sel]
+            cand_norm = _max_abs(cand_r)
+            better = cand_norm < ns[sel]
+            if np.count_nonzero(better) == len(x):  # the whole batch takes this step
                 x[...], r[...], r_norm[...], accepted[...] = cand, cand_r, cand_norm, True
-            else:
-                x[todo], r[todo], r_norm[todo], accepted[todo] = cand, cand_r, cand_norm, True
-            break
-        won = np.zeros(len(todo), dtype=bool)
-        won[ok] = better
-        if np.count_nonzero(won):
-            moved = todo[won]
-            x[moved], r[moved], r_norm[moved] = cand[won], cand_r[better], cand_norm[better]
-            accepted[moved] = True
-            keep = ~won
-            todo, xs, ss, ys, ns = todo[keep], xs[keep], ss[keep], ys[keep], ns[keep]
+                break
+            won = np.zeros(len(todo), dtype=bool)
+            won[sel] = better
+            if np.count_nonzero(won):
+                moved = todo[won]
+                x[moved], r[moved], r_norm[moved] = cand[won], cand_r[better], cand_norm[better]
+                accepted[moved] = True
+                keep = ~won
+                todo, xs, ss, ys, ns = todo[keep], xs[keep], ss[keep], ys[keep], ns[keep]
+                if not todo.size:
+                    break
         alpha *= 0.5
     return accepted
 

@@ -102,6 +102,17 @@ def test_divergence_rejects_nan_point(tri_input, tmp_path):
     assert main(["divergence", tri_input, "--points", str(points)]) == 2
 
 
+def test_divergence_rejects_malformed_pairs(tri_input, tmp_path):
+    for pairs in (
+        [[0.1, 0.2, 0.3, 0.4]],  # four numbers, not two points
+        [[[0.1, 0.2], [0.3, 0.4], [0.2, 0.2]]],  # three points
+        [[[0.1, 0.2], [0.3]]],  # a point of the wrong width
+        [[[0.1, 0.2, 0.3], [0.3, 0.1, 0.1]]],  # both points of the wrong width
+    ):
+        points = write(tmp_path, "bad.json", {"pairs": pairs})
+        assert main(["divergence", tri_input, "--points", points]) == 2
+
+
 def test_divergence_rejects_non_integral_correction_exponent(tmp_path):
     problem = write(
         tmp_path,

@@ -15,16 +15,18 @@ from polyflat.dually_flat import (
     from_dual,
     geodesic_point,
     metric_pair,
+    newton_solve,
     to_dual,
 )
 from polyflat.errors import (
     DomainError,
     InvalidInputError,
     NoSolutionError,
+    NumericalError,
 )
 from polyflat.polynomial import Polynomial
 
-from polyflat.potential import SymplecticPotential, guillemin
+from polyflat.potential import AffineLogTerm, SymplecticPotential, guillemin
 
 
 def test_to_dual_triangle(triangle):
@@ -66,6 +68,36 @@ def test_from_dual_no_solution_on_unbounded(half_line):
     phi = guillemin(half_line, 1.0)
     with pytest.raises(NoSolutionError):
         from_dual(phi, half_line, (-1000.0,))
+
+
+def test_singular_hessian_stalls(triangle):
+    # one log term x1 log x1: Hess phi = [[1/x1, 0], [0, 0]] is singular everywhere
+    phi = SymplecticPotential(dim=2, scale=1.0, log_terms=(AffineLogTerm((1, 0), 0),))
+    one = newton_solve(phi, triangle, (0.5, 0.5))
+    assert (one.status, one.iterations) == ("stalled", 0)
+    batch = newton_solve(phi, triangle, [(0.5, 0.5), (-1.0, 2.0), (0.0, 1.0)])
+    assert list(batch.status) == ["stalled"] * 3
+    with pytest.raises(NumericalError):
+        from_dual(phi, triangle, (0.5, 0.5))
+    with pytest.raises(NumericalError):
+        from_dual(phi, triangle, [(0.5, 0.5), (-1.0, 2.0)])
+
+
+def test_singular_hessian_leaves_other_rows_solving(triangle):
+    # Hess phi = diag(1/x1 - 2, 1/x2) is singular on the line x1 = 1/2
+    phi = SymplecticPotential(
+        dim=2,
+        scale=1.0,
+        log_terms=(AffineLogTerm((1, 0), 0), AffineLogTerm((0, 1), 0)),
+        correction=Polynomial.from_monomials(2, [((2, 0), -1.0)]),
+    )
+    y = phi.gradient(np.array([(0.3, 0.3), (0.25, 0.25)]))
+    batch = newton_solve(phi, triangle, y, X0=[(0.5, 0.2), (0.2, 0.2)])
+    assert list(batch.status) == ["stalled", "converged"]
+    np.testing.assert_array_equal(batch.x[0], [0.5, 0.2])
+    alone = newton_solve(phi, triangle, y[1], X0=(0.2, 0.2))
+    assert batch.iterations[1] == alone.iterations
+    np.testing.assert_allclose(batch.x[1], [0.25, 0.25], atol=1e-10)
 
 
 def test_dual_potential(triangle, half_line):
