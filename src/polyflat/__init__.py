@@ -39,7 +39,6 @@ from .errors import (
     FaceBoundaryError,
     InconsistencyError,
     InvalidInputError,
-    NonSmoothFaceError,
     NoSolutionError,
     NotTorifiableError,
     NumericalError,

@@ -81,9 +81,9 @@ def boundary_point(chart: FaceChart, ambient=None, chart_coords=None) -> Boundar
     values = P.facet_values(ambient)
     for r, v in enumerate(values, start=1):
         if r in chart.vanishing:
-            if abs(v) > ACTIVE_TOL:
+            if not abs(v) <= ACTIVE_TOL:  # true for nan
                 raise DomainError(f"active facet {r} has value {v:.3e} at the point")
-        elif v <= INTERIOR_TOL:
+        elif not v > INTERIOR_TOL:  # true for nan
             raise DomainError(
                 f"facet {r} has value {v:.3e}; point is not in the open face"
             )

@@ -17,10 +17,6 @@ class EmptyFaceError(PolyflatError):
     """The requested facet index set does not cut out a nonempty face."""
 
 
-class NonSmoothFaceError(PolyflatError):
-    """A face chart basis does not extend to a basis of the ambient lattice."""
-
-
 class DomainError(PolyflatError):
     """A point lies outside the domain of the requested evaluation."""
 

@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals and the integer lattice.
 
 Everything in this module is exact: rational entries are `fractions.Fraction`,
-integer entries are Python ints.  Intended for desk-scale problems (dimension
-up to ~6, a few dozen constraints); no effort is made to scale beyond that.
+integer entries are Python ints.  Rational systems go through one Gauss-Jordan
+elimination; integer kernels through one column Hermite normal form, in the
+convention of sympy's `hermite_normal_form` (pivots from the bottom row up,
+placed in the rightmost columns, positive, with the entries to their right
+reduced into [0, pivot)).  Intended for desk-scale problems (dimension up to
+~6, a few dozen constraints); no effort is made to scale beyond that.
 """
 
 from __future__ import annotations
@@ -11,15 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from sympy import Matrix
-from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
-from sympy.polys.matrices.normalforms import smith_normal_decomp
-from sympy.polys.domains import ZZ
-from sympy.polys.matrices import DomainMatrix
-
 from .errors import InvalidInputError
-
-Vec = tuple[Fraction, ...]
 
 
 def primitivize(vec):
@@ -35,25 +31,45 @@ def primitivize(vec):
     return tuple(int(v) // g for v in vec), g
 
 
+def _rref(rows):
+    """Gauss-Jordan elimination of a rational matrix.
+
+    Returns (reduced rows, pivot column of each nonzero row, determinant); the
+    rows are lists of Fractions, and the determinant is that of rows when they
+    form a square matrix (zero when it is singular).
+    """
+    mat = [[Fraction(v) for v in row] for row in rows]
+    m = len(mat)
+    pivots, det = [], Fraction(1)
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            det = -det
+        p = mat[r][col]
+        det *= p
+        mat[r] = [a / p for a in mat[r]]
+        for i in range(m):
+            if i != r and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat, pivots, det if len(pivots) == m else Fraction(0)
+
+
 def solve_square(rows, rhs):
     """Solve the square rational system rows @ x = rhs exactly.
 
     Returns a tuple of Fractions, or None if the matrix is singular.
     """
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+    mat, pivots, _ = _rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(row[n] for row in mat)
 
 
 def solve_particular(rows, rhs):
@@ -63,74 +79,73 @@ def solve_particular(rows, rhs):
     """
     if not rows:
         return None
-    m, n = len(rows), len(rows[0])
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [a * inv for a in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None  # inconsistent
+    n = len(rows[0])
+    mat, pivots, _ = _rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if n in pivots:
+        return None  # inconsistent
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
+    for row, col in zip(mat, pivots):
+        x[col] = row[n]
     return tuple(x)
 
 
 def rank(rows):
     """Rank of a rational matrix, exact."""
-    if not rows:
-        return 0
-    m, n = len(rows), len(rows[0])
-    mat = [[Fraction(v) for v in row] for row in rows]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, m):
-            if mat[i][col] != 0:
-                factor = mat[i][col] / mat[r][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(_rref(rows)[1])
 
 
 def determinant(rows):
     """Exact determinant of a square rational matrix."""
-    n = len(rows)
-    mat = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col] != 0:
-                factor = mat[i][col] / mat[col][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[col])]
-    return det
+    return _rref(rows)[2]
+
+
+def _gcdex(a, b):
+    """(x, y, g) with x*a + y*b = g = gcd(a, b) >= 0, and y = 0 when a divides b."""
+    if a and b % a == 0:
+        return (1 if a > 0 else -1), 0, abs(a)
+    x, y, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x, x1 = x1, x - q * x1
+        y, y1 = y1, y - q * y1
+    return (-x, -y, -a) if a < 0 else (x, y, a)
+
+
+def _column_hnf(cols):
+    """Column Hermite normal form of an integer matrix given by its columns.
+
+    Cohen's extended-gcd reduction (Algorithm 2.4.5), with sympy's
+    convention: rows are taken from the bottom up, each pivot goes to the
+    rightmost free column and is positive, and the entries right of a pivot
+    are reduced into [0, pivot).  Returns the pivot columns, left to right.
+    """
+    cols = [list(c) for c in cols]
+    k = len(cols)
+    for i in reversed(range(len(cols[0]) if cols else 0)):
+        if k == 0:
+            break
+        k -= 1
+        for j in range(k - 1, -1, -1):
+            if cols[j][i]:
+                u, v, d = _gcdex(cols[k][i], cols[j][i])
+                r, s = cols[k][i] // d, cols[j][i] // d
+                cols[k], cols[j] = (
+                    [u * a + v * b for a, b in zip(cols[k], cols[j])],
+                    [r * b - s * a for a, b in zip(cols[k], cols[j])],
+                )
+        p = cols[k][i]
+        if p < 0:
+            cols[k] = [-a for a in cols[k]]
+            p = -p
+        if p == 0:
+            k += 1
+            continue
+        for j in range(k + 1, len(cols)):
+            q = cols[j][i] // p
+            if q:
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[k])]
+    return cols[k:]
 
 
 def integer_kernel(rows, n):
@@ -140,26 +155,14 @@ def integer_kernel(rows, n):
     saturated kernel lattice, so it always extends to a Z-basis of Z^n, and it
     is canonicalized by the Hermite normal form of the column span, making the
     result independent of the row order of `rows`.
+
+    The column Hermite form of the stacked matrix [I_n; rows] puts its pivots
+    in the rows of `rows` first, so its left n - rank columns vanish there;
+    they are a unimodular image of I_n, hence span the saturated kernel, and
+    their top n rows end up in Hermite normal form.
     """
-    if not rows:
-        return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    A = Matrix([[int(v) for v in row] for row in rows])
-    snf, _, t = smith_normal_decomp(DomainMatrix.from_Matrix(A).convert_to(ZZ))
-    snf, t = snf.to_Matrix(), t.to_Matrix()
-    ker_cols = [j for j in range(t.cols) if all(snf[i, j] == 0 for i in range(snf.rows))]
-    if not ker_cols:
-        return []
-    K = hermite_normal_form(t[:, ker_cols])
-    return [tuple(int(K[i, j]) for i in range(n)) for j in range(K.cols)]
-
-
-def snf_diagonal(columns, n):
-    """Elementary divisors (Smith normal form diagonal) of an n-row integer matrix."""
-    if not columns:
-        return []
-    A = Matrix([[int(columns[j][i]) for j in range(len(columns))] for i in range(n)])
-    S = smith_normal_form(A)
-    return [int(S[i, i]) for i in range(min(S.rows, S.cols))]
+    cols = [[int(i == j) for i in range(n)] + [int(row[j]) for row in rows] for j in range(n)]
+    return [tuple(c[:n]) for c in _column_hnf(cols) if not any(c[n:])]
 
 
 def cone_rays(normals, n):
@@ -199,11 +202,6 @@ def strict_interior_point(constraints, n):
     (coefficients, offset) with rational entries.  Returns None when the open
     region is empty.  Exponential in n, fine at desk scale.
     """
-    if n == 0:
-        for coeffs, off in constraints:
-            if Fraction(off) <= 0:
-                return None
-        return ()
     system = [([Fraction(v) for v in coeffs], Fraction(off)) for coeffs, off in constraints]
     return _fm_solve(system, n)
 
@@ -212,25 +210,8 @@ def _fm_solve(system, n):
     for coeffs, off in system:
         if all(c == 0 for c in coeffs) and off <= 0:
             return None
-    if n == 1:
-        lo, hi = None, None
-        for coeffs, off in system:
-            a = coeffs[0]
-            if a > 0:
-                bound = -off / a
-                lo = bound if lo is None else max(lo, bound)
-            elif a < 0:
-                bound = -off / a
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None and hi is not None:
-            if lo >= hi:
-                return None
-            return ((lo + hi) / 2,)
-        if lo is not None:
-            return (lo + 1,)
-        if hi is not None:
-            return (hi - 1,)
-        return (Fraction(0),)
+    if n == 0:
+        return ()
     # eliminate the last variable
     lowers, uppers, rest = [], [], []
     for coeffs, off in system:

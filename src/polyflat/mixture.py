@@ -107,7 +107,7 @@ def kl(theta: MixtureFamily, xi, xi2):
     """
     p = theta.probabilities(xi)
     q = theta.probabilities(xi2)
-    if np.any(p < -1e-12) or np.any(q < -1e-12):
+    if not (np.all(p >= -1e-12) and np.all(q >= -1e-12)):  # true for nan
         raise DomainError("probabilities are negative; point outside the closed domain")
     p = np.maximum(p, 0.0)
     q = np.maximum(q, 0.0)

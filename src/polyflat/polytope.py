@@ -21,12 +21,7 @@ from math import gcd
 import numpy as np
 
 from . import intlattice, rowwise
-from .errors import (
-    EmptyFaceError,
-    InconsistencyError,
-    InvalidInputError,
-    NonSmoothFaceError,
-)
+from .errors import EmptyFaceError, InconsistencyError, InvalidInputError
 
 
 def as_fraction(value):
@@ -397,17 +392,10 @@ def face_chart(P: Polytope, active) -> FaceChart:
 
 def _build_chart(P, active):
     rows = [P.halfspaces[r - 1].normal for r in active]
-    if rows and intlattice.rank(rows) != len(rows):
+    if intlattice.rank(rows) != len(rows):
         raise EmptyFaceError("active facet normals are linearly dependent")
     k = P.dim - len(active)
-    basis = intlattice.integer_kernel(rows, P.dim)
-    if len(basis) != k:
-        raise EmptyFaceError("active normals do not cut a face of the expected codimension")
-    divisors = intlattice.snf_diagonal(basis, P.dim)
-    if any(d != 1 for d in divisors):
-        raise NonSmoothFaceError(
-            f"face basis has elementary divisors {divisors}; lattice is not saturated"
-        )
+    basis = intlattice.integer_kernel(rows, P.dim)  # k columns, as the rows are independent
     origin = _face_origin(P, active, basis)
     return FaceChart(polytope=P, face_active=active, origin=origin, basis=tuple(basis), dim_face=k)
 

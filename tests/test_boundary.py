@@ -40,6 +40,15 @@ def test_boundary_point_validation(tri_setup):
         boundary_point(chart, ambient=(0.0, 1.0))  # on the face boundary
 
 
+@pytest.mark.parametrize("face", [(2,), (3,)])
+@pytest.mark.parametrize("coords", ["ambient", "chart_coords"])
+def test_boundary_point_rejects_nan(triangle, face, coords):
+    chart = face_chart(triangle, face)
+    point = (math.nan, 0.0) if coords == "ambient" else (math.nan,)
+    with pytest.raises(DomainError):
+        boundary_point(chart, **{coords: point})
+
+
 def test_boundary_divergence_edge_formula(tri_setup):
     _, phi, chart = tri_setup
     eta = boundary_point(chart, ambient=(0.5, 0.5))

@@ -202,6 +202,12 @@ def test_boundary_table(tri_input, tmp_path, capsys):
     assert out["rows"][0]["divergence"] == pytest.approx(0.02041099726, abs=1e-9)
 
 
+def test_boundary_rejects_nan_point(tri_input, tmp_path):
+    points = tmp_path / "nan.json"
+    points.write_text('{"pairs": [[[NaN, 0.5], [0.4, 0.6]]]}')
+    assert main(["boundary", tri_input, "--face", "3", "--points", str(points)]) == 2
+
+
 def test_pythagoras_command(tri_input, tmp_path, capsys):
     triple = write(
         tmp_path,

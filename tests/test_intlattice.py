@@ -2,8 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
+from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from helpers import invert_unimodular
 from polyflat import intlattice
@@ -52,6 +57,45 @@ def test_integer_kernel_is_saturated():
             assert all(abs(d) == 1 for d in ds if d != 0)
 
 
+def sympy_kernel(rows, n):
+    """Saturated kernel basis from sympy's Smith decomposition, in Hermite normal form."""
+    if not rows:
+        return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    A = DomainMatrix.from_Matrix(Matrix(rows)).convert_to(ZZ)
+    snf, _, t = smith_normal_decomp(A)
+    snf, t = snf.to_Matrix(), t.to_Matrix()
+    ker_cols = [j for j in range(n) if not any(snf[:, j])]
+    if not ker_cols:
+        return []
+    K = hermite_normal_form(t[:, ker_cols])
+    return [tuple(int(K[i, j]) for i in range(n)) for j in range(K.cols)]
+
+
+@st.composite
+def int_matrices(draw):
+    """(rows, n): m <= n + 2 integer rows, some repeating or scaling earlier ones."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, n + 2))):
+        if rows and draw(st.booleans()):
+            base = draw(st.sampled_from(rows))
+            rows.append(tuple(draw(st.integers(-2, 2)) * v for v in base))
+        else:
+            rows.append(tuple(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))))
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_exact_layer_matches_sympy(matrix):
+    rows, n = matrix
+    assert intlattice.integer_kernel(rows, n) == sympy_kernel(rows, n)
+    assert intlattice.rank(rows) == Matrix(len(rows), n, [v for row in rows for v in row]).rank()
+    k = min(len(rows), n)
+    square = [row[:k] for row in rows[:k]]
+    assert intlattice.determinant(square) == Matrix(k, k, [v for row in square for v in row]).det()
+
+
 def test_integer_kernel_canonical_under_row_order():
     rows = [(1, 2, 3), (0, 1, 1)]
     assert intlattice.integer_kernel(rows, 3) == intlattice.integer_kernel(rows[::-1], 3)
@@ -85,12 +129,18 @@ def test_strict_interior_point_feasible():
     # unbounded wedge
     pt = intlattice.strict_interior_point([((1, 1), 0), ((1, -1), 0)], 2)
     assert pt[0] + pt[1] > 0 and pt[0] - pt[1] > 0
+    # zero variables: no constraint, or a positive constant
+    assert intlattice.strict_interior_point([], 0) == ()
+    assert intlattice.strict_interior_point([((), Fraction(1, 2))], 0) == ()
 
 
 def test_strict_interior_point_infeasible():
     assert intlattice.strict_interior_point([((1,), 0), ((-1,), 0)], 1) is None
     # contradictory constants
     assert intlattice.strict_interior_point([((0, 0), Fraction(-1)), ((1, 0), 5)], 2) is None
+    # zero variables: a non-positive constant
+    assert intlattice.strict_interior_point([((), 0)], 0) is None
+    assert intlattice.strict_interior_point([((), 1), ((), -1)], 0) is None
 
 
 def test_invert_unimodular():

@@ -97,6 +97,15 @@ def test_kl_zero_probability_conventions(triangle):
         kl(theta, (0.7, 0.7), (0.25, 0.25))
 
 
+@pytest.mark.parametrize("xi, xi2", [((math.nan, 0.2), (0.2, 0.2)), ((0.2, 0.2), (0.2, math.nan))])
+def test_kl_rejects_nan(triangle, xi, xi2):
+    theta = to_mixture(triangle)
+    with pytest.raises(DomainError):
+        kl(theta, xi, xi2)
+    with pytest.raises(DomainError):
+        kl(theta, [(0.25, 0.25), xi], [(0.25, 0.25), xi2])
+
+
 def test_kl_bregman_relation(triangle, square, scaled_triangle, rng):
     # D = scale * sum(lambda) * KL, exactly, for zero-sum polytopes
     for P, scale in ((triangle, 1.0), (square, 0.5), (scaled_triangle, 0.5)):
