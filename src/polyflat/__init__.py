@@ -11,6 +11,7 @@ from .boundary import (
     boundary_divergence,
     boundary_point,
     continuity_check,
+    dual_geodesic_limit,
     extended_divergence,
     limit_divergence,
     product_boundary_check,
@@ -24,7 +25,6 @@ from .dually_flat import (
     bregman,
     bregman_expanded,
     cosine_residual,
-    dual_geodesic_limit,
     dual_potential,
     from_dual,
     geodesic_point,

@@ -23,8 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from . import rowwise
-from .dually_flat import bregman, newton_solve
+from .dually_flat import GeodesicSpec, bregman, newton_solve
 from .errors import DomainError, FaceBoundaryError, InvalidInputError, NumericalError
+from .intlattice import rank
 from .polytope import (
     FaceChart,
     HalfSpace,
@@ -37,6 +38,7 @@ from .potential import SymplecticPotential, guillemin, restrict_potential
 
 ACTIVE_TOL = 1e-12   # |facet value| below this counts as "on the face"
 INTERIOR_TOL = 1e-8  # inactive facet values must exceed this on the open face
+DIRECTION_TIE_TOL = 1e-12  # vertex scores x . d this close to the best one tie
 
 
 @dataclass(frozen=True)
@@ -246,6 +248,51 @@ def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2):
             )
         feet = tuple(boundary_point(chart, chart_coords=row) for row in u)
     return feet if xi2.ndim == 2 else feet[0]
+
+
+@dataclass(frozen=True)
+class GeodesicLimit:
+    point: tuple[float, ...]
+    face: tuple[int, ...]  # 1-based facet indices active at the limit
+
+    def as_dict(self):
+        return {"point": list(self.point), "face": list(self.face)}
+
+
+def dual_geodesic_limit(phi: SymplecticPotential, P: Polytope, spec: GeodesicSpec) -> GeodesicLimit:
+    """Limit point of a dual geodesic as t -> infinity, with its face.
+
+    Along y(t) = grad phi(start) + t d the components of y along the face
+    of P on which x . d is largest stay constant, so the geodesic tends to
+    that face, at the projection of start onto it (``project_to_face``).
+    Vertex scores x . d within 1e-12 of the best one tie.  A single top
+    vertex is returned exactly; a foot the face solve does not resolve
+    raises DomainError (FaceBoundaryError when the solve does not converge).
+    """
+    if spec.kind != "dual":
+        raise InvalidInputError("limits are defined for dual geodesics")
+    if not P.bounded:
+        raise InvalidInputError("dual geodesic limits require a bounded polytope")
+    start = np.array(spec.start)
+    if not np.all(P.facet_values(start) > 0):
+        raise DomainError("geodesic start must be interior")
+    scores = P.vertex_array @ np.array(spec.direction)
+    best = scores.max()
+    top = [v for v, s in zip(P.vertex_list, scores) if s >= best - DIRECTION_TIE_TOL]
+    if len(top) == 1:
+        return GeodesicLimit(point=tuple(top[0].array.tolist()), face=top[0].active)
+    # the facets through every top vertex cut out the limit face; from dimension
+    # 4 on their normals can be dependent, and an independent subset of them
+    # cuts out the same face
+    facets, rows = [], []
+    for r in sorted(set.intersection(*(set(v.active) for v in top))):
+        normal = P.halfspaces[r - 1].normal
+        if rank(rows + [normal]) > len(rows):
+            facets.append(r)
+            rows.append(normal)
+    chart = face_chart(P, facets)
+    foot = project_to_face(phi, chart, start)
+    return GeodesicLimit(point=foot.ambient, face=tuple(sorted(chart.vanishing)))
 
 
 @dataclass(frozen=True)

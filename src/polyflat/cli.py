@@ -30,6 +30,7 @@ from . import jsonio
 from .boundary import (
     boundary_divergence,
     boundary_point,
+    dual_geodesic_limit,
     project_to_face,
     pythagoras_boundary_foot,
     pythagoras_interior_foot,
@@ -37,7 +38,6 @@ from .boundary import (
 from .dually_flat import (
     GeodesicSpec,
     bregman,
-    dual_geodesic_limit,
     geodesic_point,
     to_dual,
 )

@@ -64,6 +64,8 @@ class GeodesicSpec:
             raise InvalidInputError(f"geodesic kind {self.kind!r} must be 'flat' or 'dual'")
         object.__setattr__(self, "start", tuple(float(v) for v in self.start))
         object.__setattr__(self, "direction", tuple(float(v) for v in self.direction))
+        if not np.all(np.isfinite(self.start + self.direction)):
+            raise InvalidInputError("geodesic start and direction must be finite")
         if all(v == 0 for v in self.direction):
             raise InvalidInputError("geodesic direction must be nonzero")
 
@@ -374,6 +376,8 @@ def flat_exit_time(P: Polytope, start, direction) -> float:
 
 def geodesic_point(phi: SymplecticPotential, P: Polytope, spec: GeodesicSpec, t: float):
     """Point at time t: straight in x for flat geodesics, straight in y for dual."""
+    if not np.isfinite(t):
+        raise InvalidInputError(f"geodesic time {t} must be finite")
     start = np.array(spec.start)
     direction = np.array(spec.direction)
     if spec.kind == "flat":
@@ -384,135 +388,3 @@ def geodesic_point(phi: SymplecticPotential, P: Polytope, spec: GeodesicSpec, t:
         return point
     y0 = phi.gradient(start)
     return from_dual(phi, P, y0 + t * direction).x_array
-
-
-@dataclass(frozen=True)
-class GeodesicLimit:
-    point: tuple[float, ...]
-    face: tuple[int, ...]  # 1-based facet indices active at the limit
-    t_converged: float
-    steps: int
-
-    def as_dict(self):
-        return {
-            "point": list(self.point),
-            "face": list(self.face),
-            "t_converged": self.t_converged,
-            "steps": self.steps,
-        }
-
-
-FACE_CLASSIFY_TOL = 1e-8
-LIMIT_DIFF_TOL = 1e-12
-DIRECTION_TIE_TOL = 1e-12
-
-
-def _snap_ties(direction, tol=DIRECTION_TIE_TOL):
-    """Merge direction components that agree within tol.
-
-    A tie in the direction components steers the geodesic into a
-    higher-dimensional face; gaps below tol cannot be resolved within the
-    time schedule, so they are treated as exact ties.
-    """
-    direction = np.array(direction, dtype=float)
-    order = np.argsort(direction)
-    snapped = direction.copy()
-    group_start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or snapped[order[i]] - snapped[order[i - 1]] > tol:
-            value = snapped[order[group_start]]
-            snapped[order[group_start:i]] = value
-            group_start = i
-    return snapped
-
-
-def dual_geodesic_limit(phi: SymplecticPotential, P: Polytope, spec: GeodesicSpec) -> GeodesicLimit:
-    """Limit point of a dual geodesic as t -> infinity, with its face.
-
-    Follows the geodesic along t = 1, 2, 4, ..., 2^20 until two consecutive
-    points differ by less than 1e-12 in the infinity norm.  Near the boundary
-    the gradient inversion saturates at the interior margin, which is accepted
-    as a best-effort evaluation; a Richardson step in u = e^(-ct) (the decay
-    variable of the approach) then refines the estimate, and the result is
-    projected onto the affine hull of the face found by thresholding facet
-    values at 1e-8.
-    """
-    if spec.kind != "dual":
-        raise InvalidInputError("limits are defined for dual geodesics")
-    if not P.bounded:
-        raise InvalidInputError("dual geodesic limits require a bounded polytope")
-    start = np.array(spec.start)
-    direction = _snap_ties(spec.direction)
-    y0 = phi.gradient(start)
-    trace = [(0.0, start)]
-    prev = start
-    small_diffs = 0
-    x_guess = start
-    for k in range(21):
-        t = float(2**k)
-        x_guess = newton_solve(phi, P, y0 + t * direction, X0=x_guess).x
-        trace.append((t, x_guess))
-        diff = float(np.max(np.abs(x_guess - prev)))
-        prev = x_guess
-        small_diffs = small_diffs + 1 if diff < LIMIT_DIFF_TOL else 0
-        if small_diffs >= 2:
-            break
-    else:
-        raise NumericalError(
-            "dual geodesic did not settle within the time schedule",
-            trace=[(t, x.tolist()) for t, x in trace],
-        )
-    point = _richardson_refine([x for _, x in trace[-4:]])
-    active = tuple(
-        r for r, v in enumerate(P.facet_values(point), start=1) if v < FACE_CLASSIFY_TOL
-    )
-    # a genuine limit face has the direction constant along it (the direction
-    # lies in the span of its normals); otherwise the geodesic is still
-    # drifting too slowly for the schedule to resolve
-    if active:
-        A = np.array([P.halfspaces[r - 1].normal for r in active], dtype=float)
-        coeffs, *_ = np.linalg.lstsq(A.T, direction, rcond=None)
-        tangential = direction - A.T @ coeffs
-        if float(np.max(np.abs(tangential))) > 1e-10 * max(
-            float(np.max(np.abs(direction))), 1.0
-        ):
-            raise NumericalError(
-                "direction drifts along the limiting face too slowly to resolve "
-                "within the time schedule",
-                trace=[(t, x.tolist()) for t, x in trace],
-            )
-    point = _snap_to_face(P, point, active)
-    return GeodesicLimit(
-        point=tuple(float(v) for v in point),
-        face=active,
-        t_converged=trace[-1][0],
-        steps=len(trace) - 1,
-    )
-
-
-def _richardson_refine(points):
-    """One extrapolation step for x(t) = x* + C u with u squaring each step."""
-    if len(points) < 3:
-        return points[-1]
-    x1, x2, x3 = points[-3], points[-2], points[-1]
-    d1 = x2 - x1
-    d2 = x3 - x2
-    n1 = float(np.max(np.abs(d1)))
-    n2 = float(np.max(np.abs(d2)))
-    if n1 < 1e-13 or n2 < 1e-300:
-        return x3  # already at float saturation
-    lead = int(np.argmax(np.abs(d1)))
-    u = d2[lead] / d1[lead]
-    if not 0.0 < u < 0.5:
-        return x3
-    return x3 + d2 * u**2 / (1.0 - u**2)
-
-
-def _snap_to_face(P, point, active):
-    if not active:
-        return point
-    A = np.array([P.halfspaces[r - 1].normal for r in active], dtype=float)
-    offs = np.array([float(P.halfspaces[r - 1].offset) for r in active])
-    res = A @ point + offs
-    correction, *_ = np.linalg.lstsq(A, res, rcond=None)
-    return point - correction

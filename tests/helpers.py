@@ -1,11 +1,16 @@
-"""Shared test utilities: finite-difference oracles and lattice transforms."""
+"""Shared test utilities: finite-difference oracles, lattice transforms and
+random Delzant polytopes with potentials."""
 
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from polyflat.errors import InvalidInputError
 from polyflat.intlattice import solve_square
+from polyflat.polynomial import Polynomial
+from polyflat.polytope import HalfSpace, Polytope, halfspace, product
+from polyflat.potential import SymplecticPotential, guillemin
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -69,8 +74,6 @@ def random_unimodular(rng, n):
 
 def transform_polytope(P, M, t):
     """Image of P under xi -> M xi + t (M unimodular, t rational)."""
-    from polyflat.polytope import HalfSpace, Polytope
-
     n = P.dim
     Minv = invert_unimodular(M)
     halfspaces = []
@@ -82,3 +85,35 @@ def transform_polytope(P, M, t):
         offset = hs.offset - sum(Fraction(nu[k]) * Fraction(t[k]) for k in range(n))
         halfspaces.append(HalfSpace(normal=nu, offset=offset))
     return Polytope(dim=n, halfspaces=tuple(halfspaces), bounded=P.bounded)
+
+
+def simplex(d):
+    halfspaces = [halfspace(tuple(int(i == j) for i in range(d)), 0) for j in range(d)]
+    halfspaces.append(halfspace((-1,) * d, 1))
+    return Polytope(dim=d, halfspaces=tuple(halfspaces))
+
+
+@st.composite
+def delzant_products(draw):
+    """(P, rng): a product of simplices under a seeded lattice automorphism."""
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = simplex(dims[0])
+    for d in dims[1:]:
+        P = product(P, simplex(d))
+    shift = [int(v) for v in rng.integers(-2, 3, size=P.dim)]
+    return transform_polytope(P, random_unimodular(rng, P.dim), shift), rng
+
+
+def potential(P, rng):
+    """Guillemin potential of P at a random scale, with a convex correction half the time."""
+    phi = guillemin(P, float(rng.uniform(0.25, 2.0)))
+    if rng.random() < 0.5:
+        return phi
+    n = P.dim
+    terms = [(tuple(2 * int(i == j) for i in range(n)), 0.3) for j in range(n)]
+    terms.append((tuple(int(i < 2) for i in range(n)), float(rng.normal())))
+    return SymplecticPotential(
+        dim=n, scale=phi.scale, log_terms=phi.log_terms,
+        correction=Polynomial.from_monomials(n, terms),
+    )

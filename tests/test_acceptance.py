@@ -13,6 +13,7 @@ from polyflat.boundary import (
     boundary_divergence,
     boundary_point,
     continuity_check,
+    dual_geodesic_limit,
     limit_divergence,
     product_boundary_check,
     project_to_face,
@@ -25,7 +26,6 @@ from polyflat.dually_flat import (
     GeodesicSpec,
     bregman,
     bregman_expanded,
-    dual_geodesic_limit,
     from_dual,
     to_dual,
 )

@@ -10,47 +10,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unimodular, transform_polytope
+from helpers import delzant_products, potential
 from polyflat.boundary import extended_divergence, random_face_point, random_interior
 from polyflat.dually_flat import bregman, newton_solve
 from polyflat.mixture import kl, to_mixture
-from polyflat.polynomial import Polynomial
 from polyflat.polytope import Polytope, face_chart, halfspace, product
-from polyflat.potential import SymplecticPotential, guillemin
+from polyflat.potential import guillemin
 
 PROPERTY = settings(max_examples=25, deadline=None)
-
-
-def simplex(d):
-    halfspaces = [halfspace(tuple(int(i == j) for i in range(d)), 0) for j in range(d)]
-    halfspaces.append(halfspace((-1,) * d, 1))
-    return Polytope(dim=d, halfspaces=tuple(halfspaces))
-
-
-@st.composite
-def delzant_products(draw):
-    """(P, rng): a product of simplices under a seeded lattice automorphism."""
-    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    P = simplex(dims[0])
-    for d in dims[1:]:
-        P = product(P, simplex(d))
-    shift = [int(v) for v in rng.integers(-2, 3, size=P.dim)]
-    return transform_polytope(P, random_unimodular(rng, P.dim), shift), rng
-
-
-def potential(P, rng):
-    """Guillemin potential of P at a random scale, with a convex correction half the time."""
-    phi = guillemin(P, float(rng.uniform(0.25, 2.0)))
-    if rng.random() < 0.5:
-        return phi
-    n = P.dim
-    terms = [(tuple(2 * int(i == j) for i in range(n)), 0.3) for j in range(n)]
-    terms.append((tuple(int(i < 2) for i in range(n)), float(rng.normal())))
-    return SymplecticPotential(
-        dim=n, scale=phi.scale, log_terms=phi.log_terms,
-        correction=Polynomial.from_monomials(n, terms),
-    )
 
 
 def interior(P, rng, m):

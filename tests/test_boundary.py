@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from helpers import delzant_products, potential
 from polyflat.boundary import (
     boundary_divergence,
     boundary_point,
     continuity_check,
+    dual_geodesic_limit,
     extended_divergence,
     limit_divergence,
     product_boundary_check,
@@ -17,9 +20,9 @@ from polyflat.boundary import (
     random_face_point,
     random_interior,
 )
-from polyflat.dually_flat import GeodesicSpec, bregman, dual_geodesic_limit, from_dual
+from polyflat.dually_flat import GeodesicSpec, bregman, from_dual
 from polyflat.errors import DomainError
-from polyflat.polytope import FaceChart, face_chart
+from polyflat.polytope import FaceChart, Polytope, face_chart, halfspace, product
 from polyflat.potential import guillemin
 
 
@@ -214,6 +217,62 @@ def test_project_matches_dual_geodesic_limit(tri_setup):
     )
     foot = project_to_face(phi, chart, start)
     np.testing.assert_allclose(limit.point, foot.ambient, atol=1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(delzant_products())
+def test_dual_geodesic_limit_is_projection_onto_argmax_face(case):
+    P, rng = case
+    phi = potential(P, rng)
+    start = random_interior(P, rng)
+    # a generic direction: the limit is the vertex maximizing x . d
+    d = rng.normal(size=P.dim)
+    limit = dual_geodesic_limit(phi, P, GeodesicSpec(kind="dual", start=start, direction=d))
+    top = P.vertex_list[int(np.argmax(P.vertex_array @ d))]
+    np.testing.assert_allclose(limit.point, top.array, rtol=0, atol=1e-9)
+    assert limit.face == top.active
+    # d = -sum c_r nu_r over a proper subset S of a vertex's facets: x . d is
+    # largest exactly on the face l_r = 0 (r in S), an exact tie as the
+    # vertices and weights are integers; the limit is the foot of start there
+    vertex = P.vertex_list[int(rng.integers(len(P.vertex_list)))]
+    if len(vertex.active) < 2:
+        return
+    subset = rng.choice(vertex.active, size=int(rng.integers(1, len(vertex.active))), replace=False)
+    weights = rng.integers(1, 4, size=len(subset))
+    d = -sum(int(c) * np.array(P.halfspaces[r - 1].normal) for c, r in zip(weights, subset))
+    chart = face_chart(P, subset)
+    try:
+        limit = dual_geodesic_limit(phi, P, GeodesicSpec(kind="dual", start=start, direction=d))
+    except DomainError:
+        # a steep correction can put the foot closer to the face's relative
+        # boundary than the face solve resolves; the limit then raises the
+        # projection's error instead of returning a point
+        with pytest.raises(DomainError):
+            project_to_face(phi, chart, start)
+        return
+    assert limit.face == tuple(sorted(chart.vanishing))
+    foot = boundary_point(chart, ambient=limit.point)
+    assert pythagoras_boundary_foot(phi, chart, foot, foot, start).perp_value <= 1e-8
+
+
+def test_dual_geodesic_limit_non_simple_face():
+    # the apex of the square pyramid lies on four facets with dependent normals;
+    # crossed with an interval, the limit face is the apex edge
+    pyramid = Polytope(
+        dim=3,
+        halfspaces=(
+            halfspace((0, 0, 1), 0),
+            halfspace((1, 0, -1), 0),
+            halfspace((0, 1, -1), 0),
+            halfspace((-1, 0, -1), 2),
+            halfspace((0, -1, -1), 2),
+        ),
+    )
+    P = product(pyramid, Polytope(dim=1, halfspaces=(halfspace((1,), 0), halfspace((-1,), 1))))
+    spec = GeodesicSpec(kind="dual", start=(1.1, 0.9, 0.3, 0.4), direction=(0, 0, 1, 0))
+    limit = dual_geodesic_limit(guillemin(P, 1.0), P, spec)
+    np.testing.assert_allclose(limit.point, [1.0, 1.0, 1.0, 0.4], rtol=0, atol=1e-9)
+    assert limit.face == (2, 3, 4, 5)
 
 
 def test_pythagoras_boundary_foot(tri_setup):

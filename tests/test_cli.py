@@ -195,6 +195,18 @@ def test_geodesic_flat_truncates(tri_input, tmp_path, capsys):
     assert out["notes"] and "0.333333333333" in out["notes"][0]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "dual", "start": [0.2, 0.2], "direction": [float("nan"), 0.0]},
+        {"kind": "flat", "start": [float("nan"), 0.2], "direction": [1.0, 0.0]},
+        {"kind": "dual", "start": [0.2, 0.2], "direction": [1.0, 0.0], "t_grid": [float("nan")]},
+    ],
+)
+def test_geodesic_rejects_nan_spec(tri_input, tmp_path, spec):
+    assert main(["geodesic", tri_input, "--spec", write(tmp_path, "spec.json", spec)]) == 2
+
+
 def test_boundary_table(tri_input, tmp_path, capsys):
     points = write(tmp_path, "bpts.json", {"pairs": [[[0.5, 0.5], [0.4, 0.6]]]})
     assert main(["boundary", tri_input, "--face", "3", "--points", points]) == 0

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from polyflat.boundary import random_interior
+from polyflat.boundary import dual_geodesic_limit, random_interior
 from polyflat.dually_flat import (
     GeodesicSpec,
     bregman,
     bregman_expanded,
     cosine_residual,
-    dual_geodesic_limit,
     dual_potential,
     flat_exit_time,
     from_dual,
@@ -369,16 +368,14 @@ def test_dual_geodesic_limit_near_tie(triangle):
     assert limit.face == (3,)
 
 
-def test_dual_geodesic_limit_slow_gap_raises(triangle):
-    # direction gaps between the tie tolerance and the schedule horizon are
-    # genuinely unresolvable; the error carries the trace
-    from polyflat.errors import NumericalError
-
+def test_dual_geodesic_limit_slow_gap_exact(triangle):
+    # a gap above the tie tolerance picks the single top vertex, however slowly
+    # the geodesic would reach it
     phi = guillemin(triangle, 1.0)
     spec = GeodesicSpec(kind="dual", start=(0.25, 0.25), direction=(1.0, 1.0 + 1e-9))
-    with pytest.raises(NumericalError) as err:
-        dual_geodesic_limit(phi, triangle, spec)
-    assert err.value.trace
+    limit = dual_geodesic_limit(phi, triangle, spec)
+    assert limit.point == (0.0, 1.0)
+    assert limit.face == (1, 3)
 
 
 def test_dual_geodesic_limit_requires_bounded(half_line):
@@ -386,3 +383,30 @@ def test_dual_geodesic_limit_requires_bounded(half_line):
     spec = GeodesicSpec(kind="dual", start=(1.0,), direction=(1.0,))
     with pytest.raises(InvalidInputError):
         dual_geodesic_limit(phi, half_line, spec)
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.5), (0.7, 0.7)])
+def test_dual_geodesic_limit_requires_interior_start(triangle, start):
+    # the direction picks a single vertex, so no potential evaluation sees the start
+    phi = guillemin(triangle, 1.0)
+    spec = GeodesicSpec(kind="dual", start=start, direction=(1.0, 0.0))
+    with pytest.raises(DomainError):
+        dual_geodesic_limit(phi, triangle, spec)
+
+
+@pytest.mark.parametrize(
+    "start, direction",
+    [((math.nan, 0.2), (1.0, 0.0)), ((0.2, 0.2), (math.nan, 0.0)), ((0.2, 0.2), (math.inf, 0.0))],
+)
+@pytest.mark.parametrize("kind", ["flat", "dual"])
+def test_geodesic_spec_rejects_non_finite(kind, start, direction):
+    with pytest.raises(InvalidInputError):
+        GeodesicSpec(kind=kind, start=start, direction=direction)
+
+
+@pytest.mark.parametrize("kind", ["flat", "dual"])
+def test_geodesic_point_rejects_non_finite_time(triangle, kind):
+    phi = guillemin(triangle, 1.0)
+    spec = GeodesicSpec(kind=kind, start=(0.2, 0.2), direction=(1.0, 0.0))
+    with pytest.raises(InvalidInputError):
+        geodesic_point(phi, triangle, spec, math.nan)
