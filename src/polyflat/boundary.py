@@ -66,30 +66,61 @@ class BoundaryPoint:
         return a
 
 
-def boundary_point(chart: FaceChart, ambient=None, chart_coords=None) -> BoundaryPoint:
-    """Build a validated point of the open face from either coordinate system."""
+def boundary_point(chart: FaceChart, ambient=None, chart_coords=None):
+    """Build validated points of the open face from either coordinate system.
+
+    A point of shape (d,) gives a BoundaryPoint; a batch (m, d) gives a tuple
+    of m of them, checked together, and the first bad row raises the error
+    the call on that row raises.
+    """
     if (ambient is None) == (chart_coords is None):
         raise InvalidInputError("give exactly one of ambient or chart coordinates")
-    if ambient is None:
-        chart_coords = np.asarray(chart_coords, dtype=float)
-        ambient = chart.to_ambient(chart_coords)
-    else:
-        ambient = np.asarray(ambient, dtype=float)
-        chart_coords = chart.to_chart(ambient)
-    recon = chart.to_ambient(chart_coords)
-    if float(np.max(np.abs(recon - ambient), initial=0.0)) > ACTIVE_TOL:
-        raise DomainError("point is not on the affine hull of the face")
     P = chart.polytope
-    values = P.facet_values(ambient)
-    for r, v in enumerate(values, start=1):
-        if r in chart.vanishing:
-            if not abs(v) <= ACTIVE_TOL:  # true for nan
-                raise DomainError(f"active facet {r} has value {v:.3e} at the point")
-        elif not v > INTERIOR_TOL:  # true for nan
-            raise DomainError(
-                f"facet {r} has value {v:.3e}; point is not in the open face"
-            )
-    return BoundaryPoint(chart=chart, ambient=tuple(ambient), chart_coords=tuple(chart_coords))
+    if ambient is None:
+        U, single = _rows(chart_coords, chart.dim_face, "chart coordinates")
+        X = chart.to_ambient(U)
+        off_hull = np.zeros(len(U), dtype=bool)
+    else:
+        X, single = _rows(ambient, P.dim, "ambient point")
+        U = chart.to_chart(X)
+        # nan fails no comparison here; the facet tests below reject it
+        off_hull = np.max(np.abs(chart.to_ambient(U) - X), axis=1, initial=0.0) > ACTIVE_TOL
+    values = P.facet_values(X)
+    vanishing = _vanishing_mask(chart)
+    # `not (... <= / > ...)` rather than `>` / `<=`, so that nan is bad
+    bad = np.where(vanishing, ~(np.abs(values) <= ACTIVE_TOL), ~(values > INTERIOR_TOL))
+    for i in np.flatnonzero(off_hull | bad.any(axis=1))[:1]:
+        if off_hull[i]:
+            raise DomainError("point is not on the affine hull of the face")
+        r = int(np.argmax(bad[i]))
+        if vanishing[r]:
+            raise DomainError(f"active facet {r + 1} has value {values[i, r]:.3e} at the point")
+        raise DomainError(
+            f"facet {r + 1} has value {values[i, r]:.3e}; point is not in the open face"
+        )
+    points = tuple(
+        BoundaryPoint(chart=chart, ambient=x, chart_coords=u)
+        for x, u in zip(X.tolist(), U.tolist())
+    )
+    return points[0] if single else points
+
+
+def _rows(points, width, what):
+    """points (width,) or (m, width) as rows (m, width), and whether it was one point."""
+    try:
+        a = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:  # entries that are not numbers, ragged rows
+        raise InvalidInputError(f"{what} is not a point or a batch of points") from exc
+    if a.ndim not in (1, 2) or a.shape[-1] != width:
+        raise InvalidInputError(f"{what} of shape {a.shape} where the width is {width}")
+    return np.atleast_2d(a), a.ndim == 1
+
+
+def _vanishing_mask(chart: FaceChart):
+    """Which facets of the chart's polytope vanish on the face, as an (N,) bool array."""
+    return np.array(
+        [r in chart.vanishing for r in range(1, chart.polytope.n_facets + 1)], dtype=bool
+    )
 
 
 def _coords(chart: FaceChart, eta, chart_coords=False):
@@ -232,21 +263,21 @@ def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2):
     phi_f = restrict_potential(phi, chart)
     face_poly = restrict_polytope(P, chart)
     if chart.dim_face == 0:
-        feet = tuple(boundary_point(chart, chart_coords=()) for _ in X2)
+        u = np.zeros((len(X2), 0))
     else:
         target = rowwise.times(phi.gradient(X2), chart.basis_array)
-        u0 = np.array([chart.to_chart(x) for x in X2]).reshape(len(X2), chart.dim_face)
+        u0 = chart.to_chart(X2)
         # where the Euclidean projection is outside the face, start at the centroid
         outside = np.min(face_poly.facet_values(u0), axis=1, initial=np.inf) <= 1e-9
         if outside.any():
             u0[outside] = np.array(face_poly.interior_point, dtype=float)
-        u, residual, status, _ = newton_solve(phi_f, face_poly, target, X0=u0)
+        u, residual, status, iterations = newton_solve(phi_f, face_poly, target, X0=u0)
         for i in np.flatnonzero(status != "converged")[:1]:
             raise FaceBoundaryError(
                 f"projection minimizer lies on the face boundary or did not converge "
-                f"({status[i]}, residual {residual[i]:.3e})"
+                f"({status[i]} after {iterations[i]} iterations, residual {residual[i]:.3e})"
             )
-        feet = tuple(boundary_point(chart, chart_coords=row) for row in u)
+    feet = boundary_point(chart, chart_coords=u)
     return feet if xi2.ndim == 2 else feet[0]
 
 
@@ -416,28 +447,53 @@ class ProductBoundaryReport:
         }
 
 
-def random_interior(P: Polytope, rng, margin: float = 1e-3) -> np.ndarray:
-    """A random interior point whose facet values all exceed margin."""
-    verts = P.vertex_array
-    weights = np.ones(len(verts))
-    for _ in range(200):
-        x = rng.dirichlet(weights) @ verts
-        if float(np.min(P.facet_values(x))) > margin:
-            return x
-    raise NumericalError("failed to draw an interior point with the requested margin")
+def random_interior(P: Polytope, rng, margin: float = 1e-3, size=None) -> np.ndarray:
+    """A random interior point (n,) whose facet values all exceed margin.
+
+    With size=m, a block (m, n) of such points.
+    """
+    X = _draw_clearing(rng, P.vertex_array, size, P.facet_values, margin)
+    if X is None:
+        raise NumericalError("failed to draw an interior point with the requested margin")
+    return X if size is not None else X[0]
 
 
-def random_face_point(chart: FaceChart, rng, margin: float = 1e-3) -> BoundaryPoint:
-    """A random point of the open face whose inactive facet values exceed margin."""
-    P = chart.polytope
-    arr = chart.vertex_array
-    weights = np.ones(len(arr))
-    inactive = [r - 1 for r in range(1, P.n_facets + 1) if r not in chart.vanishing]
+def random_face_point(chart: FaceChart, rng, margin: float = 1e-3, size=None):
+    """A random BoundaryPoint of the open face whose inactive facet values exceed margin.
+
+    With size=m, a tuple of m of them.  The points are drawn in chart
+    coordinates, from the face's vertices.
+    """
+    inactive = ~_vanishing_mask(chart)
+    U = _draw_clearing(
+        rng,
+        chart.vertex_chart_array,
+        size,
+        lambda U: chart.polytope.facet_values(chart.to_ambient(U))[:, inactive],
+        margin,
+    )
+    if U is None:
+        raise NumericalError("failed to draw a face-interior point")
+    points = boundary_point(chart, chart_coords=U)
+    return points if size is not None else points[0]
+
+
+def _draw_clearing(rng, vertices, size, values, margin):
+    """Rows of random convex combinations of vertices whose values(rows) all exceed margin.
+
+    Draws a block of size rows (one row for size None) from a flat Dirichlet
+    distribution, then redraws the rows at or below the margin, in row order,
+    for at most 200 rounds in all; None when some row never clears.
+    """
+    weights = np.ones(len(vertices))
+    rows = np.arange(1 if size is None else size)
+    out = np.empty((len(rows), vertices.shape[1]))
     for _ in range(200):
-        x = rng.dirichlet(weights) @ arr
-        if np.all(P.facet_values(x)[inactive] > margin):
-            return boundary_point(chart, ambient=x)
-    raise NumericalError("failed to draw a face-interior point")
+        out[rows] = rowwise.times(rng.dirichlet(weights, size=len(rows)), vertices)
+        rows = rows[~(np.min(values(out[rows]), axis=1, initial=np.inf) > margin)]
+        if not rows.size:
+            return out
+    return None
 
 
 def _with(x, t):
@@ -470,15 +526,15 @@ def product_boundary_check(
     phi_ray = guillemin(ray, scale)
     charts = [face_chart(P, (r,)) for r in range(1, P.n_facets + 1)]
     rng = np.random.default_rng(seed)
-    x1, x1b, t, eta = [], [], [], []
-    for _ in range(samples):
-        x1.append(random_interior(P, rng))
-        x1b.append(random_interior(P, rng))
-        t.append(rng.uniform(0.2, 3.0, size=2))
-        # corner on a side face: (eta, t1) with eta on a random facet of P
-        eta.append(random_face_point(charts[int(rng.integers(P.n_facets))], rng).ambient)
-    x1, x1b, eta = (np.array(a).reshape(samples, P.dim) for a in (x1, x1b, eta))
-    t1, t2 = np.array(t).reshape(samples, 2).T
+    x1, x1b = random_interior(P, rng, size=2 * samples).reshape(2, samples, P.dim)
+    t1, t2 = rng.uniform(0.2, 3.0, size=(2, samples))
+    # corner on a side face: (eta, t1) with eta on a random facet of P
+    facets = rng.integers(P.n_facets, size=samples)
+    eta = np.empty((samples, P.dim))
+    for r, chart in enumerate(charts):
+        rows = np.flatnonzero(facets == r)
+        points = random_face_point(chart, rng, size=len(rows))
+        eta[rows] = np.array([p.ambient for p in points]).reshape(len(rows), P.dim)
 
     joint = bregman(phi_prod, _with(x1, t1), _with(x1b, t2))
     split = bregman(phi_base, x1, x1b) + bregman(phi_ray, t1[:, None], t2[:, None])

@@ -234,8 +234,8 @@ def cmd_boundary(args):
         raise PolyflatError("input file must carry a potential")
     chart = face_chart(P, _parse_face(args.face))
     a, b = _point_pairs(_load_json(args.points)["pairs"], P.dim)
-    etas = [boundary_point(chart, ambient=x) for x in a]
-    etas2 = [boundary_point(chart, ambient=x) for x in b]
+    points = boundary_point(chart, ambient=np.concatenate([a, b]))
+    etas, etas2 = points[: len(a)], points[len(a) :]
     divergences = boundary_divergence(phi, chart, etas, etas2)
     rows = list(zip(a.tolist(), b.tolist(), divergences.tolist()))
     if args.format == "json":
@@ -260,12 +260,12 @@ def cmd_pythagoras(args):
     kind = triple.get("kind", "boundary_foot")
     tols = _parse_tols(args.tol)
     if kind == "boundary_foot":
-        eta = boundary_point(chart, ambient=triple["eta"])
+        given = [triple["eta"]]
+        if triple.get("eta_prime") is not None:
+            given.append(triple["eta_prime"])
+        eta, *foot = boundary_point(chart, ambient=given)
         xi2 = np.asarray(triple["xi"], dtype=float)
-        if "eta_prime" in triple and triple["eta_prime"] is not None:
-            foot = boundary_point(chart, ambient=triple["eta_prime"])
-        else:
-            foot = project_to_face(phi, chart, xi2)
+        foot = foot[0] if foot else project_to_face(phi, chart, xi2)
         report = pythagoras_boundary_foot(
             phi, chart, eta, foot, xi2, tolerance=tols.get("boundary_foot", 1e-8)
         )

@@ -223,7 +223,7 @@ def _line_search(phi, P, x, y, r, r_norm, steps):
     return accepted
 
 
-def _unsolved(P: Polytope, y, x, residual, status) -> NumericalError:
+def _unsolved(P: Polytope, y, x, residual, status, iterations) -> NumericalError:
     """The error from_dual raises for a target whose solve ended in `status`."""
     if not P.bounded and (
         status == "diverged"
@@ -233,10 +233,15 @@ def _unsolved(P: Polytope, y, x, residual, status) -> NumericalError:
             f"dual coordinate {y.tolist()} is not attained by the gradient map "
             f"(iterate escaped toward the boundary or infinity)",
             residual=residual,
+            status=status,
+            iterations=iterations,
         )
     return NumericalError(
-        f"gradient-map inversion did not converge ({status}) with residual {residual:.3e}",
+        f"gradient-map inversion did not converge ({status} after {iterations} iterations) "
+        f"with residual {residual:.3e}",
         residual=residual,
+        status=status,
+        iterations=iterations,
     )
 
 
@@ -249,13 +254,13 @@ def from_dual(phi: SymplecticPotential, P: Polytope, y, x0=None):
     solved together.  The first target that does not converge raises.
     """
     y = np.asarray(y, dtype=float)
-    x, res, status, _ = newton_solve(phi, P, y, X0=x0)
+    x, res, status, iterations = newton_solve(phi, P, y, X0=x0)
     if y.ndim == 1:
         if status != "converged":
-            raise _unsolved(P, y, x, res, status)
+            raise _unsolved(P, y, x, res, status, iterations)
         return DualPair(x=tuple(x), y=tuple(y))
     for i in np.flatnonzero(status != "converged")[:1]:
-        raise _unsolved(P, y[i], x[i], float(res[i]), str(status[i]))
+        raise _unsolved(P, y[i], x[i], float(res[i]), str(status[i]), int(iterations[i]))
     return tuple(DualPair(x=tuple(a), y=tuple(b)) for a, b in zip(x, y))
 
 

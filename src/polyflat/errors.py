@@ -26,12 +26,16 @@ class FaceBoundaryError(DomainError):
 
 
 class NumericalError(PolyflatError):
-    """An iterative numerical procedure failed to converge."""
+    """An iterative numerical procedure failed to converge.
 
-    def __init__(self, message, residual=None, trace=None):
+    A failed Newton solve also reports its row's status and step count.
+    """
+
+    def __init__(self, message, residual=None, status=None, iterations=None):
         super().__init__(message)
         self.residual = residual
-        self.trace = trace
+        self.status = status
+        self.iterations = iterations
 
 
 class NoSolutionError(NumericalError):

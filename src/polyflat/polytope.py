@@ -350,6 +350,24 @@ class FaceChart:
         return _vertex_array(self.vertices, self.polytope.dim)
 
     @cached_property
+    def vertex_chart_array(self):
+        """``vertices`` as rows of a read-only float array (chart coordinates)."""
+        a = self.to_chart(self.vertex_array)
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def left_inverse(self):
+        """The (k, n) left inverse pinv(basis_array), read-only.
+
+        It maps x to the least-squares chart coordinates of x - origin, which
+        are exact for points of the face.
+        """
+        a = np.linalg.pinv(self.basis_array)
+        a.flags.writeable = False
+        return a
+
+    @cached_property
     def face_polytope(self):
         """The face as a polytope in chart coordinates.
 
@@ -360,16 +378,18 @@ class FaceChart:
         return reduced_polytope(pulled, self.dim_face)
 
     def to_ambient(self, u):
+        """Ambient point of chart coordinates u (k,), or the rows of a batch (m, k)."""
         u = np.asarray(u, dtype=float)
-        return self.origin_array + self.basis_array @ u
+        return self.origin_array + rowwise.times(u, self.basis_array.T)
 
     def to_chart(self, point):
-        """Chart coordinates of an ambient point on (or near) the face."""
+        """Chart coordinates of an ambient point (n,) on (or near) the face, or of a batch (m, n).
+
+        Near the face this is the least-squares solution of
+        origin + basis @ u = point.
+        """
         point = np.asarray(point, dtype=float)
-        if self.dim_face == 0:
-            return np.zeros(0)
-        u, *_ = np.linalg.lstsq(self.basis_array, point - self.origin_array, rcond=None)
-        return u
+        return rowwise.times(point - self.origin_array, self.left_inverse.T)
 
 
 def face_chart(P: Polytope, active) -> FaceChart:

@@ -204,11 +204,12 @@ def _restrict(phi, chart):
                 normal=tuple(pulled_normal), offset=pulled_offset, weight=term.weight
             )
         )
-    for v in chart.vertices:
-        u = chart.to_chart(v.array)
-        for idx, term in enumerate(kept):
-            if float(np.dot(term.normal, u) + term.offset) < -1e-9:
-                raise DomainError(f"log term {idx + 1} is negative at a vertex of the face")
+    normals = np.array([term.normal for term in kept]).reshape(len(kept), chart.dim_face)
+    offsets = np.array([term.offset for term in kept])
+    # (vertex, term) pairs in vertex order, then term order
+    negative = np.argwhere(chart.vertex_chart_array @ normals.T + offsets < -1e-9)
+    if len(negative):
+        raise DomainError(f"log term {negative[0][1] + 1} is negative at a vertex of the face")
     return SymplecticPotential(
         dim=chart.dim_face,
         scale=phi.scale,

@@ -103,8 +103,7 @@ def run_scenario(
         )
     )
 
-    n = counts["legendre_points"]
-    x = np.array([random_interior(P, rng) for _ in range(n)]).reshape(n, P.dim)
+    x = random_interior(P, rng, size=counts["legendre_points"])
     back = np.array([pair.x for pair in from_dual(phi, P, phi.gradient(x))]).reshape(x.shape)
     worst = _worst(np.abs(back - x))
     results.append(
@@ -155,9 +154,9 @@ def run_scenario(
             continue
         worst = 0.0
         all_passed = True
-        for _ in range(counts["continuity_pairs"]):
-            eta = random_face_point(chart, rng)
-            eta2 = random_face_point(chart, rng)
+        pairs = counts["continuity_pairs"]
+        etas = random_face_point(chart, rng, size=2 * pairs)
+        for eta, eta2 in zip(etas[:pairs], etas[pairs:]):
             rep = continuity_check(phi, chart, eta, eta2, tolerance=tol["continuity_gap"])
             worst = max(worst, rep.gaps[-1])
             all_passed = all_passed and rep.passed
@@ -171,13 +170,9 @@ def run_scenario(
             )
         )
 
-        xi2, etas, steps = [], [], []
-        for _ in range(counts["boundary_feet"]):
-            xi2.append(random_interior(P, rng))
-            etas.append(random_face_point(chart, rng))
-            if negative_control:
-                steps.append(0.05 * _face_step(chart, rng))
-        xi2 = np.array(xi2).reshape(len(etas), P.dim)
+        xi2 = random_interior(P, rng, size=counts["boundary_feet"])
+        etas = random_face_point(chart, rng, size=counts["boundary_feet"])
+        steps = 0.05 * _face_steps(chart, rng, len(etas)) if negative_control else ()
         feet = list(project_to_face(phi, chart, xi2))
         for i, step in enumerate(steps):
             for cand in (feet[i].chart_array + step, feet[i].chart_array - step):
@@ -198,14 +193,12 @@ def run_scenario(
             )
         )
 
-        etas, xi, xi2, w = [], [], [], []
-        for _ in range(counts["interior_triples"]):
-            etas.append(random_face_point(chart, rng))
-            xi.append(random_interior(P, rng))
-            xi2.append(random_interior(P, rng))
-            # a dual velocity orthogonal to the flat segment toward eta
-            w.append(_orthogonal_direction(etas[-1].ambient_array - xi[-1], rng))
-        xi, xi2, w = (np.array(v).reshape(len(etas), P.dim) for v in (xi, xi2, w))
+        triples = counts["interior_triples"]
+        xi, xi2 = random_interior(P, rng, size=2 * triples).reshape(2, triples, P.dim)
+        etas = random_face_point(chart, rng, size=triples)
+        # dual velocities orthogonal to the flat segments toward eta
+        eta_x = np.array([e.ambient for e in etas]).reshape(triples, P.dim)
+        w = _orthogonal_directions(eta_x - xi, rng)
         reps = pythagoras_interior_foot(phi, chart, etas, xi, xi2)
         worst_id = max((abs(rep.residual - rep.perp_value) for rep in reps), default=0.0)
         # rebuild xi2 so the dual velocity is orthogonal; skip targets Newton cannot reach
@@ -267,9 +260,8 @@ def run_scenario(
 
 
 def _draw_pairs(count, P, rng):
-    """count pairs of interior points, drawn pair by pair, as two (count, n) arrays."""
-    pairs = [(random_interior(P, rng), random_interior(P, rng)) for _ in range(count)]
-    a, b = np.array(pairs).reshape(count, 2, P.dim).transpose(1, 0, 2)
+    """count pairs of interior points, drawn as one block, as two (count, n) arrays."""
+    a, b = random_interior(P, rng, size=2 * count).reshape(2, count, P.dim)
     return a, b
 
 
@@ -278,20 +270,29 @@ def _worst(errors):
     return float(np.max(errors, initial=0.0))
 
 
-def _face_step(chart, rng):
-    u = rng.normal(size=chart.dim_face)
-    norm = float(np.linalg.norm(u))
-    return u / norm if norm > 0 else np.ones(chart.dim_face)
+def _face_steps(chart, rng, count):
+    """count random unit steps in chart coordinates, as rows (count, k)."""
+    u = rng.normal(size=(count, chart.dim_face))
+    norm = np.linalg.norm(u, axis=1, keepdims=True)
+    return np.divide(u, norm, out=np.ones_like(u), where=norm > 0)
 
 
-def _orthogonal_direction(seg, rng):
-    """A unit vector orthogonal to seg (random in the orthogonal complement)."""
-    n = len(seg)
-    seg = seg / np.linalg.norm(seg)
+def _orthogonal_directions(seg, rng):
+    """Rows of unit vectors, each orthogonal to its row of seg (m, n).
+
+    Each is random in the orthogonal complement of its row; a row whose
+    projection has norm at most 1e-9 is redrawn, in row order, for at most
+    50 rounds in all.
+    """
+    seg = seg / np.linalg.norm(seg, axis=1, keepdims=True)
+    out = np.empty_like(seg)
+    rows = np.arange(len(seg))
     for _ in range(50):
-        w = rng.normal(size=n)
-        w = w - (w @ seg) * seg
-        norm = float(np.linalg.norm(w))
-        if norm > 1e-9:
-            return w / norm
+        w = rng.normal(size=(len(rows), seg.shape[1]))
+        w -= (w * seg[rows]).sum(axis=1, keepdims=True) * seg[rows]
+        norm = np.linalg.norm(w, axis=1, keepdims=True)
+        out[rows] = w / np.where(norm > 1e-9, norm, 1.0)
+        rows = rows[~(norm[:, 0] > 1e-9)]
+        if not rows.size:
+            return out
     raise PolyflatError("could not build an orthogonal direction")

@@ -112,7 +112,8 @@ def potential(P, rng):
         return phi
     n = P.dim
     terms = [(tuple(2 * int(i == j) for i in range(n)), 0.3) for j in range(n)]
-    terms.append((tuple(int(i < 2) for i in range(n)), float(rng.normal())))
+    # 0.3 sum x_j^2 + c x_1 x_2 is convex exactly when |c| <= 0.6
+    terms.append((tuple(int(i < 2) for i in range(n)), float(rng.uniform(-0.6, 0.6))))
     return SymplecticPotential(
         dim=n, scale=phi.scale, log_terms=phi.log_terms,
         correction=Polynomial.from_monomials(n, terms),

@@ -2,17 +2,26 @@
 
 Every float-layer function that takes an (m, n) batch must give, row by row,
 what it gives for that row alone; Newton solves of a batch must end each row
-in the state the one-row solve ends it.  Checked on random Delzant products
-of simplices moved by a random lattice automorphism.
+in the state the one-row solve ends it; a batch of boundary points is built
+and rejected as its rows are one by one, and block draws clear their margin.
+Checked on random Delzant products of simplices moved by a random lattice
+automorphism.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import delzant_products, potential
-from polyflat.boundary import extended_divergence, random_face_point, random_interior
+from polyflat.boundary import (
+    boundary_point,
+    extended_divergence,
+    random_face_point,
+    random_interior,
+)
 from polyflat.dually_flat import bregman, newton_solve
+from polyflat.errors import DomainError
 from polyflat.mixture import kl, to_mixture
 from polyflat.polytope import Polytope, face_chart, halfspace, product
 from polyflat.potential import guillemin
@@ -86,3 +95,85 @@ def test_newton_batches_equal_rows(case, m):
         np.testing.assert_allclose(batch.x[i], one.x, rtol=1e-12, atol=0)
         np.testing.assert_allclose(batch.residual[i], one.residual, rtol=1e-12, atol=0)
     assert set(batch.status) <= {"converged", "stalled", "diverged", "maxiter"}
+
+
+def random_face(P, rng):
+    """The chart of a random face: some of the facets through a random vertex."""
+    active = P.vertex_list[int(rng.integers(len(P.vertex_list)))].active
+    return face_chart(P, [r for r in active if rng.random() < 0.5])
+
+
+@PROPERTY
+@given(delzant_products(), st.integers(1, 8))
+def test_boundary_point_batches_equal_rows(case, m):
+    P, rng = case
+    chart = random_face(P, rng)
+    U = np.array([p.chart_coords for p in random_face_point(chart, rng, size=m)])
+    U = U.reshape(m, chart.dim_face)
+    X = chart.to_ambient(U)
+    for coords, rows in (("chart_coords", U), ("ambient", X)):
+        batch = boundary_point(chart, **{coords: rows})
+        assert len(batch) == m
+        for point, row in zip(batch, rows):
+            assert point == boundary_point(chart, **{coords: row})
+
+
+@PROPERTY
+@given(delzant_products(), st.integers(2, 8))
+def test_boundary_point_batch_raises_first_bad_row(case, m):
+    P, rng = case
+    chart = random_face(P, rng)
+    X = np.array([p.ambient for p in random_face_point(chart, rng, size=m)]).reshape(m, P.dim)
+    # mostly points off the affine hull or outside the open face, and nan
+    defects = [P.interior_point, 2 * P.vertex_array[0] - X[0], 10 * X[0], np.nan]
+    for i in rng.choice(m, size=2, replace=False):
+        X[i] = defects[int(rng.integers(len(defects)))]
+    errors = []
+    for row in X:
+        try:
+            boundary_point(chart, ambient=row)
+        except DomainError as exc:
+            errors.append(str(exc))
+    if not errors:
+        assert len(boundary_point(chart, ambient=X)) == m
+        return
+    with pytest.raises(DomainError) as batch:
+        boundary_point(chart, ambient=X)
+    assert str(batch.value) == errors[0]
+
+
+@PROPERTY
+@given(delzant_products(), st.integers(0, 8), st.sampled_from([1e-3, 1e-2, 5e-2]))
+def test_block_draws_clear_the_margin(case, m, margin):
+    P, rng = case
+    X = random_interior(P, rng, margin=margin, size=m)
+    assert X.shape == (m, P.dim)
+    assert np.all(P.facet_values(X) > margin)
+    chart = random_face(P, rng)
+    points = random_face_point(chart, rng, margin=margin, size=m)
+    assert len(points) == m
+    for point in points:
+        values = P.facet_values(point.ambient_array)
+        for r, v in enumerate(values, start=1):
+            assert abs(v) <= 1e-12 if r in chart.vanishing else v > margin
+
+
+@PROPERTY
+@given(delzant_products(), st.integers(0, 2**32 - 1))
+def test_one_point_draw_is_a_block_of_one(case, seed):
+    P, rng = case
+    chart = random_face(P, rng)
+    one, block = np.random.default_rng(seed), np.random.default_rng(seed)
+    np.testing.assert_array_equal(random_interior(P, one), random_interior(P, block, size=1)[0])
+    assert random_face_point(chart, one) == random_face_point(chart, block, size=1)[0]
+    assert one.random() == block.random()  # both drew the same stream
+
+
+@PROPERTY
+@given(delzant_products(), st.integers(1, 8))
+def test_chart_round_trip(case, m):
+    P, rng = case
+    chart = random_face(P, rng)
+    U = rng.uniform(-2.0, 2.0, size=(m, chart.dim_face))
+    np.testing.assert_allclose(chart.to_chart(chart.to_ambient(U)), U, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(chart.to_chart(chart.to_ambient(U[0])), U[0], rtol=0, atol=1e-12)

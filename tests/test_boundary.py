@@ -21,9 +21,10 @@ from polyflat.boundary import (
     random_interior,
 )
 from polyflat.dually_flat import GeodesicSpec, bregman, from_dual
-from polyflat.errors import DomainError
+from polyflat.errors import DomainError, FaceBoundaryError
+from polyflat.polynomial import Polynomial
 from polyflat.polytope import FaceChart, Polytope, face_chart, halfspace, product
-from polyflat.potential import guillemin
+from polyflat.potential import AffineLogTerm, SymplecticPotential, guillemin
 
 
 @pytest.fixture
@@ -207,6 +208,18 @@ def test_project_to_face_golden(tri_setup):
     np.testing.assert_allclose(
         project_to_face(phi, chart, (1 / 3, 1 / 3)).ambient, [0.5, 0.5], atol=1e-10
     )
+
+
+def test_project_to_face_error_names_status_and_iterations(triangle):
+    # on the face x1 = 0 the restriction of x1 log x1 + x1 x2 is 0, whose Hessian
+    # is singular, while the target x1 = 0.3 of the pulled-back gradient is not
+    phi = SymplecticPotential(
+        dim=2, scale=1.0, log_terms=(AffineLogTerm((1, 0), 0),),
+        correction=Polynomial.from_monomials(2, [((1, 1), 1.0)]),
+    )
+    message = r"\(stalled after 0 iterations, residual 3\.000e-01\)"
+    with pytest.raises(FaceBoundaryError, match=message):
+        project_to_face(phi, face_chart(triangle, (1,)), [(0.3, 0.3), (0.2, 0.2)])
 
 
 def test_project_matches_dual_geodesic_limit(tri_setup):

@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polyflat.boundary import boundary_point
 from polyflat.cli import main
+from polyflat.errors import DomainError
 from polyflat.jsonio import parse_polytope, parse_potential
+from polyflat.polytope import face_chart
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -218,6 +221,30 @@ def test_boundary_rejects_nan_point(tri_input, tmp_path):
     points = tmp_path / "nan.json"
     points.write_text('{"pairs": [[[NaN, 0.5], [0.4, 0.6]]]}')
     assert main(["boundary", tri_input, "--face", "3", "--points", str(points)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, payload, bad",
+    [
+        # the second point of the first pair is off the face's affine hull
+        ("boundary", {"pairs": [[[0.5, 0.5], [0.4, 0.5]], [[0.3, 0.7], [0.0, 1.0]]]}, (0.4, 0.5)),
+        # the given foot is a vertex, on the relative boundary of the face
+        (
+            "pythagoras",
+            {"kind": "boundary_foot", "face": [3], "eta": [0.3, 0.7], "xi": [0.25, 0.25],
+             "eta_prime": [1.0, 0.0]},
+            (1.0, 0.0),
+        ),
+    ],
+)
+def test_off_face_point_exits_2_with_its_error(tri_input, tmp_path, capsys, command, payload, bad):
+    flag = "--points" if command == "boundary" else "--triple"
+    extra = ["--face", "3"] if command == "boundary" else []
+    path = write(tmp_path, "in.json", payload)
+    assert main([command, tri_input, *extra, flag, path]) == 2
+    with pytest.raises(DomainError) as alone:
+        boundary_point(face_chart(parse_polytope(TRIANGLE), (3,)), ambient=bad)
+    assert capsys.readouterr().err == f"error: {alone.value}\n"
 
 
 def test_pythagoras_command(tri_input, tmp_path, capsys):

@@ -82,6 +82,16 @@ def test_singular_hessian_stalls(triangle):
         from_dual(phi, triangle, [(0.5, 0.5), (-1.0, 2.0)])
 
 
+def test_unsolved_error_carries_solver_status(triangle):
+    # the singular-Hessian potential above: every row stalls before its first step
+    phi = SymplecticPotential(dim=2, scale=1.0, log_terms=(AffineLogTerm((1, 0), 0),))
+    for y in [(0.5, 0.5), [(0.5, 0.5), (-1.0, 2.0)]]:
+        with pytest.raises(NumericalError) as err:
+            from_dual(phi, triangle, y)
+        assert (err.value.status, err.value.iterations) == ("stalled", 0)
+        assert err.value.residual > 0
+
+
 def test_singular_hessian_leaves_other_rows_solving(triangle):
     # Hess phi = diag(1/x1 - 2, 1/x2) is singular on the line x1 = 1/2
     phi = SymplecticPotential(
