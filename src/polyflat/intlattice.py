@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals and the integer lattice.
 
 Everything in this module is exact: rational entries are `fractions.Fraction`,
-integer entries are Python ints.  Rational systems go through one Gauss-Jordan
-elimination; integer kernels through one column Hermite normal form, in the
+integer entries are Python ints.  Linear systems, ranks and determinants go
+through one fraction-free elimination on integers (Bareiss, Math. Comp. 22,
+1968): a row with rational entries is first scaled by the lcm of its
+denominators, and Fractions are built only for the answer.  The kernel line
+of each constraint subset in `cone_rays` comes from the same elimination.
+Saturated integer kernels go through one column Hermite normal form, in the
 convention of sympy's `hermite_normal_form` (pivots from the bottom row up,
 placed in the rightmost columns, positive, with the entries to their right
 reduced into [0, pivot)).  Intended for desk-scale problems (dimension up to
@@ -31,33 +35,99 @@ def primitivize(vec):
     return tuple(int(v) // g for v in vec), g
 
 
-def _rref(rows):
-    """Gauss-Jordan elimination of a rational matrix.
+def common_denominator(values):
+    """Rationals as integer numerators over their least common denominator.
 
-    Returns (reduced rows, pivot column of each nonzero row, determinant); the
-    rows are lists of Fractions, and the determinant is that of rows when they
-    form a square matrix (zero when it is singular).
+    Returns (numerators, d) with values[i] = numerators[i] / d and d > 0.
     """
-    mat = [[Fraction(v) for v in row] for row in rows]
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    d = 1
+    for v in values:
+        q = v.denominator
+        if q != 1:
+            d = d * q // gcd(d, q)
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _integer_rows(rows):
+    """Each row as a list of ints, scaled by the lcm of its entries' denominators.
+
+    Returns (rows, scale) with scale the product of the row factors, so that
+    the determinant of a square input is that of the integer rows over scale.
+    """
+    out, scale = [], 1
+    for row in rows:
+        row, d = common_denominator(row)
+        out.append(row)
+        scale *= d
+    return out, scale
+
+
+def _bareiss(mat):
+    """Fraction-free Gaussian elimination (Bareiss 1968) of integer rows, in place.
+
+    A row holding the first nonzero entry of a column is swapped up to become
+    the pivot row.  Afterwards the first rank rows are in echelon form and the
+    others are zero; the pivot of row i is the (i+1)-minor of the permuted
+    input on the rows up to i and the pivot columns up to i, so the last pivot
+    is that of the full pivot block and every division below is exact.
+    Returns (pivot columns, sign of the row permutation).
+    """
     m = len(mat)
-    pivots, det = [], Fraction(1)
+    pivots, sign, prev = [], 1, 1
     for col in range(len(mat[0]) if mat else 0):
         r = len(pivots)
-        piv = next((i for i in range(r, m) if mat[i][col] != 0), None)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if mat[i][col]), None)
         if piv is None:
             continue
         if piv != r:
             mat[r], mat[piv] = mat[piv], mat[r]
-            det = -det
-        p = mat[r][col]
-        det *= p
-        mat[r] = [a / p for a in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+            sign = -sign
+        top = mat[r]
+        p = top[col]
+        for i in range(r + 1, m):
+            row = mat[i]
+            a = row[col]
+            row[col] = 0
+            for j in range(col + 1, len(row)):
+                row[j] = (p * row[j] - a * top[j]) // prev
+        prev = p
         pivots.append(col)
-    return mat, pivots, det if len(pivots) == m else Fraction(0)
+    return pivots, sign
+
+
+def _back_substitute(mat, pivots, rhs):
+    """Numerators of the pivot variables of an echelon system, free ones zero.
+
+    ``rhs[i]`` is the right-hand side of echelon row i.  Returns
+    (numerators by pivot, denominator) with x[pivots[i]] = numerators[i] /
+    denominator; the denominator is the last pivot, so every division is exact
+    (Cramer's rule on the pivot block).
+    """
+    den = mat[len(pivots) - 1][pivots[-1]] if pivots else 1
+    nums = [0] * len(pivots)
+    for i in reversed(range(len(pivots))):
+        row = mat[i]
+        acc = den * rhs[i]
+        for j in range(i + 1, len(pivots)):
+            acc -= row[pivots[j]] * nums[j]
+        nums[i] = acc // row[pivots[i]]
+    return nums, den
+
+
+def _solve_augmented(mat, n):
+    """Eliminate the integer rows [A | b] in place and solve A x = b, free variables zero.
+
+    Returns (pivot columns, numerators, denominator) with x[pivots[i]] =
+    numerators[i] / denominator, or None when the system is inconsistent.
+    """
+    pivots, _ = _bareiss(mat)
+    if n in pivots:
+        return None
+    nums, den = _back_substitute(mat, pivots, [row[n] for row in mat])
+    return pivots, nums, den
 
 
 def solve_square(rows, rhs):
@@ -66,10 +136,28 @@ def solve_square(rows, rhs):
     Returns a tuple of Fractions, or None if the matrix is singular.
     """
     n = len(rows)
-    mat, pivots, _ = _rref([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots != list(range(n)):
+    mat, _ = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    sol = _solve_augmented(mat, n)
+    if sol is None or len(sol[0]) != n:
         return None
-    return tuple(row[n] for row in mat)
+    return tuple(Fraction(v, sol[2]) for v in sol[1])
+
+
+def solve_integer(rows, rhs):
+    """Solve the square integer system rows @ x = rhs without fractions.
+
+    Returns (numerators, denominator) with x = numerators / denominator and
+    denominator = |det rows| > 0 (not reduced), or None if the matrix is
+    singular.
+    """
+    n = len(rows)
+    sol = _solve_augmented([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    if sol is None or len(sol[0]) != n:
+        return None
+    _, nums, den = sol
+    if den < 0:
+        return tuple(-v for v in nums), -den
+    return tuple(nums), den
 
 
 def solve_particular(rows, rhs):
@@ -80,23 +168,29 @@ def solve_particular(rows, rhs):
     if not rows:
         return None
     n = len(rows[0])
-    mat, pivots, _ = _rref([list(row) + [b] for row, b in zip(rows, rhs)])
-    if n in pivots:
+    mat, _ = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    sol = _solve_augmented(mat, n)
+    if sol is None:
         return None  # inconsistent
     x = [Fraction(0)] * n
-    for row, col in zip(mat, pivots):
-        x[col] = row[n]
+    for col, v in zip(sol[0], sol[1]):
+        x[col] = Fraction(v, sol[2])
     return tuple(x)
 
 
 def rank(rows):
     """Rank of a rational matrix, exact."""
-    return len(_rref(rows)[1])
+    mat, _ = _integer_rows(rows)
+    return len(_bareiss(mat)[0])
 
 
 def determinant(rows):
-    """Exact determinant of a square rational matrix."""
-    return _rref(rows)[2]
+    """Exact determinant of a square rational matrix, as a Fraction."""
+    mat, scale = _integer_rows(rows)
+    pivots, sign = _bareiss(mat)
+    if len(pivots) != len(mat):
+        return Fraction(0)
+    return Fraction(sign * mat[-1][pivots[-1]], scale) if mat else Fraction(1)
 
 
 def _gcdex(a, b):
@@ -165,6 +259,28 @@ def integer_kernel(rows, n):
     return [tuple(c[:n]) for c in _column_hnf(cols) if not any(c[n:])]
 
 
+def _kernel_line(rows, n):
+    """Generator of the lattice {u in Z^n : rows @ u = 0} when it has rank one, else None.
+
+    One elimination: the kernel vector has the last pivot at the free column
+    and the back-substituted numerators at the pivot columns.  It is returned
+    primitive with its last nonzero entry positive, which is the generator
+    ``integer_kernel`` gives for a line.
+    """
+    mat = [list(row) for row in rows]
+    pivots, _ = _bareiss(mat)
+    if len(pivots) != n - 1:
+        return None
+    free = next(j for j, col in enumerate(pivots + [n]) if j != col)
+    nums, den = _back_substitute(mat, pivots, [-row[free] for row in mat])
+    u = [0] * n
+    u[free] = den
+    for col, v in zip(pivots, nums):
+        u[col] = v
+    g, _ = primitivize(u)
+    return g if next(v for v in reversed(g) if v) > 0 else tuple(-v for v in g)
+
+
 def cone_rays(normals, n):
     """Nonzero directions certifying that {u : normals @ u >= 0} != {0}.
 
@@ -175,17 +291,15 @@ def cone_rays(normals, n):
     """
     if n == 0:
         return []
-    lineality = integer_kernel(normals, n)
-    if lineality:
+    if rank(normals) < n:
+        lineality = integer_kernel(normals, n)
         return [s for g in lineality for s in (g, tuple(-v for v in g))]
     rays = []
     seen = set()
-    subsets = combinations(range(len(normals)), n - 1) if n > 1 else [()]
-    for sub in subsets:
-        gens = integer_kernel([normals[i] for i in sub], n)
-        if len(gens) != 1:
+    for sub in combinations(range(len(normals)), n - 1):
+        g = _kernel_line([normals[i] for i in sub], n)
+        if g is None:
             continue
-        g = gens[0]
         for cand in (g, tuple(-v for v in g)):
             if cand in seen:
                 continue

@@ -24,10 +24,19 @@ def fraction_str(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
+def _dim(value) -> int:
+    """A dimension field as an int; a bool or a fractional float is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidInputError(f"dim {value!r} is not an integer")
+    return int(value)
+
+
 def parse_polytope(data) -> Polytope:
     try:
-        dim = int(data["dim"])
-        bounded = bool(data.get("bounded", True))
+        dim = _dim(data["dim"])
+        bounded = data.get("bounded", True)
+        if not isinstance(bounded, bool):
+            raise InvalidInputError(f"bounded {bounded!r} is not a boolean")
         halfspaces = tuple(halfspace(hs["normal"], hs["offset"]) for hs in data["halfspaces"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed polytope: {exc}") from exc
@@ -78,10 +87,11 @@ def parse_potential(data, polytope: Polytope | None = None) -> SymplecticPotenti
                 dim = polytope.dim
             else:
                 raise InvalidInputError("potential needs a dim, log_terms, or a polytope")
-        correction = Polynomial.zero(int(dim))
+        dim = _dim(dim)
+        correction = Polynomial.zero(dim)
         if "correction" in data:
             correction = Polynomial.from_monomials(
-                int(dim),
+                dim,
                 [
                     (tuple(m["exponents"]), float(m["coeff"]))
                     for m in data["correction"].get("monomials", [])
@@ -89,7 +99,7 @@ def parse_potential(data, polytope: Polytope | None = None) -> SymplecticPotenti
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed potential: {exc}") from exc
-    return SymplecticPotential(dim=int(dim), scale=scale, log_terms=terms, correction=correction)
+    return SymplecticPotential(dim=dim, scale=scale, log_terms=terms, correction=correction)
 
 
 def parse_mixture(data) -> MixtureFamily:

@@ -59,7 +59,10 @@ class HalfSpace:
 
     def value(self, point):
         """Exact facet value at a point with rational coordinates."""
-        return sum(Fraction(x) * v for x, v in zip(point, self.normal)) + self.offset
+        nums, d = intlattice.common_denominator(point)
+        off = self.offset
+        dot = sum(x * v for x, v in zip(nums, self.normal))
+        return Fraction(dot * off.denominator + off.numerator * d, d * off.denominator)
 
 
 def halfspace(normal, offset):
@@ -105,9 +108,9 @@ class Polytope:
                 )
         seen = set()
         for hs in self.halfspaces:
-            key = (hs.normal, hs.offset)
+            key = (hs.normal, hs.offset.numerator, hs.offset.denominator)  # ints hash fast
             if key in seen:
-                raise InvalidInputError(f"duplicate half-space {key}")
+                raise InvalidInputError(f"duplicate half-space {(hs.normal, hs.offset)}")
             seen.add(key)
 
     @property
@@ -207,23 +210,48 @@ def _enumerate_vertices(P: Polytope):
         return (Vertex(coords=(), active=()),)
     if P.bounded and not is_bounded(P):
         raise InconsistencyError("polytope marked bounded but has a recession direction")
-    n, N = P.dim, P.n_facets
-    found = {}
-    for subset in combinations(range(N), n):
-        rows = [P.halfspaces[i].normal for i in subset]
-        rhs = [-P.halfspaces[i].offset for i in subset]
-        point = intlattice.solve_square(rows, rhs)
-        if point is None:
-            continue
-        values = [hs.value(point) for hs in P.halfspaces]
-        if any(v < 0 for v in values):
-            continue
-        if point not in found:
-            active = tuple(i + 1 for i, v in enumerate(values) if v == 0)
-            found[point] = Vertex(coords=point, active=active)
+    found = _subset_vertices(
+        [hs.normal for hs in P.halfspaces], [hs.offset for hs in P.halfspaces], P.dim
+    )
     if P.bounded and not found:
         raise InconsistencyError("bounded polytope without vertices (empty or degenerate)")
-    return tuple(sorted(found.values(), key=lambda v: v.coords))
+    verts = (Vertex(coords=point, active=tuple(i + 1 for i in tight)) for tight, point in found.items())
+    return tuple(sorted(verts, key=lambda v: v.coords))
+
+
+def _feasible_solutions(normals, offsets, n):
+    """The points where n of the constraints normals . x + offsets >= 0 meet, if feasible.
+
+    normals are integer rows, offsets rationals.  The work is on integers: the
+    offsets are scaled to their common denominator d, and each n-subset with
+    a unique solution gives it as numerators over d * |det|.  Yields
+    (numerators, denominator, tight) for every subset whose point satisfies
+    all constraints, with tight the positions of those that vanish there.
+    """
+    b, d = intlattice.common_denominator(offsets)
+    for subset in combinations(range(len(normals)), n):
+        sol = intlattice.solve_integer([normals[i] for i in subset], [-b[i] for i in subset])
+        if sol is None:
+            continue
+        nums, den = sol
+        # each value times d * den, which is positive
+        values = [sum(a * u for a, u in zip(nu, nums)) + c * den for nu, c in zip(normals, b)]
+        if any(v < 0 for v in values):
+            continue
+        yield nums, den * d, tuple(i for i, v in enumerate(values) if v == 0)
+
+
+def _subset_vertices(normals, offsets, n):
+    """The feasible points of ``_feasible_solutions``, as {tight positions: Fraction point}.
+
+    A point is fixed by the constraints tight there, so the tight positions
+    key it; its coordinates are built once.
+    """
+    found = {}
+    for nums, den, tight in _feasible_solutions(normals, offsets, n):
+        if tight not in found:
+            found[tight] = tuple(Fraction(u, den) for u in nums)
+    return found
 
 
 def vertices(P: Polytope):
@@ -331,13 +359,16 @@ class FaceChart:
     def vanishing(self):
         """Facets identically zero on the face (includes face_active)."""
         out = set(self.face_active)
-        for r, hs in enumerate(self.polytope.halfspaces, start=1):
-            if r in out:
-                continue
-            pulled = [sum(c * v for c, v in zip(col, hs.normal)) for col in self.basis]
-            if all(p == 0 for p in pulled) and hs.value(self.origin) == 0:
+        facets = zip(self.polytope.halfspaces, self._chart_normals)
+        for r, (hs, coeffs) in enumerate(facets, start=1):
+            if r not in out and not any(coeffs) and hs.value(self.origin) == 0:
                 out.add(r)
         return frozenset(out)
+
+    @cached_property
+    def _chart_normals(self):
+        """Each facet normal pulled back through the basis: its chart coefficients."""
+        return _chart_normals(self.polytope, self.basis)
 
     @cached_property
     def vertices(self):
@@ -372,10 +403,23 @@ class FaceChart:
         """The face as a polytope in chart coordinates.
 
         Inactive facets are pulled back through the chart, re-primitivized, and
-        redundant constraints are dropped.
+        redundant constraints are dropped; for a bounded polytope, by reading
+        which of the face's vertices each constraint is tight at.
         """
-        pulled = _pulled_back(self.polytope, self.vanishing, self.basis, self.origin)
-        return reduced_polytope(pulled, self.dim_face)
+        P, k = self.polytope, self.dim_face
+        pulled, facets = _pulled_back(P, self.vanishing, self._chart_normals, self.origin)
+        if P.bounded and k:
+            # every face of a bounded P is bounded, with the vertices of P on it
+            merged, sources = _merged(pulled)
+            of = {}  # facet of P -> position of the merged constraint it attains
+            for j, src in enumerate(sources):
+                for i in src:
+                    of[facets[i]] = j
+            tight = [{of[r] for r in v.active if r in of} for v in self.vertices]
+            kept = _facets_from_incidence(merged, [v.coords for v in self.vertices], tight, k)
+            if kept is not None:
+                return _irredundant_polytope(kept, k, True)
+        return reduced_polytope(pulled, k)
 
     def to_ambient(self, u):
         """Ambient point of chart coordinates u (k,), or the rows of a batch (m, k)."""
@@ -431,29 +475,44 @@ def _face_vertices(P, active):
     return tuple(v for v in vertices(P) if active <= set(v.active))
 
 
-def _pulled_back(P, skip, basis, point):
+def _chart_normals(P, basis):
+    """The facet normals of P pulled back through the basis columns, in facet order."""
+    return [
+        tuple(sum(c * v for c, v in zip(col, hs.normal)) for col in basis) for hs in P.halfspaces
+    ]
+
+
+def _pulled_back(P, skip, chart_normals, point):
     """Facets not in skip as (coefficients, offset) constraints on u -> point + basis @ u.
 
-    A facet constant on the face is dropped, after checking it is nonnegative.
+    ``chart_normals`` are the facet normals pulled back through the basis.  A
+    facet constant on the face is dropped, after checking it is nonnegative.
+    Returns the constraints and the 1-based facet index of each.
     """
-    pulled = []
-    for r, hs in enumerate(P.halfspaces, start=1):
+    nums, d = intlattice.common_denominator(point)
+    pulled, facets = [], []
+    for r, (hs, coeffs) in enumerate(zip(P.halfspaces, chart_normals), start=1):
         if r in skip:
             continue
-        coeffs = tuple(sum(c * v for c, v in zip(col, hs.normal)) for col in basis)
-        off = hs.value(point)
+        q = hs.offset.denominator
+        dot = sum(x * v for x, v in zip(nums, hs.normal))
+        off = Fraction(dot * q + hs.offset.numerator * d, d * q)
         if all(c == 0 for c in coeffs):
             if off < 0:
                 raise EmptyFaceError(f"facet {r} excludes the face")
             continue
         pulled.append((coeffs, off))
-    return pulled
+        facets.append(r)
+    return pulled, facets
 
 
 def _face_origin(P, active, basis):
     if not active:
         return P.interior_point
     face_vertices = _face_vertices(P, active)
+    if P.bounded and face_vertices:
+        # vertices(P) has verified P.bounded, and every face of a bounded P is bounded
+        return _mean(face_vertices, P.dim)
     part = intlattice.solve_particular(
         [P.halfspaces[r - 1].normal for r in active],
         [-P.halfspaces[r - 1].offset for r in active],
@@ -461,19 +520,23 @@ def _face_origin(P, active, basis):
     if part is None:
         raise EmptyFaceError("active facet equations are inconsistent")
     # used both for the bounded test and Fourier-Motzkin
-    pulled = _pulled_back(P, set(active), basis, part)
+    pulled, _ = _pulled_back(P, set(active), _chart_normals(P, basis), part)
     k = len(basis)
-    # vertices(P) has verified P.bounded, and every face of a bounded P is bounded
     face_bounded = P.bounded or not k or not intlattice.cone_rays([c for c, _ in pulled], k)
     if face_bounded and face_vertices:
-        m = len(face_vertices)
-        return tuple(sum(v.coords[i] for v in face_vertices) / m for i in range(P.dim))
+        return _mean(face_vertices, P.dim)
     u = intlattice.strict_interior_point(pulled, k)
     if u is None:
         raise EmptyFaceError("face has empty relative interior")
     return tuple(
         part[i] + sum(basis[j][i] * u[j] for j in range(k)) for i in range(P.dim)
     )
+
+
+def _mean(verts, dim):
+    nums, d = intlattice.common_denominator([c for v in verts for c in v.coords])
+    m = len(verts)
+    return tuple(Fraction(sum(nums[i::dim]), d * m) for i in range(dim))
 
 
 def _drop_redundant(constraints, k):
@@ -499,16 +562,10 @@ def _is_redundant(cons, others, k):
         if sum(a * u for a, u in zip(coeffs, ray)) < 0:
             return False
     found_vertex = False
-    for subset in combinations(range(len(others)), k):
-        rows = [others[i][0] for i in subset]
-        rhs = [-others[i][1] for i in subset]
-        point = intlattice.solve_square(rows, rhs)
-        if point is None:
-            continue
-        if any(sum(a * u for a, u in zip(c, point)) + o < 0 for c, o in others):
-            continue
+    for nums, den, _ in _feasible_solutions(normals, [o for _, o in others], k):
         found_vertex = True
-        if sum(a * u for a, u in zip(coeffs, point)) + off < 0:
+        # the sign of coeffs . x + off at x = nums / den
+        if sum(a * u for a, u in zip(coeffs, nums)) * off.denominator + off.numerator * den < 0:
             return False
     if not found_vertex:
         # others-region has no vertex (e.g. no constraints): probe the cons itself
@@ -519,24 +576,86 @@ def _is_redundant(cons, others, k):
     return True
 
 
+def _merged(constraints):
+    """Primitive forms of (coefficients, offset) constraints, parallel ones merged.
+
+    Each normal keeps its tightest offset.  Returns the (normal, offset)
+    pairs sorted by normal, and for each the positions in ``constraints`` of
+    the constraints that reduce to it.
+    """
+    tightest = {}
+    for i, (coeffs, off) in enumerate(constraints):
+        prim, g = intlattice.primitivize(coeffs)
+        off = Fraction(off, g)
+        best = tightest.get(prim)
+        if best is None or off < best[0]:
+            tightest[prim] = (off, [i])
+        elif off == best[0]:
+            best[1].append(i)
+    items = sorted(tightest.items())
+    return [(prim, off) for prim, (off, _) in items], [src for _, (_, src) in items]
+
+
+def _affine_rank(points):
+    """Dimension of the affine hull of a nonempty list of rational points."""
+    first = points[0]
+    return intlattice.rank([[a - b for a, b in zip(p, first)] for p in points[1:]])
+
+
+def _facets_from_incidence(constraints, points, tight, k):
+    """The constraints of a bounded region in R^k that define its facets.
+
+    ``points`` are the region's vertices in exact affine coordinates of any
+    space the region embeds in, and ``tight[v]`` holds the positions of the
+    constraints that vanish at ``points[v]``; constraints are merged, so
+    no two have the same primitive normal.  A constraint is a facet exactly
+    when the vertices where it is tight span a (k-1)-flat.  The constraints
+    tight at a vertex where exactly k are tight are facets without a rank
+    test: near such a vertex the region is a simplicial cone.  Returns the
+    kept constraints in order, or None when the vertices do not span a k-flat
+    (an empty or lower-dimensional region).
+    """
+    facet = [False] * len(constraints)
+    full = False
+    for t in tight:
+        if len(t) == k:
+            full = True
+            for j in t:
+                facet[j] = True
+    if not points or not (full or _affine_rank(points) == k):
+        return None
+    for j, is_facet in enumerate(facet):
+        if not is_facet:
+            on = [p for p, t in zip(points, tight) if j in t]
+            facet[j] = len(on) >= k and _affine_rank(on) == k - 1
+    return [c for c, is_facet in zip(constraints, facet) if is_facet]
+
+
+def _irredundant_polytope(kept, dim, bounded):
+    halfspaces = tuple(HalfSpace(normal=prim, offset=off) for prim, off in kept)
+    return Polytope(dim=dim, halfspaces=halfspaces, bounded=bounded)
+
+
 def reduced_polytope(constraints, dim) -> Polytope:
     """The polytope {u : coeffs . u + offset >= 0} in irredundant primitive form.
 
     ``constraints`` are (integer coefficients, rational offset) pairs with
     nonzero coefficients.  Each is re-primitivized, parallel constraints keep
     the tightest offset, redundant ones are dropped, and boundedness is tested
-    exactly.
+    exactly.  When the normals bound the region, its vertices are enumerated
+    once and redundancy is read from their incidences; otherwise each
+    constraint is tested against the others.
     """
-    tightest = {}
-    for coeffs, off in constraints:
-        prim, g = intlattice.primitivize(coeffs)
-        off = off / g
-        if prim not in tightest or off < tightest[prim]:
-            tightest[prim] = off
-    kept = _drop_redundant(sorted(tightest.items()), dim)
-    halfspaces = tuple(HalfSpace(normal=prim, offset=off) for prim, off in kept)
-    bounded = not intlattice.cone_rays([hs.normal for hs in halfspaces], dim) if dim else True
-    return Polytope(dim=dim, halfspaces=halfspaces, bounded=bounded)
+    merged, _ = _merged(constraints)
+    normals = [prim for prim, _ in merged]
+    if dim and merged and not intlattice.cone_rays(normals, dim):
+        found = _subset_vertices(normals, [off for _, off in merged], dim)
+        kept = _facets_from_incidence(merged, list(found.values()), list(found), dim)
+        if kept is not None:
+            return _irredundant_polytope(kept, dim, True)
+    kept = _drop_redundant(merged, dim)
+    bounded = not intlattice.cone_rays([prim for prim, _ in kept], dim) if dim else True
+    return _irredundant_polytope(kept, dim, bounded)
 
 
 def restrict_polytope(P: Polytope, chart: FaceChart) -> Polytope:

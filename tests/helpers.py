@@ -2,14 +2,15 @@
 random Delzant polytopes with potentials."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
 from polyflat.errors import InvalidInputError
-from polyflat.intlattice import solve_square
+from polyflat.intlattice import integer_kernel, primitivize, solve_square
 from polyflat.polynomial import Polynomial
-from polyflat.polytope import HalfSpace, Polytope, halfspace, product
+from polyflat.polytope import HalfSpace, Polytope, _drop_redundant, halfspace, product
 from polyflat.potential import SymplecticPotential, guillemin
 
 
@@ -118,3 +119,50 @@ def potential(P, rng):
         dim=n, scale=phi.scale, log_terms=phi.log_terms,
         correction=Polynomial.from_monomials(n, terms),
     )
+
+
+def reference_cone_rays(normals, n):
+    """cone_rays with each subset's kernel line taken from integer_kernel (a column HNF)."""
+    if n == 0:
+        return []
+    lineality = integer_kernel(normals, n)
+    if lineality:
+        return [s for g in lineality for s in (g, tuple(-v for v in g))]
+    rays, seen = [], set()
+    for sub in combinations(range(len(normals)), n - 1):
+        gens = integer_kernel([normals[i] for i in sub], n)
+        if len(gens) != 1:
+            continue
+        for cand in (gens[0], tuple(-v for v in gens[0])):
+            if cand in seen:
+                continue
+            seen.add(cand)
+            if all(sum(a * u for a, u in zip(row, cand)) >= 0 for row in normals):
+                rays.append(cand)
+    return rays
+
+
+def reference_reduced_polytope(constraints, dim):
+    """reduced_polytope with every constraint tested against the others (no incidences)."""
+    tightest = {}
+    for coeffs, off in constraints:
+        prim, g = primitivize(coeffs)
+        off = Fraction(off, g)
+        if prim not in tightest or off < tightest[prim]:
+            tightest[prim] = off
+    kept = _drop_redundant(sorted(tightest.items()), dim)
+    halfspaces = tuple(HalfSpace(normal=prim, offset=off) for prim, off in kept)
+    bounded = not reference_cone_rays([hs.normal for hs in halfspaces], dim) if dim else True
+    return Polytope(dim=dim, halfspaces=halfspaces, bounded=bounded)
+
+
+def pulled_back(chart):
+    """The chart polytope's facets that do not vanish on the face, as constraints in chart coordinates."""
+    out = []
+    for r, hs in enumerate(chart.polytope.halfspaces, start=1):
+        if r in chart.vanishing:
+            continue
+        coeffs = tuple(sum(c * v for c, v in zip(col, hs.normal)) for col in chart.basis)
+        if any(coeffs):
+            out.append((coeffs, hs.value(chart.origin)))
+    return out

@@ -84,6 +84,15 @@ def test_validate_rejects_fractional_normal(tmp_path):
     assert main(["validate", write(tmp_path, "frac.json", bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value", [("dim", 2.7), ("dim", True), ("bounded", "false"), ("bounded", "no")]
+)
+def test_validate_rejects_truncated_fields(tmp_path, capsys, field, value):
+    bad = dict(TRIANGLE, **{field: value})
+    assert main(["validate", write(tmp_path, "bad.json", bad)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_validate_missing_file():
     assert main(["validate", "/nonexistent/nowhere.json"]) == 2
 

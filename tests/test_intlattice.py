@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
-from sympy.polys.domains import ZZ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 
-from helpers import invert_unimodular
+from helpers import invert_unimodular, reference_cone_rays
 from polyflat import intlattice
 from polyflat.errors import InvalidInputError
 
@@ -94,6 +94,85 @@ def test_exact_layer_matches_sympy(matrix):
     k = min(len(rows), n)
     square = [row[:k] for row in rows[:k]]
     assert intlattice.determinant(square) == Matrix(k, k, [v for row in square for v in row]).det()
+
+
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, rhs, n): m <= n + 2 rational rows, some repeating or scaling earlier ones."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, n + 2))):
+        if rows and draw(st.booleans()):
+            base = draw(st.sampled_from(rows))
+            rows.append([draw(RATIONALS) * v for v in base])
+        else:
+            rows.append(draw(st.lists(RATIONALS, min_size=n, max_size=n)))
+    return rows, draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows))), n
+
+
+def qq_matrix(rows):
+    """sympy DomainMatrix over QQ of Fraction rows."""
+    entries = [[QQ(v.numerator, v.denominator) for v in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), QQ)
+
+
+def sympy_particular(rows, rhs):
+    """Solution of rows @ x = rhs from sympy's rref with the free variables zero, or None."""
+    n = len(rows[0])
+    reduced, pivots = qq_matrix([list(row) + [b] for row, b in zip(rows, rhs)]).rref()
+    if n in pivots:
+        return None  # inconsistent
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        v = reduced[i, n].element
+        x[col] = Fraction(int(v.numerator), int(v.denominator))
+    return tuple(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_rational_elimination_matches_sympy(system):
+    rows, rhs, n = system
+    assert intlattice.rank(rows) == qq_matrix(rows).rank()
+    assert intlattice.solve_particular(rows, rhs) == sympy_particular(rows, rhs)
+    k = min(len(rows), n)
+    square, b = [row[:k] for row in rows[:k]], rhs[:k]
+    det = intlattice.determinant(square)
+    assert isinstance(det, Fraction) and det == qq_matrix(square).det()
+    x = intlattice.solve_square(square, b)
+    if det == 0:
+        assert x is None
+    else:
+        assert x == sympy_particular(square, b)
+        assert all(isinstance(v, Fraction) for v in x)
+        scaled = [intlattice.common_denominator(row + [v])[0] for row, v in zip(square, b)]
+        nums, den = intlattice.solve_integer([row[:k] for row in scaled], [row[k] for row in scaled])
+        assert den == abs(Matrix([row[:k] for row in scaled]).det())
+        assert tuple(Fraction(v, den) for v in nums) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_cone_rays_match_reference(matrix):
+    rows, n = matrix
+    assert intlattice.cone_rays(rows, n) == reference_cone_rays(rows, n)
+
+
+def test_singular_and_inconsistent_systems():
+    assert intlattice.solve_square([[Fraction(1, 2), 1], [1, 2]], [1, 0]) is None
+    assert intlattice.solve_integer([[1, 2], [2, 4]], [1, 2]) is None
+    assert intlattice.solve_particular([[Fraction(1, 3), 1], [1, 3]], [0, 1]) is None
+    assert intlattice.solve_particular([[Fraction(1, 3), 1], [1, 3]], [1, 3]) == (Fraction(3), Fraction(0))
+    assert intlattice.determinant([[Fraction(1, 2), Fraction(1, 3)], [1, 1]]) == Fraction(1, 6)
+    assert intlattice.rank([[Fraction(1, 2), 1], [1, 2], [0, Fraction(5, 7)]]) == 2
+
+
+def test_common_denominator():
+    assert intlattice.common_denominator([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
+    assert intlattice.common_denominator([]) == ([], 1)
 
 
 def test_integer_kernel_canonical_under_row_order():

@@ -102,3 +102,39 @@ def test_potential_schema(triangle):
     )
     round_trip = jsonio.parse_potential(phi.as_dict())
     assert round_trip == phi
+
+
+@pytest.mark.parametrize("dim", [2.7, 1.5, True, False, "2.5"])
+def test_polytope_schema_rejects_non_integral_dim(triangle, dim):
+    data = jsonio.polytope_to_dict(triangle)
+    data["dim"] = dim
+    with pytest.raises(InvalidInputError):
+        jsonio.parse_polytope(data)
+
+
+@pytest.mark.parametrize("bounded", ["false", "no", "true", 0, 1, None, [True]])
+def test_polytope_schema_rejects_non_boolean_bounded(triangle, bounded):
+    data = jsonio.polytope_to_dict(triangle)
+    data["bounded"] = bounded
+    with pytest.raises(InvalidInputError):
+        jsonio.parse_polytope(data)
+
+
+def test_polytope_schema_keeps_integral_dim_and_boolean_bounded(triangle):
+    data = jsonio.polytope_to_dict(triangle)
+    data["dim"] = 2.0
+    assert jsonio.parse_polytope(data) == triangle
+    del data["bounded"]
+    assert jsonio.parse_polytope(data).bounded is True
+    data["bounded"] = False
+    assert jsonio.parse_polytope(data).bounded is False
+
+
+@pytest.mark.parametrize("dim", [2.5, True, "1.5"])
+def test_potential_schema_rejects_non_integral_dim(dim):
+    with pytest.raises(InvalidInputError):
+        jsonio.parse_potential({"dim": dim, "scale": 1.0})
+
+
+def test_potential_schema_keeps_integral_dim():
+    assert jsonio.parse_potential({"dim": 2.0, "scale": 1.0}).dim == 2

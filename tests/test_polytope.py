@@ -4,8 +4,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import random_unimodular, transform_polytope
+from helpers import (
+    delzant_products,
+    pulled_back,
+    random_unimodular,
+    reference_reduced_polytope,
+    simplex,
+    transform_polytope,
+)
+from polyflat import intlattice
 from polyflat.errors import (
     EmptyFaceError,
     InconsistencyError,
@@ -21,6 +30,7 @@ from polyflat.polytope import (
     halfspace,
     is_bounded,
     product,
+    reduced_polytope,
     restrict_polytope,
     validate_delzant,
     vertices,
@@ -315,3 +325,90 @@ def test_chart_deterministic(triangle):
     c1 = face_chart(triangle, [3])
     c2 = face_chart(triangle, [3])
     assert c1 == c2
+
+
+def _with_redundant_constraints(P, rng):
+    """P's facets plus three redundant constraints, shuffled.
+
+    The three are a looser parallel copy of a facet (scaled, so it must be
+    re-primitivized), a supporting hyperplane that touches P at exactly one
+    vertex (its normal is interior to that vertex's normal cone), and a
+    positive combination of two facets, which is tight where both are.
+    """
+    hs = P.halfspaces
+    cons = [(h.normal, h.offset) for h in hs]
+    h = hs[rng.integers(len(hs))]
+    m = int(rng.integers(1, 4))
+    cons.append((tuple(m * v for v in h.normal), m * h.offset + Fraction(int(rng.integers(1, 5)), 3)))
+    v = vertices(P)[rng.integers(len(vertices(P)))]
+    weights = [int(w) for w in rng.integers(1, 4, size=len(v.active))]
+    normal = tuple(sum(w * hs[r - 1].normal[i] for w, r in zip(weights, v.active)) for i in range(P.dim))
+    cons.append((normal, -sum(c * x for c, x in zip(normal, v.coords))))
+    a, b = (int(i) for i in rng.choice(len(hs), size=2, replace=False))
+    wa, wb = (int(w) for w in rng.integers(1, 3, size=2))
+    normal = tuple(wa * x + wb * y for x, y in zip(hs[a].normal, hs[b].normal))
+    if any(normal):
+        cons.append((normal, wa * hs[a].offset + wb * hs[b].offset))
+    return [cons[i] for i in rng.permutation(len(cons))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(delzant_products())
+def test_incidence_redundancy_matches_subset_tests(case):
+    P, rng = case
+    cons = _with_redundant_constraints(P, rng)
+    got, want = reduced_polytope(cons, P.dim), reference_reduced_polytope(cons, P.dim)
+    assert (got.halfspaces, got.bounded) == (want.halfspaces, want.bounded)
+    assert set(got.halfspaces) == set(P.halfspaces)
+    for r in range(1, P.n_facets + 1):
+        chart = face_chart(P, (r,))
+        F, want = chart.face_polytope, reference_reduced_polytope(pulled_back(chart), chart.dim_face)
+        assert (F.halfspaces, F.bounded) == (want.halfspaces, want.bounded)
+
+
+def test_faces_of_a_bounded_polytope_take_its_vertices(monkeypatch):
+    # boundedness is proven once, by vertices(P); the faces read P's vertices
+    P = product(simplex(2), simplex(2))
+    vertices(P)
+
+    def no_cone_rays(normals, n):
+        raise AssertionError("face restriction of a bounded polytope called cone_rays")
+
+    monkeypatch.setattr(intlattice, "cone_rays", no_cone_rays)
+    for r in range(1, P.n_facets + 1):
+        F = face_chart(P, (r,)).face_polytope
+        assert F.bounded and F.n_facets == 5
+
+
+def test_face_polytopes_of_a_non_simple_polytope():
+    # the square pyramid's apex lies on four facets; crossed with an interval
+    # the apex edge has two non-simple vertices
+    pyramid = Polytope(
+        dim=3,
+        halfspaces=(
+            halfspace((0, 0, 1), 0),
+            halfspace((1, 0, -1), 0),
+            halfspace((0, 1, -1), 0),
+            halfspace((-1, 0, -1), 2),
+            halfspace((0, -1, -1), 2),
+        ),
+    )
+    P = product(pyramid, Polytope(dim=1, halfspaces=(halfspace((1,), 0), halfspace((-1,), 1))))
+    # every facet, and two opposite triangles of the pyramid, which meet only at the apex
+    for active in [(r,) for r in range(1, P.n_facets + 1)] + [(2, 4), (3, 5)]:
+        chart = face_chart(P, active)
+        F, want = chart.face_polytope, reference_reduced_polytope(pulled_back(chart), chart.dim_face)
+        assert (F.halfspaces, F.bounded) == (want.halfspaces, want.bounded)
+    assert face_chart(P, (1,)).face_polytope.n_facets == 6  # the square base times the interval
+    assert face_chart(P, (6,)).face_polytope.n_facets == 5  # the pyramid itself
+
+
+def test_reduced_polytope_of_unbounded_and_degenerate_systems():
+    cases = [
+        ([((1, 0), 0), ((0, 1), 0), ((1, 1), 1)], 2),  # quadrant plus a redundant cut
+        ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)], 2),  # a segment in the plane
+        ([((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), 1)], 2),  # empty
+    ]
+    for cons, dim in cases:
+        got, want = reduced_polytope(cons, dim), reference_reduced_polytope(cons, dim)
+        assert (got.halfspaces, got.bounded) == (want.halfspaces, want.bounded)
