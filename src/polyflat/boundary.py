@@ -18,7 +18,6 @@ the version for which the boundary Pythagorean identities hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,37 +40,46 @@ INTERIOR_TOL = 1e-8  # inactive facet values must exceed this on the open face
 DIRECTION_TIE_TOL = 1e-12  # vertex scores x . d this close to the best one tie
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPoint:
-    """A point of the open face, carried in both ambient and chart coordinates."""
+    """Points of the open face, carried in both ambient and chart coordinates.
+
+    ambient and chart_coords are read-only float arrays: (n,) and (k,) for
+    one point, (m, n) and (m, k) for a batch of m points.  A batch has a
+    length, and an int, a slice or a bool mask picks a BoundaryPoint on the
+    same chart from it.
+    """
 
     chart: FaceChart
-    ambient: tuple[float, ...]
-    chart_coords: tuple[float, ...]
+    ambient: np.ndarray
+    chart_coords: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "ambient", tuple(float(v) for v in self.ambient))
-        object.__setattr__(self, "chart_coords", tuple(float(v) for v in self.chart_coords))
+    def __len__(self):
+        self._require_batch()
+        return len(self.ambient)
 
-    @cached_property
-    def ambient_array(self):
-        a = np.array(self.ambient)
-        a.flags.writeable = False
-        return a
+    def __getitem__(self, index):
+        self._require_batch()
+        return BoundaryPoint(
+            self.chart, _read_only(self.ambient[index]), _read_only(self.chart_coords[index])
+        )
 
-    @cached_property
-    def chart_array(self):
-        a = np.array(self.chart_coords)
-        a.flags.writeable = False
-        return a
+    def _require_batch(self):
+        if self.ambient.ndim == 1:
+            raise TypeError("a single BoundaryPoint has no length and no rows")
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def boundary_point(chart: FaceChart, ambient=None, chart_coords=None):
     """Build validated points of the open face from either coordinate system.
 
-    A point of shape (d,) gives a BoundaryPoint; a batch (m, d) gives a tuple
-    of m of them, checked together, and the first bad row raises the error
-    the call on that row raises.
+    A point of shape (d,) gives a single BoundaryPoint, a batch (m, d) gives
+    one BoundaryPoint holding all m rows, checked together; the first bad row
+    raises the error the call on that row raises.
     """
     if (ambient is None) == (chart_coords is None):
         raise InvalidInputError("give exactly one of ambient or chart coordinates")
@@ -86,7 +94,7 @@ def boundary_point(chart: FaceChart, ambient=None, chart_coords=None):
         # nan fails no comparison here; the facet tests below reject it
         off_hull = np.max(np.abs(chart.to_ambient(U) - X), axis=1, initial=0.0) > ACTIVE_TOL
     values = P.facet_values(X)
-    vanishing = _vanishing_mask(chart)
+    vanishing = chart.vanishing_mask
     # `not (... <= / > ...)` rather than `>` / `<=`, so that nan is bad
     bad = np.where(vanishing, ~(np.abs(values) <= ACTIVE_TOL), ~(values > INTERIOR_TOL))
     for i in np.flatnonzero(off_hull | bad.any(axis=1))[:1]:
@@ -98,17 +106,17 @@ def boundary_point(chart: FaceChart, ambient=None, chart_coords=None):
         raise DomainError(
             f"facet {r + 1} has value {values[i, r]:.3e}; point is not in the open face"
         )
-    points = tuple(
-        BoundaryPoint(chart=chart, ambient=x, chart_coords=u)
-        for x, u in zip(X.tolist(), U.tolist())
-    )
+    points = BoundaryPoint(chart, _read_only(X), _read_only(U))
     return points[0] if single else points
 
 
 def _rows(points, width, what):
-    """points (width,) or (m, width) as rows (m, width), and whether it was one point."""
+    """points (width,) or (m, width) as rows (m, width), and whether it was one point.
+
+    The rows are a copy, since the BoundaryPoint built from them marks them read-only.
+    """
     try:
-        a = np.asarray(points, dtype=float)
+        a = np.array(points, dtype=float)
     except (TypeError, ValueError) as exc:  # entries that are not numbers, ragged rows
         raise InvalidInputError(f"{what} is not a point or a batch of points") from exc
     if a.ndim not in (1, 2) or a.shape[-1] != width:
@@ -116,37 +124,18 @@ def _rows(points, width, what):
     return np.atleast_2d(a), a.ndim == 1
 
 
-def _vanishing_mask(chart: FaceChart):
-    """Which facets of the chart's polytope vanish on the face, as an (N,) bool array."""
-    return np.array(
-        [r in chart.vanishing for r in range(1, chart.polytope.n_facets + 1)], dtype=bool
-    )
-
-
 def _coords(chart: FaceChart, eta, chart_coords=False):
-    """Coordinates of one boundary point, or the rows (m, d) of a sequence of them.
-
-    Ambient coordinates by default, chart coordinates with chart_coords; every
-    point must use the given chart.
-    """
-    single = isinstance(eta, BoundaryPoint)
-    points = (eta,) if single else tuple(eta)
-    if any(p.chart != chart for p in points):
+    """Ambient coordinates of a BoundaryPoint on the given chart, or its chart coordinates."""
+    if not isinstance(eta, BoundaryPoint) or eta.chart != chart:
         raise InvalidInputError("boundary points must use the given chart")
-    if single:
-        return eta.chart_array if chart_coords else eta.ambient_array
-    if chart_coords:
-        rows, width = [p.chart_coords for p in points], chart.dim_face
-    else:
-        rows, width = [p.ambient for p in points], chart.polytope.dim
-    return np.array(rows, dtype=float).reshape(len(points), width)
+    return eta.chart_coords if chart_coords else eta.ambient
 
 
 def boundary_divergence(phi: SymplecticPotential, chart: FaceChart, eta, eta2):
     """Face divergence D_F: Bregman divergence of the restricted potential.
 
-    eta and eta2 are BoundaryPoints, giving a float, or equally long
-    sequences of them, giving an (m,) array.
+    eta and eta2 are single BoundaryPoints, giving a float, or batches of
+    equal length, giving an (m,) array.
     """
     u = _coords(chart, eta, chart_coords=True)
     u2 = _coords(chart, eta2, chart_coords=True)
@@ -173,8 +162,8 @@ def extended_divergence(phi: SymplecticPotential, xi_closure, xi2):
 def limit_divergence(phi: SymplecticPotential, chart: FaceChart, eta, xi2):
     """Limit divergence D'_F(eta || xi2) of a face point against an interior point.
 
-    One BoundaryPoint against a point (n,), or a sequence of m of them against
-    the rows of xi2 (m, n).
+    A single BoundaryPoint against a point (n,), or a batch of m against the
+    rows of xi2 (m, n).
     """
     ambient = _coords(chart, eta)
     xi2 = np.asarray(xi2, dtype=float)
@@ -191,16 +180,6 @@ class ContinuityReport:
     gaps: tuple[float, ...]
     passed: bool
     tolerance: float
-
-    def as_dict(self):
-        return {
-            "check": "boundary-continuity",
-            "target": self.target,
-            "estimates": list(self.estimates),
-            "gaps": list(self.gaps),
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def continuity_check(
@@ -232,8 +211,8 @@ def continuity_check(
         return point + s[:, None] * w
 
     ks = range(1, k_max + 1)
-    inner = approach(eta.ambient_array, [10.0 ** (-(k + 2)) for k in ks])
-    outer = approach(eta2.ambient_array, [10.0**-k for k in ks])
+    inner = approach(eta.ambient, [10.0 ** (-(k + 2)) for k in ks])
+    outer = approach(eta2.ambient, [10.0**-k for k in ks])
     estimates = bregman(phi, inner, outer).tolist()
     gaps = tuple(abs(e - target) for e in estimates)
     tail = gaps[-4:]
@@ -251,9 +230,9 @@ def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2):
     Solved by Newton on the chart: the first-order condition equates the
     chart gradient of the restricted potential with the pullback of
     grad phi(xi2).  Initialized at the Euclidean projection of xi2 onto the
-    affine hull of the face.  A point xi2 of shape (n,) gives a
-    BoundaryPoint; a batch (m, n) gives a tuple of m of them, solved
-    together, and the first row that does not converge raises.
+    affine hull of the face.  A point xi2 of shape (n,) gives a single
+    BoundaryPoint; a batch (m, n) gives a batch of m, solved together, and
+    the first row that does not converge raises.
     """
     xi2 = np.asarray(xi2, dtype=float)
     P = chart.polytope
@@ -323,11 +302,13 @@ def dual_geodesic_limit(phi: SymplecticPotential, P: Polytope, spec: GeodesicSpe
             rows.append(normal)
     chart = face_chart(P, facets)
     foot = project_to_face(phi, chart, start)
-    return GeodesicLimit(point=foot.ambient, face=tuple(sorted(chart.vanishing)))
+    return GeodesicLimit(point=tuple(foot.ambient.tolist()), face=tuple(sorted(chart.vanishing)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PythagorasReport:
+    """Residual and perpendicularity of an identity: floats, or (m,) arrays for a batch."""
+
     residual: float
     perp_value: float
     terms: tuple[float, ...]
@@ -348,21 +329,6 @@ class PythagorasReport:
         }
 
 
-def _reports(a, b, c, perp, tolerance):
-    """One PythagorasReport for float terms, a tuple of them for (m,) arrays."""
-    residual = a + b - c
-    if np.ndim(residual) == 0:
-        return PythagorasReport(
-            residual=residual, perp_value=float(perp), terms=(a, b, c), tolerance=tolerance
-        )
-    return tuple(
-        PythagorasReport(residual=r, perp_value=p, terms=(x, y, z), tolerance=tolerance)
-        for r, p, x, y, z in zip(
-            residual.tolist(), perp.tolist(), a.tolist(), b.tolist(), c.tolist()
-        )
-    )
-
-
 def pythagoras_boundary_foot(
     phi: SymplecticPotential,
     chart: FaceChart,
@@ -376,9 +342,9 @@ def pythagoras_boundary_foot(
     The hypothesis is that eta2 is the foot of the dual geodesic from xi2,
     certified first-order: perp_value reports the infinity norm of the chart
     gradient mismatch at eta2, which vanishes exactly when eta2 is the
-    projection of xi2 onto the face.  BoundaryPoints and a point xi2 (n,)
-    give one report; sequences of m BoundaryPoints and a batch xi2 (m, n)
-    give a tuple of m reports.
+    projection of xi2 onto the face.  Single BoundaryPoints and a point xi2
+    (n,) give a report of floats; batches of m BoundaryPoints and xi2 (m, n)
+    give one report of (m,) arrays.
     """
     xi2 = np.asarray(xi2, dtype=float)
     a = boundary_divergence(phi, chart, eta, eta2)
@@ -387,7 +353,12 @@ def pythagoras_boundary_foot(
     face_gradient = restrict_potential(phi, chart).gradient(_coords(chart, eta2, True))
     mismatch = face_gradient - rowwise.times(phi.gradient(xi2), chart.basis_array)
     perp_defect = np.max(np.abs(mismatch), axis=-1, initial=0.0)
-    return _reports(a, b, c, perp_defect, tolerance)
+    return PythagorasReport(
+        residual=a + b - c,
+        perp_value=float(perp_defect) if np.ndim(perp_defect) == 0 else perp_defect,
+        terms=(a, b, c),
+        tolerance=tolerance,
+    )
 
 
 def pythagoras_interior_foot(
@@ -412,7 +383,12 @@ def pythagoras_interior_foot(
     b = bregman(phi, xi, xi2)
     c = limit_divergence(phi, chart, eta, xi2)
     pairing = rowwise.dot(_coords(chart, eta) - xi, phi.gradient(xi2) - phi.gradient(xi))
-    return _reports(a, b, c, pairing, tolerance)
+    return PythagorasReport(
+        residual=a + b - c,
+        perp_value=float(pairing) if np.ndim(pairing) == 0 else pairing,
+        terms=(a, b, c),
+        tolerance=tolerance,
+    )
 
 
 @dataclass(frozen=True)
@@ -432,20 +408,6 @@ class ProductBoundaryReport:
             and self.bottom_face_max <= self.tolerance_pythagoras
         )
 
-    def as_dict(self):
-        return {
-            "check": "product-boundary",
-            "samples": self.samples,
-            "additivity_max": self.additivity_max,
-            "side_face_max": self.side_face_max,
-            "bottom_face_max": self.bottom_face_max,
-            "tolerances": {
-                "additivity": self.tolerance_additivity,
-                "pythagoras": self.tolerance_pythagoras,
-            },
-            "pass": self.passed,
-        }
-
 
 def random_interior(P: Polytope, rng, margin: float = 1e-3, size=None) -> np.ndarray:
     """A random interior point (n,) whose facet values all exceed margin.
@@ -461,10 +423,10 @@ def random_interior(P: Polytope, rng, margin: float = 1e-3, size=None) -> np.nda
 def random_face_point(chart: FaceChart, rng, margin: float = 1e-3, size=None):
     """A random BoundaryPoint of the open face whose inactive facet values exceed margin.
 
-    With size=m, a tuple of m of them.  The points are drawn in chart
+    With size=m, a batch of m of them.  The points are drawn in chart
     coordinates, from the face's vertices.
     """
-    inactive = ~_vanishing_mask(chart)
+    inactive = ~chart.vanishing_mask
     U = _draw_clearing(
         rng,
         chart.vertex_chart_array,
@@ -533,8 +495,7 @@ def product_boundary_check(
     eta = np.empty((samples, P.dim))
     for r, chart in enumerate(charts):
         rows = np.flatnonzero(facets == r)
-        points = random_face_point(chart, rng, size=len(rows))
-        eta[rows] = np.array([p.ambient for p in points]).reshape(len(rows), P.dim)
+        eta[rows] = random_face_point(chart, rng, size=len(rows)).ambient
 
     joint = bregman(phi_prod, _with(x1, t1), _with(x1b, t2))
     split = bregman(phi_base, x1, x1b) + bregman(phi_ray, t1[:, None], t2[:, None])

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -263,13 +264,13 @@ def cmd_pythagoras(args):
         given = [triple["eta"]]
         if triple.get("eta_prime") is not None:
             given.append(triple["eta_prime"])
-        eta, *foot = boundary_point(chart, ambient=given)
+        points = boundary_point(chart, ambient=given)
         xi2 = np.asarray(triple["xi"], dtype=float)
-        foot = foot[0] if foot else project_to_face(phi, chart, xi2)
+        foot = points[1] if len(points) > 1 else project_to_face(phi, chart, xi2)
         report = pythagoras_boundary_foot(
-            phi, chart, eta, foot, xi2, tolerance=tols.get("boundary_foot", 1e-8)
+            phi, chart, points[0], foot, xi2, tolerance=tols.get("boundary_foot", 1e-8)
         )
-        extra = {"eta_prime": list(foot.ambient)}
+        extra = {"eta_prime": foot.ambient.tolist()}
     elif kind == "interior_foot":
         eta = boundary_point(chart, ambient=triple["eta"])
         report = pythagoras_interior_foot(
@@ -369,9 +370,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and shared by later calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (OSError, json.JSONDecodeError, PolyflatError, KeyError, ValueError) as exc:

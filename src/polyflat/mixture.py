@@ -10,7 +10,6 @@ exact factor scale * sum(lambda).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import rowwise
 from .errors import DegenerateError, DomainError, InvalidInputError, NotTorifiableError
+from .intlattice import common_denominator
 from .polytope import DelzantReport, Polytope, as_fraction, reduced_polytope, validate_delzant
 
 
@@ -153,10 +153,7 @@ def from_mixture(theta: MixtureFamily) -> TorificationReport:
     torification exists exactly when the closure is a bounded Delzant
     polytope.
     """
-    lcm = 1
-    for row in theta.alphas:
-        for a in row:
-            lcm = lcm * a.denominator // math.gcd(lcm, a.denominator)
+    _, lcm = common_denominator([a for row in theta.alphas for a in row])
     constraints = []
     for row, beta in zip(theta.alphas, theta.betas):
         scaled = tuple(int(a * lcm) for a in row)

@@ -366,6 +366,20 @@ class FaceChart:
         return frozenset(out)
 
     @cached_property
+    def vanishing_mask(self):
+        """``vanishing`` as a read-only (N,) bool array over the polytope's facets."""
+        a = np.array(
+            [r in self.vanishing for r in range(1, self.polytope.n_facets + 1)], dtype=bool
+        )
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def restrictions(self):
+        """Memo of ``restrict_potential`` on this face: id(phi) -> (phi, restriction)."""
+        return {}
+
+    @cached_property
     def _chart_normals(self):
         """Each facet normal pulled back through the basis: its chart coefficients."""
         return _chart_normals(self.polytope, self.basis)

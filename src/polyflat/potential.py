@@ -59,11 +59,6 @@ class SymplecticPotential:
                 raise InvalidInputError("log term normal has wrong length")
 
     @cached_property
-    def _restrictions(self):
-        """restrict_potential results of this potential, keyed by face chart."""
-        return {}
-
-    @cached_property
     def _normals(self):
         a = np.array([t.normal for t in self.log_terms], dtype=float)
         a = a.reshape(len(self.log_terms), self.dim)
@@ -178,12 +173,13 @@ def restrict_potential(phi: SymplecticPotential, chart: FaceChart) -> Symplectic
     affine chart map u -> origin + basis @ u.  Every kept term must be
     nonnegative at the face's vertices, which proves it nonnegative on a
     bounded face; on an unbounded face the rest is checked at evaluation.
-    The result is memoized on phi, per chart.
+    The result is memoized on the chart, per potential object: the memo is
+    keyed by id(phi) and its entry holds phi, so no other object takes that id.
     """
-    restricted = phi._restrictions.get(chart)
-    if restricted is None:
-        restricted = phi._restrictions[chart] = _restrict(phi, chart)
-    return restricted
+    entry = chart.restrictions.get(id(phi))
+    if entry is None:
+        entry = chart.restrictions[id(phi)] = (phi, _restrict(phi, chart))
+    return entry[1]
 
 
 def _restrict(phi, chart):

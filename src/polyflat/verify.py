@@ -172,17 +172,20 @@ def run_scenario(
 
         xi2 = random_interior(P, rng, size=counts["boundary_feet"])
         etas = random_face_point(chart, rng, size=counts["boundary_feet"])
-        steps = 0.05 * _face_steps(chart, rng, len(etas)) if negative_control else ()
-        feet = list(project_to_face(phi, chart, xi2))
-        for i, step in enumerate(steps):
-            for cand in (feet[i].chart_array + step, feet[i].chart_array - step):
-                try:
-                    feet[i] = boundary_point(chart, chart_coords=cand)
+        feet = project_to_face(phi, chart, xi2)
+        if negative_control:
+            # move each foot off the projection, by a step either way that stays on the face
+            U = feet.chart_coords.copy()
+            for i, step in enumerate(0.05 * _face_steps(chart, rng, len(U))):
+                for cand in (U[i] + step, U[i] - step):
+                    try:
+                        boundary_point(chart, chart_coords=cand)
+                    except PolyflatError:
+                        continue
+                    U[i] = cand
                     break
-                except PolyflatError:
-                    continue
-        reps = pythagoras_boundary_foot(phi, chart, etas, feet, xi2)
-        worst = max((abs(rep.residual) for rep in reps), default=0.0)
+            feet = boundary_point(chart, chart_coords=U)
+        worst = _worst(np.abs(pythagoras_boundary_foot(phi, chart, etas, feet, xi2).residual))
         results.append(
             CheckResult(
                 check="pythagoras-boundary-foot",
@@ -197,17 +200,14 @@ def run_scenario(
         xi, xi2 = random_interior(P, rng, size=2 * triples).reshape(2, triples, P.dim)
         etas = random_face_point(chart, rng, size=triples)
         # dual velocities orthogonal to the flat segments toward eta
-        eta_x = np.array([e.ambient for e in etas]).reshape(triples, P.dim)
-        w = _orthogonal_directions(eta_x - xi, rng)
+        w = _orthogonal_directions(etas.ambient - xi, rng)
         reps = pythagoras_interior_foot(phi, chart, etas, xi, xi2)
-        worst_id = max((abs(rep.residual - rep.perp_value) for rep in reps), default=0.0)
+        worst_id = _worst(np.abs(reps.residual - reps.perp_value))
         # rebuild xi2 so the dual velocity is orthogonal; skip targets Newton cannot reach
         x_orth, _, status, _ = newton_solve(phi, P, phi.gradient(xi) + 0.3 * w)
         ok = status == "converged"
-        reps = pythagoras_interior_foot(
-            phi, chart, [e for e, keep in zip(etas, ok) if keep], xi[ok], x_orth[ok]
-        )
-        worst_orth = max((abs(rep.residual) for rep in reps), default=0.0)
+        reps = pythagoras_interior_foot(phi, chart, etas[ok], xi[ok], x_orth[ok])
+        worst_orth = _worst(np.abs(reps.residual))
         results.append(
             CheckResult(
                 check="pythagoras-interior-identity",

@@ -134,7 +134,7 @@ def test_criterion_4_boundary_foot_pythagoras(triangle, square):
             for delta in (step, -step):
                 try:
                     wrong = boundary_point(
-                        chart, chart_coords=foot.chart_array + [delta]
+                        chart, chart_coords=foot.chart_coords + [delta]
                     )
                     break
                 except Exception:
@@ -169,7 +169,7 @@ def test_criterion_5_interior_foot_pythagoras(triangle):
     while done < 100:
         eta = random_face_point(chart, rng)
         xi = random_interior(triangle, rng, margin=0.02)
-        seg = eta.ambient_array - xi
+        seg = eta.ambient - xi
         w = np.array([-seg[1], seg[0]])
         w /= np.linalg.norm(w)
         xi2 = from_dual(phi, triangle, phi.gradient(xi) + 0.4 * w).x_array

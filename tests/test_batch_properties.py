@@ -3,7 +3,8 @@
 Every float-layer function that takes an (m, n) batch must give, row by row,
 what it gives for that row alone; Newton solves of a batch must end each row
 in the state the one-row solve ends it; a batch of boundary points is built
-and rejected as its rows are one by one, and block draws clear their margin.
+and rejected as its rows are one by one, its divergences and Pythagorean
+reports equal those of its rows, and block draws clear their margin.
 Checked on random Delzant products of simplices moved by a random lattice
 automorphism.
 """
@@ -15,8 +16,11 @@ from hypothesis import strategies as st
 
 from helpers import delzant_products, potential
 from polyflat.boundary import (
+    boundary_divergence,
     boundary_point,
     extended_divergence,
+    pythagoras_boundary_foot,
+    pythagoras_interior_foot,
     random_face_point,
     random_interior,
 )
@@ -108,14 +112,39 @@ def random_face(P, rng):
 def test_boundary_point_batches_equal_rows(case, m):
     P, rng = case
     chart = random_face(P, rng)
-    U = np.array([p.chart_coords for p in random_face_point(chart, rng, size=m)])
-    U = U.reshape(m, chart.dim_face)
+    U = random_face_point(chart, rng, size=m).chart_coords
     X = chart.to_ambient(U)
     for coords, rows in (("chart_coords", U), ("ambient", X)):
         batch = boundary_point(chart, **{coords: rows})
         assert len(batch) == m
         for point, row in zip(batch, rows):
-            assert point == boundary_point(chart, **{coords: row})
+            alone = boundary_point(chart, **{coords: row})
+            np.testing.assert_array_equal(point.ambient, alone.ambient)
+            np.testing.assert_array_equal(point.chart_coords, alone.chart_coords)
+
+
+@PROPERTY
+@given(delzant_products(), st.integers(1, 8))
+def test_boundary_reports_batches_equal_rows(case, m):
+    P, rng = case
+    phi = potential(P, rng)
+    chart = random_face(P, rng)
+    eta, eta2 = random_face_point(chart, rng, size=m), random_face_point(chart, rng, size=m)
+    xi, xi2 = interior(P, rng, m), interior(P, rng, m)
+    assert_rows(
+        boundary_divergence(phi, chart, eta, eta2),
+        [boundary_divergence(phi, chart, eta[i], eta2[i]) for i in range(m)],
+    )
+    for check, args in (
+        (pythagoras_boundary_foot, (eta, eta2, xi2)),
+        (pythagoras_interior_foot, (eta, xi, xi2)),
+    ):
+        batch = check(phi, chart, *args)
+        rows = [check(phi, chart, *(a[i] for a in args)) for i in range(m)]
+        assert_rows(batch.residual, [r.residual for r in rows])
+        assert_rows(batch.perp_value, [r.perp_value for r in rows])
+        assert_rows(np.array(batch.terms).T, [r.terms for r in rows])
+        np.testing.assert_array_equal(batch.passed, [r.passed for r in rows])
 
 
 @PROPERTY
@@ -123,7 +152,7 @@ def test_boundary_point_batches_equal_rows(case, m):
 def test_boundary_point_batch_raises_first_bad_row(case, m):
     P, rng = case
     chart = random_face(P, rng)
-    X = np.array([p.ambient for p in random_face_point(chart, rng, size=m)]).reshape(m, P.dim)
+    X = random_face_point(chart, rng, size=m).ambient.copy()
     # mostly points off the affine hull or outside the open face, and nan
     defects = [P.interior_point, 2 * P.vertex_array[0] - X[0], 10 * X[0], np.nan]
     for i in rng.choice(m, size=2, replace=False):
@@ -153,7 +182,7 @@ def test_block_draws_clear_the_margin(case, m, margin):
     points = random_face_point(chart, rng, margin=margin, size=m)
     assert len(points) == m
     for point in points:
-        values = P.facet_values(point.ambient_array)
+        values = P.facet_values(point.ambient)
         for r, v in enumerate(values, start=1):
             assert abs(v) <= 1e-12 if r in chart.vanishing else v > margin
 
@@ -165,7 +194,9 @@ def test_one_point_draw_is_a_block_of_one(case, seed):
     chart = random_face(P, rng)
     one, block = np.random.default_rng(seed), np.random.default_rng(seed)
     np.testing.assert_array_equal(random_interior(P, one), random_interior(P, block, size=1)[0])
-    assert random_face_point(chart, one) == random_face_point(chart, block, size=1)[0]
+    point, first = random_face_point(chart, one), random_face_point(chart, block, size=1)[0]
+    np.testing.assert_array_equal(point.ambient, first.ambient)
+    np.testing.assert_array_equal(point.chart_coords, first.chart_coords)
     assert one.random() == block.random()  # both drew the same stream
 
 

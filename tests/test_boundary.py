@@ -37,11 +37,33 @@ def tri_setup(triangle):
 def test_boundary_point_validation(tri_setup):
     _, _, chart = tri_setup
     bp = boundary_point(chart, ambient=(0.5, 0.5))
-    np.testing.assert_allclose(bp.chart.to_ambient(bp.chart_array), bp.ambient, atol=1e-12)
+    np.testing.assert_allclose(bp.chart.to_ambient(bp.chart_coords), bp.ambient, atol=1e-12)
     with pytest.raises(DomainError):
         boundary_point(chart, ambient=(0.4, 0.5))  # not on the face
     with pytest.raises(DomainError):
         boundary_point(chart, ambient=(0.0, 1.0))  # on the face boundary
+
+
+def test_boundary_point_batch_rows_and_single_point(tri_setup):
+    _, _, chart = tri_setup
+    rows = [(0.5, 0.5), (0.3, 0.7), (0.8, 0.2)]
+    batch = boundary_point(chart, ambient=rows)
+    assert len(batch) == 3
+    assert not batch.ambient.flags.writeable and not batch.chart_coords.flags.writeable
+    for i, row in enumerate(rows):
+        alone = boundary_point(chart, ambient=row)
+        np.testing.assert_array_equal(batch[i].ambient, alone.ambient)
+        np.testing.assert_array_equal(batch[i].chart_coords, alone.chart_coords)
+    for picked in (batch[1:], batch[np.array([False, True, True])]):
+        assert picked.chart is chart and len(picked) == 2
+        assert not picked.ambient.flags.writeable
+        np.testing.assert_array_equal(picked.ambient, batch.ambient[1:])
+        np.testing.assert_array_equal(picked.chart_coords, batch.chart_coords[1:])
+    single = batch[0]
+    with pytest.raises(TypeError):
+        len(single)
+    with pytest.raises(TypeError):
+        single[0]
 
 
 @pytest.mark.parametrize("face", [(2,), (3,)])
@@ -114,9 +136,9 @@ def test_limit_divergence_matches_numeric_limit(tri_setup, rng):
     eta = boundary_point(chart, ambient=(0.45, 0.55))
     xi2 = np.array([0.3, 0.25])
     closed = limit_divergence(phi, chart, eta, xi2)
-    direction = np.array([1 / 3, 1 / 3]) - eta.ambient_array
+    direction = np.array([1 / 3, 1 / 3]) - eta.ambient
     seq = [
-        bregman(phi, eta.ambient_array + 10.0**-k * direction, xi2) for k in range(4, 9)
+        bregman(phi, eta.ambient + 10.0**-k * direction, xi2) for k in range(4, 9)
     ]
     assert abs(seq[-1] - closed) < 1e-6
     errors = [abs(s - closed) for s in seq]
@@ -132,7 +154,7 @@ def test_limit_divergence_path_independent(tri_setup, rng):
     for _ in range(10):
         d = np.array([-(0.2 + rng.uniform(0, 1)), -(0.2 + rng.uniform(0, 1))])
         d /= np.linalg.norm(d) * 1  # interior-pointing direction
-        xk = eta.ambient_array + 1e-8 * d
+        xk = eta.ambient + 1e-8 * d
         assert np.min(chart.polytope.facet_values(xk)) > 0
         assert abs(bregman(phi, xk, xi2) - closed) < 1e-5
 
@@ -153,7 +175,7 @@ def test_limit_divergence_zero_probability_terms(tri_setup, rng):
     for _ in range(20):
         eta = random_face_point(chart, rng)
         xi2 = random_interior(triangle, rng)
-        l_eta = triangle.facet_values(eta.ambient_array)
+        l_eta = triangle.facet_values(eta.ambient)
         l_xi = triangle.facet_values(xi2)
         inactive = [r for r in range(1, 4) if r not in chart.vanishing]
         inactive_sum = s * sum(
@@ -307,7 +329,7 @@ def test_pythagoras_boundary_foot_counterexample(tri_setup):
     xi2 = np.array([0.25, 0.25])
     foot = project_to_face(phi, chart, xi2)
     eta = boundary_point(chart, ambient=(0.3, 0.7))
-    wrong = boundary_point(chart, chart_coords=(foot.chart_array[0] + 0.05,))
+    wrong = boundary_point(chart, chart_coords=(foot.chart_coords[0] + 0.05,))
     report = pythagoras_boundary_foot(phi, chart, eta, wrong, xi2)
     assert abs(report.residual) >= 1e-4
     assert report.perp_value >= 1e-4
@@ -342,7 +364,7 @@ def test_pythagoras_interior_foot_orthogonal(tri_setup, rng):
     while done < 50:
         eta = random_face_point(chart, rng)
         xi = random_interior(triangle, rng, margin=0.02)
-        seg = eta.ambient_array - xi
+        seg = eta.ambient - xi
         w = np.array([-seg[1], seg[0]])
         w /= np.linalg.norm(w)
         y2 = phi.gradient(xi) + 0.4 * w
@@ -365,7 +387,8 @@ def test_limit_divergence_at_vertex(triangle, rng):
     phi = guillemin(triangle, 1.0)
     chart = face_chart(triangle, [1, 2])
     vertex = boundary_point(chart, chart_coords=())
-    assert vertex.ambient == (0.0, 0.0)
+    np.testing.assert_array_equal(vertex.ambient, [0.0, 0.0])
+    np.testing.assert_array_equal(vertex.chart_coords, np.empty(0))
     xi2 = np.array([0.2, 0.35])
     closed = limit_divergence(phi, chart, vertex, xi2)
     for _ in range(5):
@@ -403,7 +426,7 @@ def test_boundary_ops_with_polynomial_correction(triangle, rng):
     for _ in range(20):
         xi2 = random_interior(triangle, rng)
         foot = project_to_face(phi, chart, xi2)
-        mismatch = phi_f.gradient(foot.chart_array) - chart.basis_array.T @ phi.gradient(xi2)
+        mismatch = phi_f.gradient(foot.chart_coords) - chart.basis_array.T @ phi.gradient(xi2)
         assert np.max(np.abs(mismatch)) <= 1e-9
         eta = random_face_point(chart, rng)
         report = pythagoras_boundary_foot(phi, chart, eta, foot, xi2)

@@ -11,6 +11,7 @@ from polyflat.cli import main
 from polyflat.errors import DomainError
 from polyflat.jsonio import parse_polytope, parse_potential
 from polyflat.polytope import face_chart
+from polyflat.verify import DEFAULT_TOLERANCES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -342,3 +343,18 @@ def test_verify_all_tolerance_override(capsys):
         == 1
     )
     capsys.readouterr()
+
+
+def test_main_keeps_no_argument_state_between_calls(tmp_path):
+    # the parser is built once per process; flags of one call must not reach the next
+    scenario = str(SCENARIOS / "triangle.json")
+    tight, plain = tmp_path / "tight.json", tmp_path / "plain.json"
+    flags = ["--tol", "continuity_gap=1e-300", "--seed", "5", "--out", str(tight)]
+    assert main(["verify-all", scenario, *flags]) == 1
+    assert json.loads(tight.read_text())["seed"] == 5
+    assert main(["verify-all", scenario, "--out", str(plain)]) == 0
+    out = json.loads(plain.read_text())
+    assert out["seed"] == 0 and out["pass"]
+    continuity = [c for c in out["checks"] if c["check"] == "boundary-continuity"]
+    assert continuity
+    assert all(c["tolerance"] == DEFAULT_TOLERANCES["continuity_gap"] for c in continuity)

@@ -37,7 +37,7 @@ def test_simplex_facet_divergence_matches_categorical(simplex3_setup, rng):
         a = random_face_point(chart, rng)
         b = random_face_point(chart, rng)
         d = boundary_divergence(phi, chart, a, b)
-        a, b = a.ambient_array, b.ambient_array
+        a, b = a.ambient, b.ambient
         expected = float(np.sum(a * np.log(a / b)))  # coordinates sum to 1 on the facet
         assert d == pytest.approx(expected, abs=1e-10)
 
@@ -48,7 +48,7 @@ def test_simplex_facet_projection_normalizes(simplex3_setup, rng):
     for _ in range(20):
         xi = random_interior(P, rng)
         foot = project_to_face(phi, chart, xi)
-        np.testing.assert_allclose(foot.ambient_array, xi / xi.sum(), atol=1e-9)
+        np.testing.assert_allclose(foot.ambient, xi / xi.sum(), atol=1e-9)
 
 
 def test_simplex_facet_pythagoras(simplex3_setup, rng):
