@@ -51,9 +51,7 @@ from .polytope import (
     HalfSpace,
     Polytope,
     Vertex,
-    contains,
     face_chart,
-    facet_value,
     halfspace,
     is_bounded,
     product,

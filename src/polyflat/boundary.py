@@ -173,11 +173,17 @@ def limit_divergence(phi: SymplecticPotential, chart: FaceChart, eta, xi2):
     return extended_divergence(phi, ambient, xi2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuityReport:
+    """Gaps of the iterated-limit estimates to D_F.
+
+    For one pair: a float target, (k_max,) estimates and gaps, and a bool
+    passed; for a batch of m pairs: (m,) and (m, k_max) arrays.
+    """
+
     target: float
-    estimates: tuple[float, ...]
-    gaps: tuple[float, ...]
+    estimates: np.ndarray
+    gaps: np.ndarray
     passed: bool
     tolerance: float
 
@@ -185,8 +191,8 @@ class ContinuityReport:
 def continuity_check(
     phi: SymplecticPotential,
     chart: FaceChart,
-    eta: BoundaryPoint,
-    eta2: BoundaryPoint,
+    eta,
+    eta2,
     k_max: int = 8,
     tolerance: float = 1e-5,
 ) -> ContinuityReport:
@@ -194,34 +200,33 @@ def continuity_check(
 
     Approaches eta and eta2 along segments toward an interior anchor, with the
     inner (first-limit) point two decades closer to the face than the outer
-    one; reports the gap to D_F at facet distances 10^-1 .. 10^-k_max.
+    one; reports the gap to D_F at facet distances 10^-1 .. 10^-k_max.  A
+    pair passes when its last gap is within tolerance and its last four gaps
+    decrease.  eta and eta2 are single BoundaryPoints or batches of equal
+    length, whose rows get the floats of the call on that pair alone.
     """
     P = chart.polytope
     target = boundary_divergence(phi, chart, eta, eta2)
     anchor = np.array([float(c) for c in P.interior_point])
-    active = sorted(chart.vanishing)
+    active_normals = P.normal_matrix[sorted(r - 1 for r in chart.vanishing)]
 
-    def approach(point, deltas):
-        """Points along point -> anchor with smallest active facet value delta."""
-        w = anchor - point
-        rates = [
-            float(np.dot(P.halfspaces[r - 1].normal, w)) for r in active
-        ]
-        s = np.array(deltas) / min(rates)
-        return point + s[:, None] * w
+    def approach(points, deltas):
+        """Points (m, k_max, n) along each row -> anchor, smallest active facet value delta."""
+        w = anchor - points
+        s = np.array(deltas) / rowwise.times(w, active_normals.T).min(axis=1, keepdims=True)
+        return points[:, None, :] + s[:, :, None] * w[:, None, :]
 
     ks = range(1, k_max + 1)
-    inner = approach(eta.ambient, [10.0 ** (-(k + 2)) for k in ks])
-    outer = approach(eta2.ambient, [10.0**-k for k in ks])
-    estimates = bregman(phi, inner, outer).tolist()
-    gaps = tuple(abs(e - target) for e in estimates)
-    tail = gaps[-4:]
-    decreasing = all(a > b for a, b in zip(tail, tail[1:]))
-    passed = gaps[-1] <= tolerance and decreasing
-    return ContinuityReport(
-        target=target, estimates=tuple(estimates), gaps=gaps, passed=passed,
-        tolerance=tolerance,
-    )
+    inner = approach(np.atleast_2d(_coords(chart, eta)), [10.0 ** (-(k + 2)) for k in ks])
+    outer = approach(np.atleast_2d(_coords(chart, eta2)), [10.0**-k for k in ks])
+    estimates = bregman(phi, inner.reshape(-1, P.dim), outer.reshape(-1, P.dim))
+    estimates = estimates.reshape(len(inner), k_max)
+    gaps = np.abs(estimates - np.reshape(target, (-1, 1)))
+    tail = gaps[:, -4:]
+    passed = (gaps[:, -1] <= tolerance) & np.all(tail[:, :-1] > tail[:, 1:], axis=1)
+    if np.ndim(target) == 0:
+        return ContinuityReport(target, estimates[0], gaps[0], bool(passed[0]), tolerance)
+    return ContinuityReport(target, estimates, gaps, passed, tolerance)
 
 
 def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2):

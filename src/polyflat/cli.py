@@ -109,53 +109,62 @@ def _parse_tols(pairs):
     return out
 
 
-def _load_problem(path):
-    """A polytope, and a potential when the file carries one."""
+def _load_problem(path, require_potential=True):
+    """A polytope and the potential the file carries, None when it carries none.
+
+    With require_potential, a file without a potential is malformed input.
+    """
     data = _load_json(path)
+    phi = None
     if "polytope" in data:
         P = jsonio.parse_polytope(data["polytope"])
-        phi = jsonio.parse_potential(data["potential"], P) if "potential" in data else None
-        return P, phi
-    return jsonio.parse_polytope(data), None
+        if "potential" in data:
+            phi = jsonio.parse_potential(data["potential"], P)
+    else:
+        P = jsonio.parse_polytope(data)
+    if require_potential and phi is None:
+        raise PolyflatError("input file must carry a potential")
+    return P, phi
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
+def _write(args, payload, header, rows, notes=()):
+    """Write payload as JSON, or header, rows and notes as CSV, to --out or stdout.
+
+    rows are read only for CSV; their floats are written as in the JSON.
+    """
+    if args.format == "json":
+        text = jsonio.dumps(payload)
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [jsonio.format_float(v) if isinstance(v, float) else v for v in row]
+            )
+        for note in notes:
+            buf.write(f"# {note}\n")
+        text = buf.getvalue()
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _csv_text(header, rows, notes=()):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [jsonio.format_float(v) if isinstance(v, float) else v for v in row]
-        )
-    for note in notes:
-        buf.write(f"# {note}\n")
-    return buf.getvalue()
-
-
 def cmd_validate(args):
-    P, _ = _load_problem(args.file)
+    P, _ = _load_problem(args.file, require_potential=False)
     report = validate_delzant(P)
     payload = {"delzant": report.as_dict(), "zero_sum": zero_sum_check(P)}
-    if args.format == "json":
-        _emit(jsonio.dumps(payload), args.out)
-    else:
-        rows = [
-            ("simple", report.simple),
-            ("rational", report.rational),
-            ("smooth", report.smooth),
-            ("partial", report.partial),
-            ("valid", report.valid),
-            ("zero_sum", payload["zero_sum"]),
-        ]
-        _emit(_csv_text(("property", "value"), rows), args.out)
+    rows = (
+        ("simple", report.simple),
+        ("rational", report.rational),
+        ("smooth", report.smooth),
+        ("partial", report.partial),
+        ("valid", report.valid),
+        ("zero_sum", payload["zero_sum"]),
+    )
+    _write(args, payload, ("property", "value"), rows)
     return 0 if report.valid else 1
 
 
@@ -167,26 +176,22 @@ def _point_pairs(pairs, dim):
     return points.reshape(len(pairs), 2, dim).transpose(1, 0, 2)
 
 
+def _columns(name, n):
+    return [f"{name}_{i + 1}" for i in range(n)]
+
+
 def cmd_divergence(args):
     P, phi = _load_problem(args.file)
-    if phi is None:
-        raise PolyflatError("input file must carry a potential")
     xi, xi2 = _point_pairs(_load_json(args.points)["pairs"], P.dim)
     rows = list(zip(xi.tolist(), xi2.tolist(), bregman(phi, xi, xi2).tolist()))
-    if args.format == "json":
-        payload = {"rows": [{"xi": a, "xi2": b, "divergence": d} for a, b, d in rows]}
-        _emit(jsonio.dumps(payload), args.out)
-    else:
-        n = P.dim
-        header = [f"xi_{i+1}" for i in range(n)] + [f"xi2_{i+1}" for i in range(n)] + ["divergence"]
-        _emit(_csv_text(header, [(*a, *b, d) for a, b, d in rows]), args.out)
+    payload = {"rows": [{"xi": a, "xi2": b, "divergence": d} for a, b, d in rows]}
+    header = _columns("xi", P.dim) + _columns("xi2", P.dim) + ["divergence"]
+    _write(args, payload, header, ((*a, *b, d) for a, b, d in rows))
     return 0
 
 
 def cmd_geodesic(args):
     P, phi = _load_problem(args.file)
-    if phi is None:
-        raise PolyflatError("input file must carry a potential")
     spec_data = _load_json(args.spec)
     spec = GeodesicSpec(
         kind=spec_data["kind"],
@@ -207,21 +212,22 @@ def cmd_geodesic(args):
     limit = None
     if spec.kind == "dual" and P.bounded:
         limit = dual_geodesic_limit(phi, P, spec)
-    if args.format == "json":
-        payload = {
-            "rows": [{"t": t, "x": x, "y": y} for t, x, y in rows],
-            "limit": limit.as_dict() if limit else None,
-            "notes": notes,
-        }
-        _emit(jsonio.dumps(payload), args.out)
-    else:
-        n = P.dim
-        header = ["t"] + [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
-        csv_rows = [(t, *x, *y) for t, x, y in rows]
+    payload = {
+        "rows": [{"t": t, "x": x, "y": y} for t, x, y in rows],
+        "limit": limit.as_dict() if limit else None,
+        "notes": notes,
+    }
+
+    def csv_rows():
+        for t, x, y in rows:
+            yield (t, *x, *y)
         if limit is not None:
-            csv_rows.append(("inf", *limit.point, *([""] * n)))
-            notes.append(f"limit_face={','.join(map(str, limit.face))}")
-        _emit(_csv_text(header, csv_rows, notes), args.out)
+            yield ("inf", *limit.point, *([""] * P.dim))
+
+    if limit is not None:
+        notes = notes + [f"limit_face={','.join(map(str, limit.face))}"]
+    header = ["t"] + _columns("x", P.dim) + _columns("y", P.dim)
+    _write(args, payload, header, csv_rows(), notes)
     return 0
 
 
@@ -231,31 +237,23 @@ def _parse_face(text):
 
 def cmd_boundary(args):
     P, phi = _load_problem(args.file)
-    if phi is None:
-        raise PolyflatError("input file must carry a potential")
     chart = face_chart(P, _parse_face(args.face))
     a, b = _point_pairs(_load_json(args.points)["pairs"], P.dim)
     points = boundary_point(chart, ambient=np.concatenate([a, b]))
     etas, etas2 = points[: len(a)], points[len(a) :]
     divergences = boundary_divergence(phi, chart, etas, etas2)
     rows = list(zip(a.tolist(), b.tolist(), divergences.tolist()))
-    if args.format == "json":
-        payload = {
-            "face": list(chart.face_active),
-            "rows": [{"eta": a, "eta2": b, "divergence": d} for a, b, d in rows],
-        }
-        _emit(jsonio.dumps(payload), args.out)
-    else:
-        n = P.dim
-        header = [f"eta_{i+1}" for i in range(n)] + [f"eta2_{i+1}" for i in range(n)] + ["divergence"]
-        _emit(_csv_text(header, [(*a, *b, d) for a, b, d in rows]), args.out)
+    payload = {
+        "face": list(chart.face_active),
+        "rows": [{"eta": a, "eta2": b, "divergence": d} for a, b, d in rows],
+    }
+    header = _columns("eta", P.dim) + _columns("eta2", P.dim) + ["divergence"]
+    _write(args, payload, header, ((*a, *b, d) for a, b, d in rows))
     return 0
 
 
 def cmd_pythagoras(args):
     P, phi = _load_problem(args.file)
-    if phi is None:
-        raise PolyflatError("input file must carry a potential")
     triple = _load_json(args.triple)
     chart = face_chart(P, triple["face"])
     kind = triple.get("kind", "boundary_foot")
@@ -281,11 +279,8 @@ def cmd_pythagoras(args):
     else:
         raise PolyflatError(f"unknown pythagoras kind {kind!r}")
     payload = {"kind": kind, **report.as_dict(), **extra}
-    if args.format == "json":
-        _emit(jsonio.dumps(payload), args.out)
-    else:
-        rows = sorted((k, v) for k, v in payload.items() if not isinstance(v, (list, dict)))
-        _emit(_csv_text(("field", "value"), rows), args.out)
+    rows = sorted((k, v) for k, v in payload.items() if not isinstance(v, (list, dict)))
+    _write(args, payload, ("field", "value"), rows)
     return 0 if report.passed else 1
 
 
@@ -303,10 +298,7 @@ def cmd_torify(args):
         if ok:
             payload["mixture"] = to_mixture(P).as_dict()
         payload["pass"] = ok
-    if args.format == "json":
-        _emit(jsonio.dumps(payload), args.out)
-    else:
-        _emit(_csv_text(("field", "value"), [("pass", ok)]), args.out)
+    _write(args, payload, ("field", "value"), [("pass", ok)])
     return 0 if ok else 1
 
 
@@ -315,14 +307,12 @@ def cmd_verify_all(args):
     scenarios = data if isinstance(data, list) else [data]
     tols = _parse_tols(args.tol)
     all_payload = []
-    all_ok = True
     for sc in scenarios:
         P = jsonio.parse_polytope(sc["polytope"])
         phi = jsonio.parse_potential(sc.get("potential", {"guillemin_of": "polytope"}), P)
         results, ok = run_scenario(
             P,
             phi,
-            name=sc.get("name", "scenario"),
             faces=sc.get("faces"),
             samples=sc.get("samples"),
             tolerances={**sc.get("tolerances", {}), **tols},
@@ -330,7 +320,6 @@ def cmd_verify_all(args):
             product_check=sc.get("product_check", True),
             negative_control=sc.get("negative_control", False),
         )
-        all_ok = all_ok and ok
         all_payload.append(
             {
                 "scenario": sc.get("name", "scenario"),
@@ -339,23 +328,14 @@ def cmd_verify_all(args):
                 "pass": ok,
             }
         )
+    all_ok = all(sc["pass"] for sc in all_payload)
     payload = all_payload[0] if len(all_payload) == 1 else {"scenarios": all_payload, "pass": all_ok}
-    if args.format == "json":
-        _emit(jsonio.dumps(payload), args.out)
-    else:
-        rows = []
-        for sc_payload in all_payload:
-            for check in sc_payload["checks"]:
-                rows.append(
-                    (
-                        sc_payload["scenario"],
-                        check["check"],
-                        float(check["residual"]),
-                        float(check["tolerance"]),
-                        check["pass"],
-                    )
-                )
-        _emit(_csv_text(("scenario", "check", "residual", "tolerance", "pass"), rows), args.out)
+    rows = (
+        (sc["scenario"], c["check"], float(c["residual"]), float(c["tolerance"]), c["pass"])
+        for sc in all_payload
+        for c in sc["checks"]
+    )
+    _write(args, payload, ("scenario", "check", "residual", "tolerance", "pass"), rows)
     return 0 if all_ok else 1
 
 

@@ -21,7 +21,7 @@ from .errors import (
     NoSolutionError,
     NumericalError,
 )
-from .polytope import Polytope
+from .polytope import Polytope, flat_exit_time
 from .potential import SymplecticPotential
 
 NEWTON_TOL = 1e-10
@@ -282,31 +282,26 @@ def bregman(phi: SymplecticPotential, xi, xi2):
     return float(d) if np.ndim(d) == 0 else d
 
 
-def _match_facet_terms(phi: SymplecticPotential, P: Polytope):
-    """Indices pairing each facet of P with a weight-1 log term of phi, or None."""
+def _match_facet_terms(phi: SymplecticPotential, P: Polytope) -> bool:
+    """Whether the facets of P pair one to one with the weight-1 log terms of phi."""
     if len(phi.log_terms) != P.n_facets:
-        return None
+        return False
     used = set()
-    pairing = []
     for hs in P.halfspaces:
         normal = tuple(float(v) for v in hs.normal)
         offset = float(hs.offset)
-        found = None
         for idx, term in enumerate(phi.log_terms):
-            if idx in used:
-                continue
             if (
-                term.weight == 1.0
+                idx not in used
+                and term.weight == 1.0
                 and max(abs(a - b) for a, b in zip(term.normal, normal)) <= 1e-12
                 and abs(term.offset - offset) <= 1e-12
             ):
-                found = idx
+                used.add(idx)
                 break
-        if found is None:
-            return None
-        used.add(found)
-        pairing.append(found)
-    return pairing
+        else:
+            return False
+    return True
 
 
 def bregman_expanded(phi: SymplecticPotential, P: Polytope, xi, xi2):
@@ -319,7 +314,7 @@ def bregman_expanded(phi: SymplecticPotential, P: Polytope, xi, xi2):
     weights (plus the polynomial correction f).  Points and results are
     shaped as in ``bregman``.
     """
-    if _match_facet_terms(phi, P) is None:
+    if not _match_facet_terms(phi, P):
         raise InvalidInputError(
             "potential does not decompose over the facets of this polytope"
         )
@@ -366,17 +361,6 @@ def metric_pair(phi: SymplecticPotential, xi):
     if defect > 1e-10:
         raise NumericalError(f"Hessian inversion defect {defect:.3e} exceeds 1e-10")
     return G, G_inv
-
-
-def flat_exit_time(P: Polytope, start, direction) -> float:
-    """Smallest t > 0 at which start + t*direction leaves P (inf if never)."""
-    start = np.asarray(start, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    rates = P.normal_matrix @ direction
-    vals = P.facet_values(start)
-    with np.errstate(divide="ignore"):
-        ts = np.where(rates < 0, vals / -rates, np.inf)
-    return float(np.min(ts, initial=np.inf))
 
 
 def geodesic_point(phi: SymplecticPotential, P: Polytope, spec: GeodesicSpec, t: float):

@@ -78,10 +78,6 @@ class Polynomial:
         """monomials: iterable of (exponents, coeff) pairs."""
         return cls(nvars=nvars, terms=tuple(monomials))
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     @cached_property
     def _compiled(self):
         n = self.nvars

@@ -175,23 +175,15 @@ class Polytope:
         return point
 
 
-def facet_value(P: Polytope, r: int, point) -> float:
-    """Value of the r-th defining inequality (1-based) at a point."""
-    if not 1 <= r <= P.n_facets:
-        raise InvalidInputError(f"facet index {r} out of range 1..{P.n_facets}")
-    point = np.asarray(point, dtype=float)
-    if point.shape != (P.dim,):
-        raise InvalidInputError(f"point has shape {point.shape}, expected ({P.dim},)")
-    hs = P.halfspaces[r - 1]
-    return float(np.dot(point, np.array(hs.normal, dtype=float)) + float(hs.offset))
-
-
-def contains(P: Polytope, point, strict: bool = False) -> bool:
-    """Membership test; strict requires every facet value positive."""
-    if P.dim == 0:
-        return len(point) == 0
-    values = P.facet_values(point)
-    return bool(np.all(values > 0)) if strict else bool(np.all(values >= 0))
+def flat_exit_time(P: Polytope, start, direction) -> float:
+    """Smallest t > 0 at which start + t*direction leaves P (inf if never)."""
+    start = np.asarray(start, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    rates = P.normal_matrix @ direction
+    vals = P.facet_values(start)
+    with np.errstate(divide="ignore"):
+        ts = np.where(rates < 0, vals / -rates, np.inf)
+    return float(np.min(ts, initial=np.inf))
 
 
 def _recession_rays(P: Polytope):
@@ -666,7 +658,18 @@ def reduced_polytope(constraints, dim) -> Polytope:
         found = _subset_vertices(normals, [off for _, off in merged], dim)
         kept = _facets_from_incidence(merged, list(found.values()), list(found), dim)
         if kept is not None:
-            return _irredundant_polytope(kept, dim, True)
+            P = _irredundant_polytope(kept, dim, True)
+            # dropping a redundant constraint moves no vertex, so these are P's
+            # vertices, filled into its vertex_list slot; kept is in merged
+            # order, so the 1-based positions stay sorted
+            position = {prim: i for i, (prim, _) in enumerate(kept, start=1)}
+            verts = []
+            for tight, point in found.items():
+                normals = (merged[j][0] for j in tight)
+                active = tuple(position[v] for v in normals if v in position)
+                verts.append(Vertex(coords=point, active=active))
+            P.__dict__["vertex_list"] = tuple(sorted(verts, key=lambda v: v.coords))
+            return P
     kept = _drop_redundant(merged, dim)
     bounded = not intlattice.cone_rays([prim for prim, _ in kept], dim) if dim else True
     return _irredundant_polytope(kept, dim, bounded)

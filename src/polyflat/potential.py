@@ -21,7 +21,7 @@ import numpy as np
 from . import rowwise
 from .errors import DomainError, InvalidInputError
 from .polynomial import Polynomial
-from .polytope import FaceChart, Polytope
+from .polytope import FaceChart, Polytope, flat_exit_time
 
 # facet values inside [-EXTENDED_TOL, 0] are treated as exact zeros of the
 # continuous extension; anything more negative is outside the closed domain
@@ -223,16 +223,6 @@ class ValidityReport:
     det_product_max: float
     failures: tuple[dict, ...] = field(default=())
 
-    def as_dict(self):
-        return {
-            "passed": self.passed,
-            "samples": self.samples,
-            "min_eigenvalue": self.min_eigenvalue,
-            "det_product_min": self.det_product_min,
-            "det_product_max": self.det_product_max,
-            "failures": list(self.failures),
-        }
-
 
 def _is_positive_definite(H, rel_tol=1e-12):
     """Symmetric factorization with pivots required to exceed rel_tol * max diagonal."""
@@ -271,11 +261,7 @@ def validity_scan(
         r = int(rng.integers(P.n_facets))
         delta = float(rng.choice(ladder))
         d = -P.normal_matrix[r]
-        rates = P.normal_matrix @ d
-        vals = P.facet_values(z)
-        with np.errstate(divide="ignore"):
-            exit_ts = np.where(rates < 0, vals / -rates, np.inf)
-        t_exit = float(np.min(exit_ts))
+        t_exit = flat_exit_time(P, z, d)
         if not np.isfinite(t_exit):
             continue
         points.append(z + (1.0 - delta) * t_exit * d)

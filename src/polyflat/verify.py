@@ -59,10 +59,6 @@ class CheckResult:
     tolerance: float
     passed: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "residual", float(self.residual))
-        object.__setattr__(self, "passed", bool(self.passed))
-
     def as_dict(self):
         return {
             "check": self.check,
@@ -76,7 +72,6 @@ class CheckResult:
 def run_scenario(
     P: Polytope,
     phi: SymplecticPotential,
-    name: str = "scenario",
     faces=None,
     samples=None,
     tolerances=None,
@@ -92,55 +87,41 @@ def run_scenario(
     rng = np.random.default_rng(seed)
     results = []
 
+    def verdict(check, inputs, residual, tolerance, passed=None):
+        """Record a check; it passes when residual <= tolerance unless passed is given."""
+        residual = float(residual)
+        passed = residual <= tolerance if passed is None else passed
+        results.append(CheckResult(check, inputs, residual, tolerance, bool(passed)))
+
     report = validate_delzant(P)
-    results.append(
-        CheckResult(
-            check="delzant",
-            inputs={"facets": P.n_facets},
-            residual=float(len(report.failures)),
-            tolerance=0.0,
-            passed=report.valid,
-        )
-    )
+    verdict("delzant", {"facets": P.n_facets}, len(report.failures), 0.0, passed=report.valid)
 
     x = random_interior(P, rng, size=counts["legendre_points"])
     back = np.array([pair.x for pair in from_dual(phi, P, phi.gradient(x))]).reshape(x.shape)
-    worst = _worst(np.abs(back - x))
-    results.append(
-        CheckResult(
-            check="legendre-roundtrip",
-            inputs={"points": counts["legendre_points"]},
-            residual=worst,
-            tolerance=tol["legendre_roundtrip"],
-            passed=worst <= tol["legendre_roundtrip"],
-        )
+    verdict(
+        "legendre-roundtrip",
+        {"points": counts["legendre_points"]},
+        _worst(np.abs(back - x)),
+        tol["legendre_roundtrip"],
     )
 
     a, b = _draw_pairs(counts["divergence_pairs"], P, rng)
-    worst = _worst(np.abs(bregman(phi, a, b) - bregman_expanded(phi, P, a, b)))
-    results.append(
-        CheckResult(
-            check="divergence-expansion",
-            inputs={"pairs": counts["divergence_pairs"]},
-            residual=worst,
-            tolerance=tol["divergence_expansion"],
-            passed=worst <= tol["divergence_expansion"],
-        )
+    verdict(
+        "divergence-expansion",
+        {"pairs": counts["divergence_pairs"]},
+        _worst(np.abs(bregman(phi, a, b) - bregman_expanded(phi, P, a, b))),
+        tol["divergence_expansion"],
     )
 
     if zero_sum_check(P):
         theta = to_mixture(P)
         factor = phi.scale * float(sum(float(hs.offset) for hs in P.halfspaces))
         a, b = _draw_pairs(counts["divergence_pairs"], P, rng)
-        worst = _worst(np.abs(bregman(phi, a, b) - factor * kl(theta, a, b)))
-        results.append(
-            CheckResult(
-                check="kl-relation",
-                inputs={"pairs": counts["divergence_pairs"], "factor": factor},
-                residual=worst,
-                tolerance=tol["kl_relation"],
-                passed=worst <= tol["kl_relation"],
-            )
+        verdict(
+            "kl-relation",
+            {"pairs": counts["divergence_pairs"], "factor": factor},
+            _worst(np.abs(bregman(phi, a, b) - factor * kl(theta, a, b))),
+            tol["kl_relation"],
         )
 
     if faces is None:
@@ -152,22 +133,17 @@ def run_scenario(
         chart = face_chart(P, active)
         if chart.dim_face < 1:
             continue
-        worst = 0.0
-        all_passed = True
         pairs = counts["continuity_pairs"]
         etas = random_face_point(chart, rng, size=2 * pairs)
-        for eta, eta2 in zip(etas[:pairs], etas[pairs:]):
-            rep = continuity_check(phi, chart, eta, eta2, tolerance=tol["continuity_gap"])
-            worst = max(worst, rep.gaps[-1])
-            all_passed = all_passed and rep.passed
-        results.append(
-            CheckResult(
-                check="boundary-continuity",
-                inputs={"face": list(active), "pairs": counts["continuity_pairs"]},
-                residual=worst,
-                tolerance=tol["continuity_gap"],
-                passed=all_passed,
-            )
+        rep = continuity_check(
+            phi, chart, etas[:pairs], etas[pairs:], tolerance=tol["continuity_gap"]
+        )
+        verdict(
+            "boundary-continuity",
+            {"face": list(active), "pairs": pairs},
+            _worst(rep.gaps[:, -1]),
+            tol["continuity_gap"],
+            passed=np.all(rep.passed),
         )
 
         xi2 = random_interior(P, rng, size=counts["boundary_feet"])
@@ -185,15 +161,11 @@ def run_scenario(
                     U[i] = cand
                     break
             feet = boundary_point(chart, chart_coords=U)
-        worst = _worst(np.abs(pythagoras_boundary_foot(phi, chart, etas, feet, xi2).residual))
-        results.append(
-            CheckResult(
-                check="pythagoras-boundary-foot",
-                inputs={"face": list(active), "draws": counts["boundary_feet"]},
-                residual=worst,
-                tolerance=tol["boundary_foot"],
-                passed=worst <= tol["boundary_foot"],
-            )
+        verdict(
+            "pythagoras-boundary-foot",
+            {"face": list(active), "draws": counts["boundary_feet"]},
+            _worst(np.abs(pythagoras_boundary_foot(phi, chart, etas, feet, xi2).residual)),
+            tol["boundary_foot"],
         )
 
         triples = counts["interior_triples"]
@@ -207,53 +179,26 @@ def run_scenario(
         x_orth, _, status, _ = newton_solve(phi, P, phi.gradient(xi) + 0.3 * w)
         ok = status == "converged"
         reps = pythagoras_interior_foot(phi, chart, etas[ok], xi[ok], x_orth[ok])
-        worst_orth = _worst(np.abs(reps.residual))
-        results.append(
-            CheckResult(
-                check="pythagoras-interior-identity",
-                inputs={"face": list(active), "triples": counts["interior_triples"]},
-                residual=worst_id,
-                tolerance=tol["interior_identity"],
-                passed=worst_id <= tol["interior_identity"],
-            )
-        )
-        results.append(
-            CheckResult(
-                check="pythagoras-interior-orthogonal",
-                inputs={"face": list(active), "triples": counts["interior_triples"]},
-                residual=worst_orth,
-                tolerance=tol["interior_orthogonal"],
-                passed=worst_orth <= tol["interior_orthogonal"],
-            )
+        inputs = {"face": list(active), "triples": triples}
+        verdict("pythagoras-interior-identity", inputs, worst_id, tol["interior_identity"])
+        verdict(
+            "pythagoras-interior-orthogonal",
+            inputs,
+            _worst(np.abs(reps.residual)),
+            tol["interior_orthogonal"],
         )
 
     if product_check and P.bounded:
         rep = product_boundary_check(
-            P,
-            scale=phi.scale,
-            samples=counts["product_samples"],
-            seed=seed,
-            tolerance_additivity=tol["product_additivity"],
-            tolerance_pythagoras=tol["product_pythagoras"],
+            P, scale=phi.scale, samples=counts["product_samples"], seed=seed
         )
-        results.append(
-            CheckResult(
-                check="product-additivity",
-                inputs={"samples": rep.samples},
-                residual=rep.additivity_max,
-                tolerance=tol["product_additivity"],
-                passed=rep.additivity_max <= tol["product_additivity"],
-            )
-        )
-        results.append(
-            CheckResult(
-                check="product-pythagoras",
-                inputs={"samples": rep.samples},
-                residual=max(rep.side_face_max, rep.bottom_face_max),
-                tolerance=tol["product_pythagoras"],
-                passed=max(rep.side_face_max, rep.bottom_face_max)
-                <= tol["product_pythagoras"],
-            )
+        inputs = {"samples": rep.samples}
+        verdict("product-additivity", inputs, rep.additivity_max, tol["product_additivity"])
+        verdict(
+            "product-pythagoras",
+            inputs,
+            max(rep.side_face_max, rep.bottom_face_max),
+            tol["product_pythagoras"],
         )
 
     return results, all(r.passed for r in results)

@@ -205,6 +205,35 @@ def test_continuity_check_identical_points(tri_setup):
     assert report.target == 0.0
 
 
+def test_continuity_check_batches_equal_pairs(triangle, rng):
+    # a batch of pairs gives each row the floats of the call on that pair alone,
+    # also on faces cut out by non-unit normals
+    trapezoid = Polytope(
+        dim=2,
+        halfspaces=(
+            halfspace((1, 0), 0), halfspace((0, 1), 0), halfspace((0, -1), 1),
+            halfspace((-1, -2), 3),
+        ),
+    )
+    interval = Polytope(dim=1, halfspaces=(halfspace((1,), 0), halfspace((-1,), 1)))
+    prism = product(trapezoid, interval)
+    for P, scale, face in ((triangle, 1.0, (3,)), (prism, 0.5, (4,)), (prism, 0.5, (4, 6))):
+        phi = guillemin(P, scale)
+        chart = face_chart(P, face)
+        etas = random_face_point(chart, rng, size=6)
+        batch = continuity_check(phi, chart, etas[:3], etas[3:])
+        assert batch.target.shape == batch.passed.shape == (3,)
+        assert batch.estimates.shape == batch.gaps.shape == (3, 8)
+        assert batch.passed.all()
+        for i in range(3):
+            one = continuity_check(phi, chart, etas[i], etas[3 + i])
+            assert isinstance(one.target, float) and isinstance(one.passed, bool)
+            np.testing.assert_array_equal(one.target, batch.target[i])
+            np.testing.assert_array_equal(one.estimates, batch.estimates[i])
+            np.testing.assert_array_equal(one.gaps, batch.gaps[i])
+            assert one.passed == batch.passed[i]
+
+
 def test_continuity_check_square_edge(square):
     phi = guillemin(square, 0.5)
     chart = face_chart(square, [3])  # x2 = 0

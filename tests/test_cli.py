@@ -358,3 +358,75 @@ def test_main_keeps_no_argument_state_between_calls(tmp_path):
     continuity = [c for c in out["checks"] if c["check"] == "boundary-continuity"]
     assert continuity
     assert all(c["tolerance"] == DEFAULT_TOLERANCES["continuity_gap"] for c in continuity)
+
+
+def run_csv(argv, tmp_path):
+    """Exit code and CSV text of a command."""
+    out = tmp_path / "out.csv"
+    code = main([*argv, "--format", "csv", "--out", str(out)])
+    return code, out.read_text()
+
+
+def test_csv_text_of_each_table(tri_input, tmp_path):
+    # every command writes through one writer; the text of each table is fixed
+    tri = write(tmp_path, "tri_p.json", TRIANGLE)
+    pairs = [[[0.25, 0.25], [1 / 3, 1 / 3]], [[0.1, 0.7], [0.6, 0.2]], [[0.3, 0.3], [0.3, 0.3]]]
+    points = write(tmp_path, "pts.json", {"pairs": pairs})
+    face_pairs = [[[0.5, 0.5], [0.4, 0.6]], [[0.3, 0.7], [0.8, 0.2]]]
+    face_points = write(tmp_path, "bpts.json", {"pairs": face_pairs})
+    triple = write(
+        tmp_path,
+        "triple.json",
+        {"kind": "interior_foot", "face": [3], "eta": [0.3, 0.7], "xi": [0.25, 0.25],
+         "xi_prime": [0.2, 0.3]},
+    )
+    cases = [
+        (
+            ["validate", tri], 0,
+            "property,value\nsimple,True\nrational,True\nsmooth,True\npartial,False\n"
+            "valid,True\nzero_sum,True\n",
+        ),
+        (
+            ["divergence", tri_input, "--points", points], 0,
+            "xi_1,xi_2,xi2_1,xi2_2,divergence\n"
+            "0.25,0.25,0.333333333333,0.333333333333,0.0588915178282\n"
+            "0.1,0.7,0.6,0.2,0.697758131024\n"
+            "0.3,0.3,0.3,0.3,0\n",
+        ),
+        (
+            ["boundary", tri_input, "--face", "3", "--points", face_points], 0,
+            "eta_1,eta_2,eta2_1,eta2_2,divergence\n"
+            "0.5,0.5,0.4,0.6,0.0204109972601\n"
+            "0.3,0.7,0.8,0.2,0.582685302043\n",
+        ),
+        (
+            ["pythagoras", tri_input, "--triple", triple], 1,
+            "field,value\ncheck,pythagoras\nkind,interior_foot\npass,False\n"
+            "perp_value,0.0708875229916\nresidual,0.0708875229916\ntolerance,1e-09\n",
+        ),
+        (["torify", tri], 0, "field,value\npass,True\n"),
+        (["torify", write(tmp_path, "trap.json", TRAPEZOID)], 1, "field,value\npass,False\n"),
+    ]
+    for argv, code, text in cases:
+        assert run_csv(argv, tmp_path) == (code, text), argv[0]
+
+
+def test_verify_all_csv_columns(tmp_path):
+    # residuals are rounding noise and are not pinned
+    scenario = str(SCENARIOS / "triangle_negative_control.json")
+    code, text = run_csv(["verify-all", scenario], tmp_path)
+    assert code == 1
+    header, *rows = list(csv.reader(text.splitlines()))
+    assert header == ["scenario", "check", "residual", "tolerance", "pass"]
+    per_face = [
+        "boundary-continuity",
+        "pythagoras-boundary-foot",
+        "pythagoras-interior-identity",
+        "pythagoras-interior-orthogonal",
+    ]
+    names = ["delzant", "legendre-roundtrip", "divergence-expansion", "kl-relation"] + 3 * per_face
+    assert [row[1] for row in rows] == names
+    assert {row[0] for row in rows} == {"triangle-negative-control"}
+    assert [row[4] for row in rows] == [
+        str(name != "pythagoras-boundary-foot") for name in names
+    ]

@@ -9,7 +9,8 @@ from polyflat.boundary import random_interior
 from polyflat.dually_flat import bregman
 from polyflat.errors import DegenerateError, DomainError, InvalidInputError, NotTorifiableError
 from polyflat.mixture import MixtureFamily, from_mixture, kl, to_mixture, zero_sum_check
-from polyflat.polytope import Polytope, halfspace
+from polyflat import intlattice, polytope
+from polyflat.polytope import Polytope, halfspace, vertices
 from polyflat.potential import SymplecticPotential, AffineLogTerm, guillemin
 
 
@@ -153,6 +154,37 @@ def test_from_mixture_categorical(triangle):
     assert got == expected  # roundtrip up to constraint order
     back = to_mixture(report.polytope)
     assert set(zip(back.alphas, back.betas)) == set(zip(theta.alphas, theta.betas))
+
+
+def test_from_mixture_enumerates_vertices_once(monkeypatch):
+    # reduced_polytope proves the cube bounded and finds its vertices; the
+    # Delzant check reads them from the polytope instead of enumerating again
+    cube = Polytope(
+        dim=3,
+        halfspaces=tuple(
+            halfspace(tuple(s * (i == j) for j in range(3)), int(s < 0))
+            for i in range(3)
+            for s in (1, -1)
+        ),
+    )
+    calls = {"cone_rays": 0, "_feasible_solutions": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(intlattice, "cone_rays")
+    counted(polytope, "_feasible_solutions")
+    report = from_mixture(to_mixture(cube))
+    assert report.torifiable
+    assert calls == {"cone_rays": 1, "_feasible_solutions": 1}
+    P = report.polytope
+    assert vertices(P) == vertices(Polytope(dim=P.dim, halfspaces=P.halfspaces, bounded=P.bounded))
 
 
 def test_from_mixture_non_unimodular():

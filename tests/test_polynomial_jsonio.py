@@ -59,7 +59,7 @@ def test_potential_schema_rejects_non_integral_exponents():
 
 def test_polynomial_zero_and_cancellation():
     f = Polynomial.from_monomials(1, [((2,), 1.0), ((2,), -1.0)])
-    assert f.is_zero
+    assert f.terms == ()
 
 
 def test_fraction_parsing():

@@ -24,9 +24,7 @@ from polyflat.polytope import (
     FaceChart,
     Polytope,
     as_fraction,
-    contains,
     face_chart,
-    facet_value,
     halfspace,
     is_bounded,
     product,
@@ -38,24 +36,24 @@ from polyflat.polytope import (
 
 
 def test_facet_value_triangle(triangle):
-    assert facet_value(triangle, 3, (0.2, 0.3)) == pytest.approx(0.5, abs=1e-15)
+    assert triangle.facet_values((0.2, 0.3))[2] == pytest.approx(0.5, abs=1e-15)
     for v in vertices(triangle):
         for r in v.active:
-            assert facet_value(triangle, r, v.array) == 0.0
+            assert triangle.facet_values(v.array)[r - 1] == 0.0
 
 
 def test_facet_value_square_face():
     sq = Polytope(dim=2, halfspaces=(halfspace((-1, 0), 1),) + tuple(
         halfspace(n, o) for n, o in (((1, 0), 0), ((0, 1), 0), ((0, -1), 1))
     ))
-    assert facet_value(sq, 1, (0.25, 0.9)) == pytest.approx(0.75, abs=1e-15)
+    assert sq.facet_values((0.25, 0.9))[0] == pytest.approx(0.75, abs=1e-15)
 
 
 def test_facet_value_errors(triangle):
     with pytest.raises(InvalidInputError):
-        facet_value(triangle, 4, (0.1, 0.1))
+        triangle.facet_values((0.1, 0.1, 0.1))
     with pytest.raises(InvalidInputError):
-        facet_value(triangle, 1, (0.1, 0.1, 0.1))
+        triangle.facet_values(np.zeros((2, 2, 2)))
 
 
 def test_halfspace_validation():
@@ -314,13 +312,6 @@ def test_product_unbounded(triangle, half_line):
     assert not is_bounded(prod)
 
 
-def test_contains(triangle):
-    assert contains(triangle, (1 / 3, 1 / 3), strict=True)
-    assert not contains(triangle, (0, 0.5), strict=True)
-    assert contains(triangle, (0, 0.5), strict=False)
-    assert not contains(triangle, (0.6, 0.6))
-
-
 def test_chart_deterministic(triangle):
     c1 = face_chart(triangle, [3])
     c2 = face_chart(triangle, [3])
@@ -360,6 +351,8 @@ def test_incidence_redundancy_matches_subset_tests(case):
     got, want = reduced_polytope(cons, P.dim), reference_reduced_polytope(cons, P.dim)
     assert (got.halfspaces, got.bounded) == (want.halfspaces, want.bounded)
     assert set(got.halfspaces) == set(P.halfspaces)
+    # the vertices it was built from are those a fresh copy enumerates
+    assert vertices(got) == vertices(Polytope(dim=got.dim, halfspaces=got.halfspaces))
     for r in range(1, P.n_facets + 1):
         chart = face_chart(P, (r,))
         F, want = chart.face_polytope, reference_reduced_polytope(pulled_back(chart), chart.dim_face)
