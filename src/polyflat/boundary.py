@@ -208,7 +208,7 @@ def continuity_check(
     P = chart.polytope
     target = boundary_divergence(phi, chart, eta, eta2)
     anchor = np.array([float(c) for c in P.interior_point])
-    active_normals = P.normal_matrix[sorted(r - 1 for r in chart.vanishing)]
+    active_normals = P.normal_matrix[chart.vanishing_mask]
 
     def approach(points, deltas):
         """Points (m, k_max, n) along each row -> anchor, smallest active facet value delta."""
@@ -235,9 +235,10 @@ def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2):
     Solved by Newton on the chart: the first-order condition equates the
     chart gradient of the restricted potential with the pullback of
     grad phi(xi2).  Initialized at the Euclidean projection of xi2 onto the
-    affine hull of the face.  A point xi2 of shape (n,) gives a single
-    BoundaryPoint; a batch (m, n) gives a batch of m, solved together, and
-    the first row that does not converge raises.
+    affine hull of the face, or at the chart origin (u = 0) where that
+    projection falls outside the face.  A point xi2 of shape (n,) gives a
+    single BoundaryPoint; a batch (m, n) gives a batch of m, solved
+    together, and the first row that does not converge raises.
     """
     xi2 = np.asarray(xi2, dtype=float)
     P = chart.polytope
@@ -251,10 +252,10 @@ def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2):
     else:
         target = rowwise.times(phi.gradient(X2), chart.basis_array)
         u0 = chart.to_chart(X2)
-        # where the Euclidean projection is outside the face, start at the centroid
+        # where the Euclidean projection is outside the face, start at the chart
+        # origin, a relative-interior point of the face
         outside = np.min(face_poly.facet_values(u0), axis=1, initial=np.inf) <= 1e-9
-        if outside.any():
-            u0[outside] = np.array(face_poly.interior_point, dtype=float)
+        u0[outside] = 0.0
         u, residual, status, iterations = newton_solve(phi_f, face_poly, target, X0=u0)
         for i in np.flatnonzero(status != "converged")[:1]:
             raise FaceBoundaryError(

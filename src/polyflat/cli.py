@@ -305,6 +305,8 @@ def cmd_torify(args):
 def cmd_verify_all(args):
     data = _load_json(args.scenario)
     scenarios = data if isinstance(data, list) else [data]
+    if not scenarios:
+        raise InvalidInputError("the scenario list is empty")
     tols = _parse_tols(args.tol)
     all_payload = []
     for sc in scenarios:
@@ -360,7 +362,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (OSError, json.JSONDecodeError, PolyflatError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, PolyflatError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

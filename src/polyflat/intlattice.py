@@ -130,19 +130,6 @@ def _solve_augmented(mat, n):
     return pivots, nums, den
 
 
-def solve_square(rows, rhs):
-    """Solve the square rational system rows @ x = rhs exactly.
-
-    Returns a tuple of Fractions, or None if the matrix is singular.
-    """
-    n = len(rows)
-    mat, _ = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
-    sol = _solve_augmented(mat, n)
-    if sol is None or len(sol[0]) != n:
-        return None
-    return tuple(Fraction(v, sol[2]) for v in sol[1])
-
-
 def solve_integer(rows, rhs):
     """Solve the square integer system rows @ x = rhs without fractions.
 

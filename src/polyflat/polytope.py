@@ -57,13 +57,6 @@ class HalfSpace:
         if not isinstance(self.offset, Fraction):
             object.__setattr__(self, "offset", as_fraction(self.offset))
 
-    def value(self, point):
-        """Exact facet value at a point with rational coordinates."""
-        nums, d = intlattice.common_denominator(point)
-        off = self.offset
-        dot = sum(x * v for x, v in zip(nums, self.normal))
-        return Fraction(dot * off.denominator + off.numerator * d, d * off.denominator)
-
 
 def halfspace(normal, offset):
     if any(isinstance(v, float) and not v.is_integer() for v in normal):
@@ -157,8 +150,7 @@ class Polytope:
         verts = self.vertex_list
         if not verts:
             raise InconsistencyError("polytope has no vertices")
-        n = len(verts)
-        return tuple(sum(v.coords[i] for v in verts) / n for i in range(self.dim))
+        return _mean(verts, self.dim)
 
     @cached_property
     def interior_point(self):
@@ -186,15 +178,9 @@ def flat_exit_time(P: Polytope, start, direction) -> float:
     return float(np.min(ts, initial=np.inf))
 
 
-def _recession_rays(P: Polytope):
-    if P.dim == 0:
-        return []
-    return intlattice.cone_rays([hs.normal for hs in P.halfspaces], P.dim)
-
-
 def is_bounded(P: Polytope) -> bool:
     """Exact boundedness of the feasible region (ignores the stored flag)."""
-    return not _recession_rays(P)
+    return not intlattice.cone_rays([hs.normal for hs in P.halfspaces], P.dim)
 
 
 def _enumerate_vertices(P: Polytope):
@@ -350,12 +336,7 @@ class FaceChart:
     @cached_property
     def vanishing(self):
         """Facets identically zero on the face (includes face_active)."""
-        out = set(self.face_active)
-        facets = zip(self.polytope.halfspaces, self._chart_normals)
-        for r, (hs, coeffs) in enumerate(facets, start=1):
-            if r not in out and not any(coeffs) and hs.value(self.origin) == 0:
-                out.add(r)
-        return frozenset(out)
+        return self._at_origin[2]
 
     @cached_property
     def vanishing_mask(self):
@@ -375,6 +356,11 @@ class FaceChart:
     def _chart_normals(self):
         """Each facet normal pulled back through the basis: its chart coefficients."""
         return _chart_normals(self.polytope, self.basis)
+
+    @cached_property
+    def _at_origin(self):
+        """The one pass over the facets at the origin: ``_pulled_back`` on this chart."""
+        return _pulled_back(self.polytope, self._chart_normals, self.origin)
 
     @cached_property
     def vertices(self):
@@ -413,7 +399,7 @@ class FaceChart:
         which of the face's vertices each constraint is tight at.
         """
         P, k = self.polytope, self.dim_face
-        pulled, facets = _pulled_back(P, self.vanishing, self._chart_normals, self.origin)
+        pulled, facets, _ = self._at_origin
         if P.bounded and k:
             # every face of a bounded P is bounded, with the vertices of P on it
             merged, sources = _merged(pulled)
@@ -488,28 +474,29 @@ def _chart_normals(P, basis):
     ]
 
 
-def _pulled_back(P, skip, chart_normals, point):
-    """Facets not in skip as (coefficients, offset) constraints on u -> point + basis @ u.
+def _pulled_back(P, chart_normals, point):
+    """The facets as (coefficients, offset) constraints on u -> point + basis @ u.
 
-    ``chart_normals`` are the facet normals pulled back through the basis.  A
-    facet constant on the face is dropped, after checking it is nonnegative.
-    Returns the constraints and the 1-based facet index of each.
+    ``chart_normals`` are the facet normals pulled back through the basis,
+    and the offsets are the exact facet values at ``point``.  A facet constant
+    on the face is dropped, after checking it is nonnegative.  Returns the
+    constraints, the 1-based facet index of each, and the frozenset of the
+    facets that are zero on the face.
     """
     nums, d = intlattice.common_denominator(point)
-    pulled, facets = [], []
+    pulled, facets, zero = [], [], set()
     for r, (hs, coeffs) in enumerate(zip(P.halfspaces, chart_normals), start=1):
-        if r in skip:
-            continue
         q = hs.offset.denominator
-        dot = sum(x * v for x, v in zip(nums, hs.normal))
-        off = Fraction(dot * q + hs.offset.numerator * d, d * q)
+        value = sum(x * v for x, v in zip(nums, hs.normal)) * q + hs.offset.numerator * d
         if all(c == 0 for c in coeffs):
-            if off < 0:
+            if value < 0:
                 raise EmptyFaceError(f"facet {r} excludes the face")
+            if value == 0:
+                zero.add(r)
             continue
-        pulled.append((coeffs, off))
+        pulled.append((coeffs, Fraction(value, d * q)))
         facets.append(r)
-    return pulled, facets
+    return pulled, facets, frozenset(zero)
 
 
 def _face_origin(P, active, basis):
@@ -526,7 +513,7 @@ def _face_origin(P, active, basis):
     if part is None:
         raise EmptyFaceError("active facet equations are inconsistent")
     # used both for the bounded test and Fourier-Motzkin
-    pulled, _ = _pulled_back(P, set(active), _chart_normals(P, basis), part)
+    pulled, _, _ = _pulled_back(P, _chart_normals(P, basis), part)
     k = len(basis)
     face_bounded = P.bounded or not k or not intlattice.cone_rays([c for c, _ in pulled], k)
     if face_bounded and face_vertices:

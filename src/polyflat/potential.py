@@ -185,7 +185,7 @@ def restrict_potential(phi: SymplecticPotential, chart: FaceChart) -> Symplectic
 def _restrict(phi, chart):
     B = chart.basis_array
     origin = chart.origin_array
-    kept = []
+    kept, terms = [], []
     for idx, term in enumerate(phi.log_terms):
         nu = np.array(term.normal)
         pulled_normal = B.T @ nu
@@ -195,21 +195,24 @@ def _restrict(phi, chart):
                 continue  # identically zero on the face: extended term vanishes
             if pulled_offset < 0:
                 raise DomainError(f"log term {idx + 1} is negative on the face")
-        kept.append(
+        kept.append(idx)
+        terms.append(
             AffineLogTerm(
                 normal=tuple(pulled_normal), offset=pulled_offset, weight=term.weight
             )
         )
-    normals = np.array([term.normal for term in kept]).reshape(len(kept), chart.dim_face)
-    offsets = np.array([term.offset for term in kept])
-    # (vertex, term) pairs in vertex order, then term order
-    negative = np.argwhere(chart.vertex_chart_array @ normals.T + offsets < -1e-9)
+    # a pulled-back term at u is the term at origin + B u, so the terms are
+    # tested at the face's vertices in ambient coordinates; (vertex, term)
+    # pairs in vertex order, then term order
+    negative = np.argwhere(phi.term_values(chart.vertex_array)[:, kept] < -1e-9)
     if len(negative):
-        raise DomainError(f"log term {negative[0][1] + 1} is negative at a vertex of the face")
+        raise DomainError(
+            f"log term {kept[negative[0][1]] + 1} is negative at a vertex of the face"
+        )
     return SymplecticPotential(
         dim=chart.dim_face,
         scale=phi.scale,
-        log_terms=tuple(kept),
+        log_terms=tuple(terms),
         correction=phi.correction.compose_affine(origin, B),
     )
 

@@ -24,7 +24,7 @@ from .boundary import (
     random_interior,
 )
 from .dually_flat import bregman, bregman_expanded, from_dual, newton_solve
-from .errors import PolyflatError
+from .errors import InvalidInputError, PolyflatError
 from .mixture import kl, to_mixture, zero_sum_check
 from .polytope import Polytope, face_chart, validate_delzant
 from .potential import SymplecticPotential
@@ -84,6 +84,11 @@ def run_scenario(
     tol.update(tolerances or {})
     counts = dict(DEFAULT_SAMPLES)
     counts.update(samples or {})
+    for name, count in counts.items():
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise InvalidInputError(
+                f"sample count {name} must be a positive integer, not {count!r}"
+            )
     rng = np.random.default_rng(seed)
     results = []
 

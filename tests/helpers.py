@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from polyflat.errors import InvalidInputError
-from polyflat.intlattice import integer_kernel, primitivize, solve_square
+from polyflat.intlattice import integer_kernel, primitivize, solve_integer
 from polyflat.polynomial import Polynomial
 from polyflat.polytope import HalfSpace, Polytope, _drop_redundant, halfspace, product
 from polyflat.potential import SymplecticPotential, guillemin
@@ -40,16 +40,15 @@ def invert_unimodular(rows):
     n = len(rows)
     inv = []
     for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        col = solve_square(rows, e)
-        if col is None:
+        sol = solve_integer(rows, [int(i == j) for i in range(n)])
+        if sol is None:
             raise InvalidInputError("matrix is singular")
-        inv.append(col)
+        nums, den = sol
+        if any(v % den for v in nums):
+            raise InvalidInputError("matrix is not unimodular")
+        inv.append([v // den for v in nums])
     # columns of the solves are the columns of the inverse
-    out = [[inv[j][i] for j in range(n)] for i in range(n)]
-    if any(v.denominator != 1 for row in out for v in row):
-        raise InvalidInputError("matrix is not unimodular")
-    return [[int(v) for v in row] for row in out]
+    return [[inv[j][i] for j in range(n)] for i in range(n)]
 
 
 def random_unimodular(rng, n):
@@ -164,5 +163,5 @@ def pulled_back(chart):
             continue
         coeffs = tuple(sum(c * v for c, v in zip(col, hs.normal)) for col in chart.basis)
         if any(coeffs):
-            out.append((coeffs, hs.value(chart.origin)))
+            out.append((coeffs, hs.offset + sum(x * v for x, v in zip(chart.origin, hs.normal))))
     return out

@@ -261,6 +261,26 @@ def test_project_to_face_golden(tri_setup):
     )
 
 
+def test_project_to_face_starts_outside_rows_at_the_chart_origin():
+    # trapezoid y >= 0, y <= 1, x >= 0, x + y <= 3; the Euclidean projection
+    # (2.8, 1) of xi2 onto the line y = 1 lies past the end (2, 1) of facet 2
+    P = Polytope(
+        dim=2,
+        halfspaces=(
+            halfspace((0, 1), 0),
+            halfspace((0, -1), 1),
+            halfspace((1, 0), 0),
+            halfspace((-1, -1), 3),
+        ),
+    )
+    chart = face_chart(P, (2,))
+    foot = project_to_face(guillemin(P), chart, (2.8, 0.1))
+    # the first-order condition log(x / (2 - x)) = log(2.8 / 0.1) gives x = 56/29
+    np.testing.assert_allclose(foot.ambient, [56 / 29, 1.0], rtol=0, atol=1e-12)
+    # the start is the chart origin, not a point found from the face's vertices
+    assert "vertex_list" not in chart.face_polytope.__dict__
+
+
 def test_project_to_face_error_names_status_and_iterations(triangle):
     # on the face x1 = 0 the restriction of x1 log x1 + x1 x2 is 0, whose Hessian
     # is singular, while the target x1 = 0.3 of the pulled-back gradient is not

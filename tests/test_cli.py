@@ -257,6 +257,58 @@ def test_off_face_point_exits_2_with_its_error(tri_input, tmp_path, capsys, comm
     assert capsys.readouterr().err == f"error: {alone.value}\n"
 
 
+def small_scenario(**changes):
+    """The bundled triangle scenario with few samples and no product check, changed."""
+    sc = json.loads((SCENARIOS / "triangle.json").read_text())
+    sc["samples"] = {"continuity_pairs": 1, "boundary_feet": 2, "interior_triples": 5}
+    sc["product_check"] = False
+    sc.update(changes)
+    return sc
+
+
+DUAL_SPEC = {"kind": "dual", "start": [0.2, 0.2], "direction": [1.0, 0.0]}
+TRIPLE = {"kind": "boundary_foot", "face": [3], "eta": [0.3, 0.7], "xi": [0.25, 0.25]}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("divergence", {"pairs": {}}),
+        ("boundary", {"pairs": {}}),
+        ("divergence", [1, 2]),
+        ("geodesic", {**DUAL_SPEC, "t_grid": 1.0}),
+        ("geodesic", {**DUAL_SPEC, "start": 0.2}),
+        ("pythagoras", {**TRIPLE, "face": 3}),
+        ("verify-all", [5]),
+        ("verify-all", []),
+        ("verify-all", small_scenario(faces=3)),
+        ("verify-all", small_scenario(tolerances={"legendre_roundtrip": "x"})),
+        ("verify-all", small_scenario(samples={"legendre_points": 2.5})),
+        ("verify-all", small_scenario(samples={"legendre_points": "x"})),
+        ("verify-all", small_scenario(samples={"boundary_feet": True})),
+        ("verify-all", small_scenario(samples={"continuity_pairs": -1})),
+        ("verify-all", small_scenario(samples={"continuity_pairs": 0})),
+    ],
+    ids=[
+        "divergence-pairs-dict", "boundary-pairs-dict", "points-list", "t-grid-number",
+        "start-number", "face-number", "scenario-number", "scenario-list-empty",
+        "faces-number", "tolerance-string", "samples-float", "samples-string",
+        "samples-bool", "samples-negative", "samples-zero",
+    ],
+)
+def test_hostile_input_exits_2(tri_input, tmp_path, capsys, command, payload):
+    path = write(tmp_path, "in.json", payload)
+    if command == "verify-all":
+        argv = [command, path]
+    else:
+        flag = {"divergence": "--points", "boundary": "--points", "geodesic": "--spec"}
+        argv = [command, tri_input, flag.get(command, "--triple"), path]
+        if command == "boundary":
+            argv += ["--face", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_pythagoras_command(tri_input, tmp_path, capsys):
     triple = write(
         tmp_path,

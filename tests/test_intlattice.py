@@ -22,10 +22,11 @@ def test_primitivize():
         intlattice.primitivize((0, 0))
 
 
-def test_solve_square_exact():
-    x = intlattice.solve_square([[2, 1], [1, 3]], [Fraction(1), Fraction(0)])
+def test_solve_integer_exact():
+    assert intlattice.solve_integer([[2, 1], [1, 3]], [1, 0]) == ((3, -1), 5)
+    assert intlattice.solve_integer([[1, 2], [2, 4]], [1, 2]) is None
+    x = intlattice.solve_particular([[2, 1], [1, 3]], [Fraction(1), Fraction(0)])
     assert x == (Fraction(3, 5), Fraction(-1, 5))
-    assert intlattice.solve_square([[1, 2], [2, 4]], [1, 2]) is None
 
 
 def test_solve_particular_underdetermined():
@@ -142,16 +143,16 @@ def test_rational_elimination_matches_sympy(system):
     square, b = [row[:k] for row in rows[:k]], rhs[:k]
     det = intlattice.determinant(square)
     assert isinstance(det, Fraction) and det == qq_matrix(square).det()
-    x = intlattice.solve_square(square, b)
+    scaled = [intlattice.common_denominator(row + [v])[0] for row, v in zip(square, b)]
+    sol = intlattice.solve_integer([row[:k] for row in scaled], [row[k] for row in scaled])
     if det == 0:
-        assert x is None
+        assert sol is None
     else:
-        assert x == sympy_particular(square, b)
-        assert all(isinstance(v, Fraction) for v in x)
-        scaled = [intlattice.common_denominator(row + [v])[0] for row, v in zip(square, b)]
-        nums, den = intlattice.solve_integer([row[:k] for row in scaled], [row[k] for row in scaled])
+        nums, den = sol
         assert den == abs(Matrix([row[:k] for row in scaled]).det())
-        assert tuple(Fraction(v, den) for v in nums) == x
+        x = tuple(Fraction(v, den) for v in nums)
+        assert x == sympy_particular(square, b)
+        assert intlattice.solve_particular(square, b) == x
 
 
 @settings(max_examples=200, deadline=None)
@@ -162,7 +163,7 @@ def test_cone_rays_match_reference(matrix):
 
 
 def test_singular_and_inconsistent_systems():
-    assert intlattice.solve_square([[Fraction(1, 2), 1], [1, 2]], [1, 0]) is None
+    assert intlattice.solve_particular([[Fraction(1, 2), 1], [1, 2]], [1, 0]) is None
     assert intlattice.solve_integer([[1, 2], [2, 4]], [1, 2]) is None
     assert intlattice.solve_particular([[Fraction(1, 3), 1], [1, 3]], [0, 1]) is None
     assert intlattice.solve_particular([[Fraction(1, 3), 1], [1, 3]], [1, 3]) == (Fraction(3), Fraction(0))

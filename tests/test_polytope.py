@@ -396,6 +396,20 @@ def test_face_polytopes_of_a_non_simple_polytope():
     assert face_chart(P, (6,)).face_polytope.n_facets == 5  # the pyramid itself
 
 
+def test_vanishing_holds_a_facet_that_is_not_active():
+    # the unit cube cut by x1 + x2 >= 0, which touches it only along the edge x1 = x2 = 0
+    normals = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0)]
+    offsets = [0, 1, 0, 1, 0, 1, 0]
+    P = Polytope(dim=3, halfspaces=tuple(halfspace(v, c) for v, c in zip(normals, offsets)))
+    chart = face_chart(P, (1, 3))
+    assert chart.vanishing == {1, 3, 7}
+    assert chart.vanishing_mask.tolist() == [True, False, True, False, False, False, True]
+    # the edge, as the unit interval about the chart origin (0, 0, 1/2)
+    F = chart.face_polytope
+    assert [v.coords for v in vertices(F)] == [(Fraction(-1, 2),), (Fraction(1, 2),)]
+    assert F.n_facets == 2
+
+
 def test_reduced_polytope_of_unbounded_and_degenerate_systems():
     cases = [
         ([((1, 0), 0), ((0, 1), 0), ((1, 1), 1)], 2),  # quadrant plus a redundant cut

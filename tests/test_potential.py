@@ -293,6 +293,22 @@ def test_restrict_potential_rejects_negative_terms(triangle):
         restrict_potential(bad, chart)
 
 
+def test_restrict_potential_names_the_term_at_fault(triangle):
+    # term 1 (x1) vanishes on facet 1 and is dropped; term 4 (x2 - 1/2) is
+    # negative at the face's vertex (0, 0)
+    terms = guillemin(triangle, 1.0).log_terms + (AffineLogTerm(normal=(0.0, 1.0), offset=-0.5),)
+    bad = SymplecticPotential(dim=2, scale=1.0, log_terms=terms)
+    with pytest.raises(DomainError, match="^log term 4 is negative at a vertex of the face$"):
+        restrict_potential(bad, face_chart(triangle, [1]))
+
+
+def test_restrict_potential_tests_terms_at_the_ambient_vertices(triangle):
+    # the pulled-back terms are tested at the face's own vertices, which needs no chart projection
+    chart = face_chart(triangle, [3])
+    restrict_potential(guillemin(triangle), chart)
+    assert "left_inverse" not in chart.__dict__
+
+
 def test_restrict_potential_is_memoized_per_chart(triangle):
     phi = guillemin(triangle, 1.0)
     chart = face_chart(triangle, [3])
