@@ -45,7 +45,7 @@ from .dually_flat import (
 from .errors import DomainError, InvalidInputError, PolyflatError
 from .mixture import from_mixture, to_mixture, zero_sum_check
 from .polytope import face_chart, validate_delzant
-from .verify import run_scenario
+from .verify import merge_tolerances, run_scenario
 
 
 def _add_common(parser):
@@ -257,7 +257,7 @@ def cmd_pythagoras(args):
     triple = _load_json(args.triple)
     chart = face_chart(P, triple["face"])
     kind = triple.get("kind", "boundary_foot")
-    tols = _parse_tols(args.tol)
+    tols = merge_tolerances(_parse_tols(args.tol))
     if kind == "boundary_foot":
         given = [triple["eta"]]
         if triple.get("eta_prime") is not None:
@@ -266,14 +266,13 @@ def cmd_pythagoras(args):
         xi2 = np.asarray(triple["xi"], dtype=float)
         foot = points[1] if len(points) > 1 else project_to_face(phi, chart, xi2)
         report = pythagoras_boundary_foot(
-            phi, chart, points[0], foot, xi2, tolerance=tols.get("boundary_foot", 1e-8)
+            phi, chart, points[0], foot, xi2, tolerance=tols["boundary_foot"]
         )
         extra = {"eta_prime": foot.ambient.tolist()}
     elif kind == "interior_foot":
         eta = boundary_point(chart, ambient=triple["eta"])
         report = pythagoras_interior_foot(
-            phi, chart, eta, triple["xi"], triple["xi_prime"],
-            tolerance=tols.get("interior_identity", 1e-9),
+            phi, chart, eta, triple["xi"], triple["xi_prime"], tolerance=tols["interior_identity"]
         )
         extra = {}
     else:

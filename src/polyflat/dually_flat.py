@@ -42,15 +42,11 @@ class DualPair:
 
     @cached_property
     def x_array(self):
-        a = np.array(self.x)
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(np.array(self.x))
 
     @cached_property
     def y_array(self):
-        a = np.array(self.y)
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(np.array(self.y))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ class InvalidInputError(PolyflatError):
 
 
 class InconsistencyError(PolyflatError):
-    """Stored metadata contradicts the data (e.g. a bounded flag on an unbounded region)."""
+    """The data contradicts a property it must have (e.g. a bounded region without vertices)."""
 
 
 class EmptyFaceError(PolyflatError):

@@ -32,15 +32,19 @@ def _dim(value) -> int:
 
 
 def parse_polytope(data) -> Polytope:
+    """A polytope from its schema; an optional "bounded" must agree with the half-spaces."""
     try:
         dim = _dim(data["dim"])
-        bounded = data.get("bounded", True)
-        if not isinstance(bounded, bool):
-            raise InvalidInputError(f"bounded {bounded!r} is not a boolean")
+        claimed = data.get("bounded")
+        if "bounded" in data and not isinstance(claimed, bool):
+            raise InvalidInputError(f"bounded {claimed!r} is not a boolean")
         halfspaces = tuple(halfspace(hs["normal"], hs["offset"]) for hs in data["halfspaces"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed polytope: {exc}") from exc
-    return Polytope(dim=dim, halfspaces=halfspaces, bounded=bounded)
+    P = Polytope(dim=dim, halfspaces=halfspaces)
+    if claimed not in (None, P.bounded):
+        raise InvalidInputError(f"bounded is {json.dumps(claimed)}, contrary to the half-spaces")
+    return P
 
 
 def polytope_to_dict(P: Polytope) -> dict:

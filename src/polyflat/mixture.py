@@ -55,15 +55,11 @@ class MixtureFamily:
 
     @cached_property
     def _alpha_array(self):
-        a = np.array([[float(v) for v in row] for row in self.alphas])
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(np.array([[float(v) for v in row] for row in self.alphas]))
 
     @cached_property
     def _beta_array(self):
-        a = np.array([float(b) for b in self.betas])
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(np.array([float(b) for b in self.betas]))
 
     def probabilities(self, xi):
         """Weights p(r | xi): (N,) at a point, (m, N) for a batch (m, n)."""
@@ -121,7 +117,11 @@ def kl(theta: MixtureFamily, xi, xi2):
 class TorificationReport:
     polytope: Polytope
     delzant: DelzantReport
-    bounded: bool
+
+    @property
+    def bounded(self):
+        """Whether the closure of the family is bounded: the polytope's ``bounded``."""
+        return self.polytope.bounded
 
     @property
     def torifiable(self):
@@ -165,4 +165,4 @@ def from_mixture(theta: MixtureFamily) -> TorificationReport:
     if not constraints:
         raise DegenerateError("mixture family has no defining constraints")
     P = reduced_polytope(constraints, theta.dim)
-    return TorificationReport(polytope=P, delzant=validate_delzant(P), bounded=P.bounded)
+    return TorificationReport(polytope=P, delzant=validate_delzant(P))

@@ -71,23 +71,20 @@ class Vertex:
 
     @cached_property
     def array(self):
-        a = np.array([float(c) for c in self.coords])
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(np.array([float(c) for c in self.coords]))
 
 
 @dataclass(frozen=True)
 class Polytope:
     """Intersection of half-spaces; immutable after construction.
 
-    ``bounded`` is a stored claim; it is verified lazily by ``vertices`` for
-    bounded polytopes.  dim == 0 represents a single point (no half-spaces),
-    which arises as a product factor.
+    The half-spaces fix everything else, boundedness included: ``bounded`` is
+    computed exactly on first use.  dim == 0 represents a single point (no
+    half-spaces), which arises as a product factor.
     """
 
     dim: int
     halfspaces: tuple[HalfSpace, ...]
-    bounded: bool = True
 
     def __post_init__(self):
         if self.dim < 0:
@@ -113,15 +110,11 @@ class Polytope:
     @cached_property
     def normal_matrix(self):
         a = np.array([hs.normal for hs in self.halfspaces], dtype=float)
-        a = a.reshape(self.n_facets, self.dim)
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(a.reshape(self.n_facets, self.dim))
 
     @cached_property
     def offset_array(self):
-        a = np.array([float(hs.offset) for hs in self.halfspaces])
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(np.array([float(hs.offset) for hs in self.halfspaces]))
 
     def facet_values(self, point):
         """Float facet values l_r in input order: (N,) at a point, (m, N) for a batch (m, n)."""
@@ -129,6 +122,11 @@ class Polytope:
         if point.ndim not in (1, 2) or point.shape[-1] != self.dim:
             raise InvalidInputError(f"point of shape {point.shape} in dimension {self.dim}")
         return rowwise.times(point, self.normal_matrix.T) + self.offset_array
+
+    @cached_property
+    def bounded(self):
+        """Whether the region is bounded: ``is_bounded``, computed once."""
+        return is_bounded(self)
 
     @cached_property
     def vertex_list(self):
@@ -179,18 +177,18 @@ def flat_exit_time(P: Polytope, start, direction) -> float:
 
 
 def is_bounded(P: Polytope) -> bool:
-    """Exact boundedness of the feasible region (ignores the stored flag)."""
+    """Exact boundedness of the feasible region: its recession cone is {0}."""
     return not intlattice.cone_rays([hs.normal for hs in P.halfspaces], P.dim)
 
 
 def _enumerate_vertices(P: Polytope):
     if P.dim == 0:
         return (Vertex(coords=(), active=()),)
-    if P.bounded and not is_bounded(P):
-        raise InconsistencyError("polytope marked bounded but has a recession direction")
     found = _subset_vertices(
         [hs.normal for hs in P.halfspaces], [hs.offset for hs in P.halfspaces], P.dim
     )
+    # boundedness is read here, so that the faces and the Delzant report that
+    # read these vertices next find it computed
     if P.bounded and not found:
         raise InconsistencyError("bounded polytope without vertices (empty or degenerate)")
     verts = (Vertex(coords=point, active=tuple(i + 1 for i in tight)) for tight, point in found.items())
@@ -318,20 +316,20 @@ class FaceChart:
     face_active: tuple[int, ...]  # sorted, 1-based
     origin: tuple[Fraction, ...]
     basis: tuple[tuple[int, ...], ...]  # k columns, each of length n
-    dim_face: int
+
+    @property
+    def dim_face(self):
+        """Dimension k of the face: the number of basis columns."""
+        return len(self.basis)
 
     @cached_property
     def basis_array(self):
         a = np.array([[float(col[i]) for col in self.basis] for i in range(self.polytope.dim)])
-        a = a.reshape(self.polytope.dim, self.dim_face)
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(a.reshape(self.polytope.dim, self.dim_face))
 
     @cached_property
     def origin_array(self):
-        a = np.array([float(c) for c in self.origin])
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(np.array([float(c) for c in self.origin]))
 
     @cached_property
     def vanishing(self):
@@ -341,11 +339,8 @@ class FaceChart:
     @cached_property
     def vanishing_mask(self):
         """``vanishing`` as a read-only (N,) bool array over the polytope's facets."""
-        a = np.array(
-            [r in self.vanishing for r in range(1, self.polytope.n_facets + 1)], dtype=bool
-        )
-        a.flags.writeable = False
-        return a
+        a = [r in self.vanishing for r in range(1, self.polytope.n_facets + 1)]
+        return rowwise.read_only(np.array(a, dtype=bool))
 
     @cached_property
     def restrictions(self):
@@ -375,9 +370,7 @@ class FaceChart:
     @cached_property
     def vertex_chart_array(self):
         """``vertices`` as rows of a read-only float array (chart coordinates)."""
-        a = self.to_chart(self.vertex_array)
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(self.to_chart(self.vertex_array))
 
     @cached_property
     def left_inverse(self):
@@ -386,9 +379,7 @@ class FaceChart:
         It maps x to the least-squares chart coordinates of x - origin, which
         are exact for points of the face.
         """
-        a = np.linalg.pinv(self.basis_array)
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(np.linalg.pinv(self.basis_array))
 
     @cached_property
     def face_polytope(self):
@@ -410,7 +401,7 @@ class FaceChart:
             tight = [{of[r] for r in v.active if r in of} for v in self.vertices]
             kept = _facets_from_incidence(merged, [v.coords for v in self.vertices], tight, k)
             if kept is not None:
-                return _irredundant_polytope(kept, k, True)
+                return _proven_bounded(_irredundant_polytope(kept, k))
         return reduced_polytope(pulled, k)
 
     def to_ambient(self, u):
@@ -450,16 +441,13 @@ def _build_chart(P, active):
     rows = [P.halfspaces[r - 1].normal for r in active]
     if intlattice.rank(rows) != len(rows):
         raise EmptyFaceError("active facet normals are linearly dependent")
-    k = P.dim - len(active)
-    basis = intlattice.integer_kernel(rows, P.dim)  # k columns, as the rows are independent
+    basis = intlattice.integer_kernel(rows, P.dim)  # n - len(rows) columns: rows independent
     origin = _face_origin(P, active, basis)
-    return FaceChart(polytope=P, face_active=active, origin=origin, basis=tuple(basis), dim_face=k)
+    return FaceChart(polytope=P, face_active=active, origin=origin, basis=tuple(basis))
 
 
 def _vertex_array(verts, dim):
-    a = np.array([v.array for v in verts]).reshape(len(verts), dim)
-    a.flags.writeable = False
-    return a
+    return rowwise.read_only(np.array([v.array for v in verts]).reshape(len(verts), dim))
 
 
 def _face_vertices(P, active):
@@ -503,8 +491,7 @@ def _face_origin(P, active, basis):
     if not active:
         return P.interior_point
     face_vertices = _face_vertices(P, active)
-    if P.bounded and face_vertices:
-        # vertices(P) has verified P.bounded, and every face of a bounded P is bounded
+    if P.bounded and face_vertices:  # every face of a bounded P is bounded
         return _mean(face_vertices, P.dim)
     part = intlattice.solve_particular(
         [P.halfspaces[r - 1].normal for r in active],
@@ -515,8 +502,7 @@ def _face_origin(P, active, basis):
     # used both for the bounded test and Fourier-Motzkin
     pulled, _, _ = _pulled_back(P, _chart_normals(P, basis), part)
     k = len(basis)
-    face_bounded = P.bounded or not k or not intlattice.cone_rays([c for c, _ in pulled], k)
-    if face_bounded and face_vertices:
+    if face_vertices and (not k or not intlattice.cone_rays([c for c, _ in pulled], k)):
         return _mean(face_vertices, P.dim)
     u = intlattice.strict_interior_point(pulled, k)
     if u is None:
@@ -624,9 +610,15 @@ def _facets_from_incidence(constraints, points, tight, k):
     return [c for c, is_facet in zip(constraints, facet) if is_facet]
 
 
-def _irredundant_polytope(kept, dim, bounded):
+def _irredundant_polytope(kept, dim):
     halfspaces = tuple(HalfSpace(normal=prim, offset=off) for prim, off in kept)
-    return Polytope(dim=dim, halfspaces=halfspaces, bounded=bounded)
+    return Polytope(dim=dim, halfspaces=halfspaces)
+
+
+def _proven_bounded(P):
+    """P, with the boundedness its builder has proven filled into its ``bounded`` slot."""
+    P.__dict__["bounded"] = True
+    return P
 
 
 def reduced_polytope(constraints, dim) -> Polytope:
@@ -645,7 +637,7 @@ def reduced_polytope(constraints, dim) -> Polytope:
         found = _subset_vertices(normals, [off for _, off in merged], dim)
         kept = _facets_from_incidence(merged, list(found.values()), list(found), dim)
         if kept is not None:
-            P = _irredundant_polytope(kept, dim, True)
+            P = _proven_bounded(_irredundant_polytope(kept, dim))
             # dropping a redundant constraint moves no vertex, so these are P's
             # vertices, filled into its vertex_list slot; kept is in merged
             # order, so the 1-based positions stay sorted
@@ -657,9 +649,7 @@ def reduced_polytope(constraints, dim) -> Polytope:
                 verts.append(Vertex(coords=point, active=active))
             P.__dict__["vertex_list"] = tuple(sorted(verts, key=lambda v: v.coords))
             return P
-    kept = _drop_redundant(merged, dim)
-    bounded = not intlattice.cone_rays([prim for prim, _ in kept], dim) if dim else True
-    return _irredundant_polytope(kept, dim, bounded)
+    return _irredundant_polytope(_drop_redundant(merged, dim), dim)
 
 
 def restrict_polytope(P: Polytope, chart: FaceChart) -> Polytope:
@@ -675,4 +665,4 @@ def product(P1: Polytope, P2: Polytope) -> Polytope:
     halfspaces = [
         HalfSpace(normal=hs.normal + (0,) * n2, offset=hs.offset) for hs in P1.halfspaces
     ] + [HalfSpace(normal=(0,) * n1 + hs.normal, offset=hs.offset) for hs in P2.halfspaces]
-    return Polytope(dim=n1 + n2, halfspaces=tuple(halfspaces), bounded=P1.bounded and P2.bounded)
+    return Polytope(dim=n1 + n2, halfspaces=tuple(halfspaces))

@@ -61,21 +61,15 @@ class SymplecticPotential:
     @cached_property
     def _normals(self):
         a = np.array([t.normal for t in self.log_terms], dtype=float)
-        a = a.reshape(len(self.log_terms), self.dim)
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(a.reshape(len(self.log_terms), self.dim))
 
     @cached_property
     def _offsets(self):
-        a = np.array([t.offset for t in self.log_terms])
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(np.array([t.offset for t in self.log_terms]))
 
     @cached_property
     def _weights(self):
-        a = np.array([t.weight for t in self.log_terms])
-        a.flags.writeable = False
-        return a
+        return rowwise.read_only(np.array([t.weight for t in self.log_terms]))
 
     def _points(self, xi):
         """xi as a float array of shape (n,) or (m, n)."""

@@ -4,7 +4,8 @@ numpy's product of an (m, k) batch with a matrix may round differently from
 the product of one of its rows, because BLAS picks other kernels for
 matrices.  Multiplying the rows as a stack of (1, k) matrices keeps each row
 its own product, so a batched evaluation gives every row the same floats as
-the evaluation at that point alone.
+the evaluation at that point alone.  Arrays cached on immutable objects are
+marked read-only by ``read_only``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ def times(x, M):
         return x @ M
     out = x[:, None, :] @ M
     return out[:, 0, :] if M.ndim == 2 else out[:, 0]
+
+
+def read_only(a):
+    """The array a, marked read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def dot(a, b):

@@ -9,6 +9,7 @@ a pure function of (scenario, seed, tolerances).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,24 @@ DEFAULT_TOLERANCES = {
     "product_additivity": 1e-10,
     "product_pythagoras": 1e-9,
 }
+
+
+def merge_tolerances(overrides=None) -> dict:
+    """DEFAULT_TOLERANCES with overrides by name, each a finite number >= 0.
+
+    Any other override would skip or weaken a check in silence, so it raises
+    InvalidInputError: an unknown name, a bool, a non-number, nan, inf or < 0.
+    """
+    tol = dict(DEFAULT_TOLERANCES)
+    for name, value in (overrides or {}).items():
+        if name not in tol:
+            raise InvalidInputError(f"tolerance {name!r} is unknown; known: {', '.join(tol)}")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 <= value < math.inf):
+            raise InvalidInputError(f"tolerance {name!r} must be a finite number >= 0: {value!r}")
+        tol[name] = value
+    return tol
+
 
 DEFAULT_SAMPLES = {
     "legendre_points": 25,
@@ -80,8 +99,7 @@ def run_scenario(
     negative_control: bool = False,
 ):
     """Run all verification sweeps; returns (results, all_passed)."""
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
+    tol = merge_tolerances(tolerances)
     counts = dict(DEFAULT_SAMPLES)
     counts.update(samples or {})
     for name, count in counts.items():
@@ -130,9 +148,7 @@ def run_scenario(
         )
 
     if faces is None:
-        faces = [
-            (r,) for r in range(1, P.n_facets + 1) if P.dim - 1 >= 1
-        ]
+        faces = [(r,) for r in range(1, P.n_facets + 1)] if P.dim > 1 else []
     for active in faces:
         active = tuple(active)
         chart = face_chart(P, active)

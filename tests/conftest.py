@@ -63,7 +63,7 @@ def scaled_triangle():
 
 @pytest.fixture
 def half_line():
-    return Polytope(dim=1, halfspaces=(halfspace((1,), 0),), bounded=False)
+    return Polytope(dim=1, halfspaces=(halfspace((1,), 0),))
 
 
 @pytest.fixture

@@ -84,7 +84,7 @@ def transform_polytope(P, M, t):
         )
         offset = hs.offset - sum(Fraction(nu[k]) * Fraction(t[k]) for k in range(n))
         halfspaces.append(HalfSpace(normal=nu, offset=offset))
-    return Polytope(dim=n, halfspaces=tuple(halfspaces), bounded=P.bounded)
+    return Polytope(dim=n, halfspaces=tuple(halfspaces))
 
 
 def simplex(d):
@@ -142,7 +142,8 @@ def reference_cone_rays(normals, n):
 
 
 def reference_reduced_polytope(constraints, dim):
-    """reduced_polytope with every constraint tested against the others (no incidences)."""
+    """(half-spaces, bounded) of reduced_polytope, with every constraint tested against
+    the others (no incidences) and boundedness from ``reference_cone_rays``."""
     tightest = {}
     for coeffs, off in constraints:
         prim, g = primitivize(coeffs)
@@ -152,7 +153,7 @@ def reference_reduced_polytope(constraints, dim):
     kept = _drop_redundant(sorted(tightest.items()), dim)
     halfspaces = tuple(HalfSpace(normal=prim, offset=off) for prim, off in kept)
     bounded = not reference_cone_rays([hs.normal for hs in halfspaces], dim) if dim else True
-    return Polytope(dim=dim, halfspaces=halfspaces, bounded=bounded)
+    return halfspaces, bounded
 
 
 def pulled_back(chart):

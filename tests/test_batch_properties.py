@@ -85,7 +85,7 @@ def test_divergence_batches_equal_rows(case, m):
 def test_newton_batches_equal_rows(case, m):
     base, rng = case
     # the half-line factor makes a strongly negative last target unreachable
-    ray = Polytope(dim=1, halfspaces=(halfspace((1,), 0),), bounded=False)
+    ray = Polytope(dim=1, halfspaces=(halfspace((1,), 0),))
     P = product(base, ray)
     phi = guillemin(P, 1.0)
     x = np.column_stack([interior(base, rng, m), rng.uniform(0.2, 3.0, size=m)])

@@ -25,6 +25,7 @@ from polyflat.errors import DomainError, FaceBoundaryError
 from polyflat.polynomial import Polynomial
 from polyflat.polytope import FaceChart, Polytope, face_chart, halfspace, product
 from polyflat.potential import AffineLogTerm, SymplecticPotential, guillemin
+from polyflat.verify import DEFAULT_TOLERANCES
 
 
 @pytest.fixture
@@ -105,7 +106,6 @@ def test_boundary_divergence_chart_invariance(tri_setup, square, rng):
         face_active=(3,),
         origin=(Fraction(1, 4), Fraction(3, 4)),
         basis=((-1, 1),),
-        dim_face=1,
     )
     for _ in range(20):
         a = random_face_point(chart, rng)
@@ -485,14 +485,47 @@ def test_boundary_ops_with_polynomial_correction(triangle, rng):
     assert continuity_check(phi, chart, eta, eta2).passed
 
 
+def test_random_face_point_evaluates_each_drawn_row_once(triangle, monkeypatch):
+    chart = face_chart(triangle, (3,))
+    chart.vertex_chart_array, chart.vanishing_mask  # built before counting
+    rng = np.random.default_rng(5)
+    drawn = evaluated = 0
+
+    class Counting:
+        def dirichlet(self, alpha, size):
+            nonlocal drawn
+            drawn += size
+            return rng.dirichlet(alpha, size=size)
+
+    facet_values = Polytope.facet_values
+
+    def counted(self, point):
+        nonlocal evaluated
+        evaluated += len(np.atleast_2d(point))
+        return facet_values(self, point)
+
+    monkeypatch.setattr(Polytope, "facet_values", counted)
+    # at margin 0.2 about two rows in five are redrawn
+    points = random_face_point(chart, Counting(), margin=0.2, size=40)
+    assert evaluated == drawn > 40
+    monkeypatch.undo()
+    again = boundary_point(chart, chart_coords=points.chart_coords)
+    np.testing.assert_array_equal(again.ambient, points.ambient)
+    assert np.all(points.ambient.min(axis=1) > 0.2)
+
+
 def test_product_boundary_check_triangle(triangle):
     report = product_boundary_check(triangle, scale=1.0, samples=100, seed=11)
-    assert report.passed
     assert report.additivity_max <= 1e-10
     assert report.side_face_max <= 1e-9
     assert report.bottom_face_max <= 1e-9
+    # the report holds maxima only; run_scenario judges them against DEFAULT_TOLERANCES
+    with pytest.raises(TypeError):
+        product_boundary_check(triangle, samples=2, tolerance_additivity=1.0)
 
 
 def test_product_boundary_check_square(square):
     report = product_boundary_check(square, scale=0.5, samples=100, seed=12)
-    assert report.passed
+    assert report.additivity_max <= DEFAULT_TOLERANCES["product_additivity"]
+    pythagoras_max = max(report.side_face_max, report.bottom_face_max)
+    assert pythagoras_max <= DEFAULT_TOLERANCES["product_pythagoras"]

@@ -283,6 +283,9 @@ TRIPLE = {"kind": "boundary_foot", "face": [3], "eta": [0.3, 0.7], "xi": [0.25, 
         ("verify-all", []),
         ("verify-all", small_scenario(faces=3)),
         ("verify-all", small_scenario(tolerances={"legendre_roundtrip": "x"})),
+        ("verify-all", small_scenario(tolerances={"kl_relation": True})),
+        ("verify-all", small_scenario(tolerances={"kl_relation": -1e-12})),
+        ("verify-all", small_scenario(tolerances={"kl_relaton": 1e-12})),
         ("verify-all", small_scenario(samples={"legendre_points": 2.5})),
         ("verify-all", small_scenario(samples={"legendre_points": "x"})),
         ("verify-all", small_scenario(samples={"boundary_feet": True})),
@@ -292,7 +295,8 @@ TRIPLE = {"kind": "boundary_foot", "face": [3], "eta": [0.3, 0.7], "xi": [0.25, 
     ids=[
         "divergence-pairs-dict", "boundary-pairs-dict", "points-list", "t-grid-number",
         "start-number", "face-number", "scenario-number", "scenario-list-empty",
-        "faces-number", "tolerance-string", "samples-float", "samples-string",
+        "faces-number", "tolerance-string", "tolerance-bool", "tolerance-negative",
+        "tolerance-unknown", "samples-float", "samples-string",
         "samples-bool", "samples-negative", "samples-zero",
     ],
 )
@@ -395,6 +399,52 @@ def test_verify_all_tolerance_override(capsys):
         == 1
     )
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "scenario, tol",
+    [
+        ("triangle_negative_control", "boundary_foot=inf"),
+        ("triangle", "continuity_gap=nan"),
+        ("triangle", "contnuity_gap=1e-300"),
+        ("triangle", "continuity_gap=-1"),
+    ],
+)
+def test_verify_all_rejects_bad_tolerances(capsys, scenario, tol):
+    # a tolerance that is unknown, not finite or negative would weaken or skip checks
+    assert main(["verify-all", str(SCENARIOS / f"{scenario}.json"), "--tol", tol]) == 2
+    name = tol.split("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: tolerance {name!r}")
+
+
+def test_pythagoras_tolerances_are_checked(tri_input, tmp_path, capsys):
+    triple = write(tmp_path, "triple.json", TRIPLE)
+    argv = ["pythagoras", tri_input, "--triple", triple, "--tol"]
+    assert main([*argv, "boundary_foot=0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 0.5
+    for tol in ("boundary_fot=1", "boundary_foot=nan", "interior_identity=-1"):
+        assert main([*argv, tol]) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance")
+
+
+HALF_LINE = {"dim": 1, "halfspaces": [{"normal": [1], "offset": 0}]}
+
+
+def test_bounded_key_must_agree_with_the_region(tmp_path, capsys):
+    # the half-spaces decide boundedness; a file that claims otherwise is malformed
+    for payload in (dict(TRIANGLE, bounded=False), dict(HALF_LINE, bounded=True)):
+        assert main(["validate", write(tmp_path, "bad.json", payload)]) == 2
+        assert "bounded" in capsys.readouterr().err
+    scenario = json.loads((SCENARIOS / "triangle.json").read_text())
+    scenario["polytope"]["bounded"] = False
+    assert main(["verify-all", write(tmp_path, "scenario.json", scenario)]) == 2
+    assert "bounded" in capsys.readouterr().err
+
+
+def test_validate_half_line_without_bounded_key(tmp_path, capsys):
+    assert main(["validate", write(tmp_path, "ray.json", HALF_LINE)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["delzant"]["partial"] and out["delzant"]["valid"]
 
 
 def test_main_keeps_no_argument_state_between_calls(tmp_path):

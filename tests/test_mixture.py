@@ -24,7 +24,7 @@ def test_zero_sum_check(triangle, square, trapezoid, scaled_triangle):
 def test_zero_sum_invariance(triangle, trapezoid, rng):
     for P in (triangle, trapezoid):
         base = zero_sum_check(P)
-        perm = Polytope(dim=P.dim, halfspaces=P.halfspaces[::-1], bounded=P.bounded)
+        perm = Polytope(dim=P.dim, halfspaces=P.halfspaces[::-1])
         assert zero_sum_check(perm) == base
         for _ in range(5):
             M = random_unimodular(rng, P.dim)
@@ -184,7 +184,7 @@ def test_from_mixture_enumerates_vertices_once(monkeypatch):
     assert report.torifiable
     assert calls == {"cone_rays": 1, "_feasible_solutions": 1}
     P = report.polytope
-    assert vertices(P) == vertices(Polytope(dim=P.dim, halfspaces=P.halfspaces, bounded=P.bounded))
+    assert vertices(P) == vertices(Polytope(dim=P.dim, halfspaces=P.halfspaces))
 
 
 def test_from_mixture_non_unimodular():

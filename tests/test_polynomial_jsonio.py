@@ -120,14 +120,19 @@ def test_polytope_schema_rejects_non_boolean_bounded(triangle, bounded):
         jsonio.parse_polytope(data)
 
 
-def test_polytope_schema_keeps_integral_dim_and_boolean_bounded(triangle):
+def test_polytope_schema_keeps_integral_dim_and_boolean_bounded(triangle, half_line):
     data = jsonio.polytope_to_dict(triangle)
     data["dim"] = 2.0
     assert jsonio.parse_polytope(data) == triangle
     del data["bounded"]
     assert jsonio.parse_polytope(data).bounded is True
+    # the key is optional and checked: it must agree with the half-spaces
     data["bounded"] = False
-    assert jsonio.parse_polytope(data).bounded is False
+    with pytest.raises(InvalidInputError, match="bounded"):
+        jsonio.parse_polytope(data)
+    ray = jsonio.polytope_to_dict(half_line)
+    assert ray["bounded"] is False
+    assert jsonio.parse_polytope(ray) == half_line
 
 
 @pytest.mark.parametrize("dim", [2.5, True, "1.5"])

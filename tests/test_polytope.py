@@ -14,7 +14,7 @@ from helpers import (
     simplex,
     transform_polytope,
 )
-from polyflat import intlattice
+from polyflat import intlattice, jsonio
 from polyflat.errors import (
     EmptyFaceError,
     InconsistencyError,
@@ -124,9 +124,35 @@ def test_vertices_half_line(half_line):
 
 
 def test_vertices_inconsistent_bounded_flag():
-    P = Polytope(dim=1, halfspaces=(halfspace((1,), 0),), bounded=True)
+    # boundedness is computed, so a polytope that contradicts it cannot be
+    # built, and input that claims it is refused
+    with pytest.raises(TypeError):
+        Polytope(dim=1, halfspaces=(halfspace((1,), 0),), bounded=True)
+    data = {"dim": 1, "bounded": True, "halfspaces": [{"normal": [1], "offset": 0}]}
+    with pytest.raises(InvalidInputError, match="bounded"):
+        jsonio.parse_polytope(data)
+    # the normals bound an empty region: bounded, yet without vertices
+    empty = Polytope(dim=1, halfspaces=(halfspace((1,), -1), halfspace((-1,), 0)))
     with pytest.raises(InconsistencyError):
-        vertices(P)
+        vertices(empty)
+
+
+def test_polytopes_of_one_region_compare_equal(triangle, half_line):
+    # the half-spaces alone fix a polytope, boundedness included
+    prod = product(triangle, half_line)
+    again = Polytope(dim=prod.dim, halfspaces=prod.halfspaces)
+    assert prod == again and hash(prod) == hash(again)
+    assert not prod.bounded and not again.bounded
+    assert jsonio.parse_polytope({"dim": 1, "halfspaces": [{"normal": [1], "offset": 0}]}) == half_line
+
+
+def test_values_the_inputs_fix_are_not_arguments(triangle):
+    with pytest.raises(TypeError):
+        Polytope(dim=2, halfspaces=triangle.halfspaces, bounded=True)
+    chart = face_chart(triangle, (3,))
+    assert chart.dim_face == len(chart.basis) == 1
+    with pytest.raises(TypeError):
+        FaceChart(triangle, chart.face_active, chart.origin, chart.basis, dim_face=1)
 
 
 def test_validate_delzant_valid(triangle, square, simplex3, trapezoid):
@@ -163,7 +189,7 @@ def test_validate_delzant_partial_for_unbounded(half_line):
 def test_validate_invariant_under_permutation_and_unimodular(triangle, square, trapezoid, rng):
     for P in (triangle, square, trapezoid):
         base = validate_delzant(P)
-        perm = Polytope(dim=P.dim, halfspaces=P.halfspaces[::-1], bounded=P.bounded)
+        perm = Polytope(dim=P.dim, halfspaces=P.halfspaces[::-1])
         rep = validate_delzant(perm)
         assert (rep.simple, rep.rational, rep.smooth) == (base.simple, base.rational, base.smooth)
         for _ in range(3):
@@ -234,7 +260,6 @@ def test_restrict_polytope_paper_parametrization(triangle):
         face_active=(3,),
         origin=(Fraction(0), Fraction(1)),
         basis=((1, -1),),
-        dim_face=1,
     )
     interval = restrict_polytope(triangle, chart)
     assert {v.coords[0] for v in vertices(interval)} == {0, 1}
@@ -348,15 +373,15 @@ def _with_redundant_constraints(P, rng):
 def test_incidence_redundancy_matches_subset_tests(case):
     P, rng = case
     cons = _with_redundant_constraints(P, rng)
-    got, want = reduced_polytope(cons, P.dim), reference_reduced_polytope(cons, P.dim)
-    assert (got.halfspaces, got.bounded) == (want.halfspaces, want.bounded)
+    got = reduced_polytope(cons, P.dim)
+    assert (got.halfspaces, got.bounded) == reference_reduced_polytope(cons, P.dim)
     assert set(got.halfspaces) == set(P.halfspaces)
     # the vertices it was built from are those a fresh copy enumerates
     assert vertices(got) == vertices(Polytope(dim=got.dim, halfspaces=got.halfspaces))
     for r in range(1, P.n_facets + 1):
         chart = face_chart(P, (r,))
         F, want = chart.face_polytope, reference_reduced_polytope(pulled_back(chart), chart.dim_face)
-        assert (F.halfspaces, F.bounded) == (want.halfspaces, want.bounded)
+        assert (F.halfspaces, F.bounded) == want
 
 
 def test_faces_of_a_bounded_polytope_take_its_vertices(monkeypatch):
@@ -391,7 +416,7 @@ def test_face_polytopes_of_a_non_simple_polytope():
     for active in [(r,) for r in range(1, P.n_facets + 1)] + [(2, 4), (3, 5)]:
         chart = face_chart(P, active)
         F, want = chart.face_polytope, reference_reduced_polytope(pulled_back(chart), chart.dim_face)
-        assert (F.halfspaces, F.bounded) == (want.halfspaces, want.bounded)
+        assert (F.halfspaces, F.bounded) == want
     assert face_chart(P, (1,)).face_polytope.n_facets == 6  # the square base times the interval
     assert face_chart(P, (6,)).face_polytope.n_facets == 5  # the pyramid itself
 
@@ -417,5 +442,5 @@ def test_reduced_polytope_of_unbounded_and_degenerate_systems():
         ([((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), 1)], 2),  # empty
     ]
     for cons, dim in cases:
-        got, want = reduced_polytope(cons, dim), reference_reduced_polytope(cons, dim)
-        assert (got.halfspaces, got.bounded) == (want.halfspaces, want.bounded)
+        got = reduced_polytope(cons, dim)
+        assert (got.halfspaces, got.bounded) == reference_reduced_polytope(cons, dim)

@@ -200,7 +200,6 @@ def test_restrict_potential_paper_chart(triangle):
         face_active=(3,),
         origin=(Fraction(0), Fraction(1)),
         basis=((1, -1),),
-        dim_face=1,
     )
     phi_f = restrict_potential(phi, chart)
     assert phi_f.value((0.3,)) == pytest.approx(
