@@ -38,6 +38,7 @@ from .potential import SymplecticPotential, guillemin, restrict_potential
 ACTIVE_TOL = 1e-12   # |facet value| below this counts as "on the face"
 INTERIOR_TOL = 1e-8  # inactive facet values must exceed this on the open face
 DIRECTION_TIE_TOL = 1e-12  # vertex scores x . d this close to the best one tie
+K_MAX = 8  # continuity_check estimates at facet distances 10^-1 .. 10^-K_MAX
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,22 +123,22 @@ def _rows(points, width, what):
     return np.atleast_2d(a), a.ndim == 1
 
 
-def _coords(chart: FaceChart, eta, chart_coords=False):
-    """Ambient coordinates of a BoundaryPoint on the given chart, or its chart coordinates."""
-    if not isinstance(eta, BoundaryPoint) or eta.chart != chart:
-        raise InvalidInputError("boundary points must use the given chart")
-    return eta.chart_coords if chart_coords else eta.ambient
+def _shared_chart(*points) -> FaceChart:
+    """The chart that all the given points carry; each must be a BoundaryPoint."""
+    chart = getattr(points[0], "chart", None)
+    if not all(isinstance(p, BoundaryPoint) and p.chart == chart for p in points):
+        raise InvalidInputError("face points must be BoundaryPoints on one chart")
+    return chart
 
 
-def boundary_divergence(phi: SymplecticPotential, chart: FaceChart, eta, eta2):
+def boundary_divergence(phi: SymplecticPotential, eta, eta2):
     """Face divergence D_F: Bregman divergence of the restricted potential.
 
-    eta and eta2 are single BoundaryPoints, giving a float, or batches of
-    equal length, giving an (m,) array.
+    eta and eta2 are single BoundaryPoints on one chart, giving a float, or
+    batches of equal length, giving an (m,) array.
     """
-    u = _coords(chart, eta, chart_coords=True)
-    u2 = _coords(chart, eta2, chart_coords=True)
-    return bregman(restrict_potential(phi, chart), u, u2)
+    chart = _shared_chart(eta, eta2)
+    return bregman(restrict_potential(phi, chart), eta.chart_coords, eta2.chart_coords)
 
 
 def extended_divergence(phi: SymplecticPotential, xi_closure, xi2):
@@ -157,74 +158,63 @@ def extended_divergence(phi: SymplecticPotential, xi_closure, xi2):
     return float(d) if np.ndim(d) == 0 else d
 
 
-def limit_divergence(phi: SymplecticPotential, chart: FaceChart, eta, xi2):
+def limit_divergence(phi: SymplecticPotential, eta, xi2):
     """Limit divergence D'_F(eta || xi2) of a face point against an interior point.
 
     A single BoundaryPoint against a point (n,), or a batch of m against the
     rows of xi2 (m, n).
     """
-    ambient = _coords(chart, eta)
+    chart = _shared_chart(eta)
     xi2 = np.asarray(xi2, dtype=float)
     values = chart.polytope.facet_values(xi2)
     if not np.all(values > 0):
         raise DomainError("second argument must be interior")
-    return extended_divergence(phi, ambient, xi2)
+    return extended_divergence(phi, eta.ambient, xi2)
 
 
 @dataclass(frozen=True, eq=False)
 class ContinuityReport:
     """Gaps of the iterated-limit estimates to D_F.
 
-    For one pair: a float target, (k_max,) estimates and gaps, and a bool
-    passed; for a batch of m pairs: (m,) and (m, k_max) arrays.
+    For one pair: a float target and (K_MAX,) estimates and gaps; for a batch
+    of m pairs: (m,) and (m, K_MAX) arrays.
     """
 
     target: float
     estimates: np.ndarray
     gaps: np.ndarray
-    passed: bool
-    tolerance: float
 
 
-def continuity_check(
-    phi: SymplecticPotential,
-    chart: FaceChart,
-    eta,
-    eta2,
-    k_max: int = 8,
-    tolerance: float = 1e-5,
-) -> ContinuityReport:
+def continuity_check(phi: SymplecticPotential, eta, eta2) -> ContinuityReport:
     """Iterated-limit estimate of the divergence against the face divergence.
 
     Approaches eta and eta2 along segments toward an interior anchor, with the
     inner (first-limit) point two decades closer to the face than the outer
-    one; reports the gap to D_F at facet distances 10^-1 .. 10^-k_max.  A
-    pair passes when its last gap is within tolerance and its last four gaps
-    decrease.  eta and eta2 are single BoundaryPoints or batches of equal
-    length, whose rows get the floats of the call on that pair alone.
+    one; reports the gap to D_F at facet distances 10^-1 .. 10^-K_MAX.  The
+    caller judges the gaps.  eta and eta2 are single BoundaryPoints on one
+    chart or batches of equal length, whose rows get the floats of the call
+    on that pair alone.
     """
-    P = chart.polytope
-    target = boundary_divergence(phi, chart, eta, eta2)
+    target = boundary_divergence(phi, eta, eta2)
+    P = eta.chart.polytope
     anchor = np.array([float(c) for c in P.interior_point])
-    active_normals = P.normal_matrix[chart.vanishing_mask]
+    active_normals = P.normal_matrix[eta.chart.vanishing_mask]
 
     def approach(points, deltas):
-        """Points (m, k_max, n) along each row -> anchor, smallest active facet value delta."""
+        """Points (m, K_MAX, n) along each row -> anchor, smallest active facet value delta."""
         w = anchor - points
         s = np.array(deltas) / rowwise.times(w, active_normals.T).min(axis=1, keepdims=True)
         return points[:, None, :] + s[:, :, None] * w[:, None, :]
 
-    ks = range(1, k_max + 1)
-    inner = approach(np.atleast_2d(_coords(chart, eta)), [10.0 ** (-(k + 2)) for k in ks])
-    outer = approach(np.atleast_2d(_coords(chart, eta2)), [10.0**-k for k in ks])
+    ks = range(1, K_MAX + 1)
+    inner = approach(np.atleast_2d(eta.ambient), [10.0 ** (-(k + 2)) for k in ks])
+    outer = approach(np.atleast_2d(eta2.ambient), [10.0**-k for k in ks])
     estimates = bregman(phi, inner.reshape(-1, P.dim), outer.reshape(-1, P.dim))
-    estimates = estimates.reshape(len(inner), k_max)
+    estimates = estimates.reshape(len(inner), K_MAX)
     gaps = np.abs(estimates - np.reshape(target, (-1, 1)))
-    tail = gaps[:, -4:]
-    passed = (gaps[:, -1] <= tolerance) & np.all(tail[:, :-1] > tail[:, 1:], axis=1)
     if np.ndim(target) == 0:
-        return ContinuityReport(target, estimates[0], gaps[0], bool(passed[0]), tolerance)
-    return ContinuityReport(target, estimates, gaps, passed, tolerance)
+        return ContinuityReport(target, estimates[0], gaps[0])
+    return ContinuityReport(target, estimates, gaps)
 
 
 def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2):
@@ -316,63 +306,33 @@ class PythagorasReport:
     residual: float
     perp_value: float
     terms: tuple[float, ...]
-    tolerance: float
-
-    @property
-    def passed(self):
-        return abs(self.residual) <= self.tolerance
-
-    def as_dict(self):
-        return {
-            "check": "pythagoras",
-            "residual": self.residual,
-            "perp_value": self.perp_value,
-            "terms": list(self.terms),
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
-def pythagoras_boundary_foot(
-    phi: SymplecticPotential,
-    chart: FaceChart,
-    eta,
-    eta2,
-    xi2,
-    tolerance: float = 1e-8,
-):
+def pythagoras_boundary_foot(phi: SymplecticPotential, eta, eta2, xi2):
     """Additivity D_F(eta||eta2) + D'_F(eta2||xi2) = D'_F(eta||xi2).
 
     The hypothesis is that eta2 is the foot of the dual geodesic from xi2,
     certified first-order: perp_value reports the infinity norm of the chart
     gradient mismatch at eta2, which vanishes exactly when eta2 is the
-    projection of xi2 onto the face.  Single BoundaryPoints and a point xi2
-    (n,) give a report of floats; batches of m BoundaryPoints and xi2 (m, n)
-    give one report of (m,) arrays.
+    projection of xi2 onto the face.  Single BoundaryPoints on one chart and
+    a point xi2 (n,) give a report of floats; batches of m BoundaryPoints and
+    xi2 (m, n) give one report of (m,) arrays.
     """
     xi2 = np.asarray(xi2, dtype=float)
-    a = boundary_divergence(phi, chart, eta, eta2)
-    b = limit_divergence(phi, chart, eta2, xi2)
-    c = limit_divergence(phi, chart, eta, xi2)
-    face_gradient = restrict_potential(phi, chart).gradient(_coords(chart, eta2, True))
-    mismatch = face_gradient - rowwise.times(phi.gradient(xi2), chart.basis_array)
+    a = boundary_divergence(phi, eta, eta2)
+    b = limit_divergence(phi, eta2, xi2)
+    c = limit_divergence(phi, eta, xi2)
+    face_gradient = restrict_potential(phi, eta.chart).gradient(eta2.chart_coords)
+    mismatch = face_gradient - rowwise.times(phi.gradient(xi2), eta.chart.basis_array)
     perp_defect = np.max(np.abs(mismatch), axis=-1, initial=0.0)
     return PythagorasReport(
         residual=a + b - c,
         perp_value=float(perp_defect) if np.ndim(perp_defect) == 0 else perp_defect,
         terms=(a, b, c),
-        tolerance=tolerance,
     )
 
 
-def pythagoras_interior_foot(
-    phi: SymplecticPotential,
-    chart: FaceChart,
-    eta,
-    xi,
-    xi2,
-    tolerance: float = 1e-9,
-):
+def pythagoras_interior_foot(phi: SymplecticPotential, eta, xi, xi2):
     """Additivity D'_F(eta||xi) + D(xi||xi2) = D'_F(eta||xi2).
 
     perp_value is the mixed pairing (eta - xi) . (y(xi2) - y(xi)) expressing
@@ -383,15 +343,14 @@ def pythagoras_interior_foot(
     """
     xi = np.asarray(xi, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
-    a = limit_divergence(phi, chart, eta, xi)
+    a = limit_divergence(phi, eta, xi)
     b = bregman(phi, xi, xi2)
-    c = limit_divergence(phi, chart, eta, xi2)
-    pairing = rowwise.dot(_coords(chart, eta) - xi, phi.gradient(xi2) - phi.gradient(xi))
+    c = limit_divergence(phi, eta, xi2)
+    pairing = rowwise.dot(eta.ambient - xi, phi.gradient(xi2) - phi.gradient(xi))
     return PythagorasReport(
         residual=a + b - c,
         perp_value=float(pairing) if np.ndim(pairing) == 0 else pairing,
         terms=(a, b, c),
-        tolerance=tolerance,
     )
 
 

@@ -11,8 +11,9 @@ Subcommands::
     torify <file>                       mixture family <-> polytope dictionary
     verify-all <scenario-file>          full verification sweep
 
-Global flags: --format {json,csv}, --seed N, --tol name=value (repeatable),
---out PATH.  Exit codes: 0 success / all checks pass, 1 failed checks,
+Every subcommand takes --format {json,csv} and --out PATH; verify-all also
+takes --seed N, and verify-all and pythagoras take --tol name=value
+(repeatable).  Exit codes: 0 success / all checks pass, 1 failed checks,
 2 malformed input or I/O error.
 """
 
@@ -48,10 +49,17 @@ from .polytope import face_chart, validate_delzant
 from .verify import merge_tolerances, run_scenario
 
 
+# the keys a verify-all scenario may hold
+SCENARIO_KEYS = (
+    "name", "polytope", "potential", "faces", "samples", "tolerances", "product_check",
+    "negative_control",
+)
+# the one tolerance each pythagoras kind is judged by
+KIND_TOLERANCE = {"boundary_foot": "boundary_foot", "interior_foot": "interior_identity"}
+
+
 def _add_common(parser):
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -83,6 +91,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--triple", required=True)
     _add_common(p)
+    p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
 
     p = sub.add_parser("torify", help="mixture family <-> polytope dictionary")
     p.add_argument("file")
@@ -91,6 +100,8 @@ def build_parser():
     p = sub.add_parser("verify-all", help="run a verification scenario")
     p.add_argument("scenario")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
     return parser
 
 
@@ -241,7 +252,7 @@ def cmd_boundary(args):
     a, b = _point_pairs(_load_json(args.points)["pairs"], P.dim)
     points = boundary_point(chart, ambient=np.concatenate([a, b]))
     etas, etas2 = points[: len(a)], points[len(a) :]
-    divergences = boundary_divergence(phi, chart, etas, etas2)
+    divergences = boundary_divergence(phi, etas, etas2)
     rows = list(zip(a.tolist(), b.tolist(), divergences.tolist()))
     payload = {
         "face": list(chart.face_active),
@@ -257,7 +268,13 @@ def cmd_pythagoras(args):
     triple = _load_json(args.triple)
     chart = face_chart(P, triple["face"])
     kind = triple.get("kind", "boundary_foot")
-    tols = merge_tolerances(_parse_tols(args.tol))
+    if kind not in KIND_TOLERANCE:
+        raise PolyflatError(f"unknown pythagoras kind {kind!r}")
+    overrides = _parse_tols(args.tol)
+    tolerance = merge_tolerances(overrides)[KIND_TOLERANCE[kind]]
+    others = sorted(overrides.keys() - {KIND_TOLERANCE[kind]})
+    if others:
+        raise InvalidInputError(f"tolerance {others[0]!r} does not judge a {kind} triple")
     if kind == "boundary_foot":
         given = [triple["eta"]]
         if triple.get("eta_prime") is not None:
@@ -265,22 +282,19 @@ def cmd_pythagoras(args):
         points = boundary_point(chart, ambient=given)
         xi2 = np.asarray(triple["xi"], dtype=float)
         foot = points[1] if len(points) > 1 else project_to_face(phi, chart, xi2)
-        report = pythagoras_boundary_foot(
-            phi, chart, points[0], foot, xi2, tolerance=tols["boundary_foot"]
-        )
+        report = pythagoras_boundary_foot(phi, points[0], foot, xi2)
         extra = {"eta_prime": foot.ambient.tolist()}
-    elif kind == "interior_foot":
-        eta = boundary_point(chart, ambient=triple["eta"])
-        report = pythagoras_interior_foot(
-            phi, chart, eta, triple["xi"], triple["xi_prime"], tolerance=tols["interior_identity"]
-        )
-        extra = {}
     else:
-        raise PolyflatError(f"unknown pythagoras kind {kind!r}")
-    payload = {"kind": kind, **report.as_dict(), **extra}
+        eta = boundary_point(chart, ambient=triple["eta"])
+        report = pythagoras_interior_foot(phi, eta, triple["xi"], triple["xi_prime"])
+        extra = {}
+    passed = abs(report.residual) <= tolerance
+    payload = {"kind": kind, "check": "pythagoras", "residual": report.residual,
+               "perp_value": report.perp_value, "terms": list(report.terms),
+               "tolerance": tolerance, "pass": passed, **extra}
     rows = sorted((k, v) for k, v in payload.items() if not isinstance(v, (list, dict)))
     _write(args, payload, ("field", "value"), rows)
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 def cmd_torify(args):
@@ -310,6 +324,10 @@ def cmd_verify_all(args):
     all_payload = []
     for sc in scenarios:
         P = jsonio.parse_polytope(sc["polytope"])
+        unknown = sorted(sc.keys() - set(SCENARIO_KEYS))
+        if unknown:
+            known = ", ".join(SCENARIO_KEYS)
+            raise InvalidInputError(f"scenario key {unknown[0]!r} is unknown; known: {known}")
         phi = jsonio.parse_potential(sc.get("potential", {"guillemin_of": "polytope"}), P)
         results, ok = run_scenario(
             P,

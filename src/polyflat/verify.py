@@ -43,23 +43,6 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def merge_tolerances(overrides=None) -> dict:
-    """DEFAULT_TOLERANCES with overrides by name, each a finite number >= 0.
-
-    Any other override would skip or weaken a check in silence, so it raises
-    InvalidInputError: an unknown name, a bool, a non-number, nan, inf or < 0.
-    """
-    tol = dict(DEFAULT_TOLERANCES)
-    for name, value in (overrides or {}).items():
-        if name not in tol:
-            raise InvalidInputError(f"tolerance {name!r} is unknown; known: {', '.join(tol)}")
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0 <= value < math.inf):
-            raise InvalidInputError(f"tolerance {name!r} must be a finite number >= 0: {value!r}")
-        tol[name] = value
-    return tol
-
-
 DEFAULT_SAMPLES = {
     "legendre_points": 25,
     "divergence_pairs": 25,
@@ -68,6 +51,35 @@ DEFAULT_SAMPLES = {
     "interior_triples": 50,
     "product_samples": 50,
 }
+
+
+def merge_tolerances(overrides=None) -> dict:
+    """DEFAULT_TOLERANCES with overrides by name, each a finite number >= 0."""
+    return _merge(
+        DEFAULT_TOLERANCES, overrides, "tolerance",
+        lambda v: isinstance(v, (int, float)) and 0 <= v < math.inf,
+        "tolerance {name!r} must be a finite number >= 0: {value!r}",
+    )
+
+
+def _merge(defaults, overrides, what, valid, invalid):
+    """defaults updated by overrides, a dict from names to values.
+
+    Any other override would skip or weaken a check in silence, so it raises
+    InvalidInputError: an unknown name, a bool, or a value that valid rejects,
+    with the message invalid, a format string of name and value.
+    """
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise InvalidInputError(f"{what} overrides must map names to values: {overrides!r}")
+    merged = dict(defaults)
+    for name, value in overrides.items():
+        if name not in merged:
+            raise InvalidInputError(f"{what} {name!r} is unknown; known: {', '.join(merged)}")
+        if isinstance(value, bool) or not valid(value):
+            raise InvalidInputError(invalid.format(name=name, value=value))
+        merged[name] = value
+    return merged
 
 
 @dataclass(frozen=True)
@@ -98,26 +110,30 @@ def run_scenario(
     product_check: bool = True,
     negative_control: bool = False,
 ):
-    """Run all verification sweeps; returns (results, all_passed)."""
+    """Run all verification sweeps; returns (results, all_passed).
+
+    faces lists faces of dimension >= 1, each by its non-empty facet indices,
+    by default every facet when P.dim >= 2; samples and tolerances override the defaults by name.
+    """
     tol = merge_tolerances(tolerances)
-    counts = dict(DEFAULT_SAMPLES)
-    counts.update(samples or {})
-    for name, count in counts.items():
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise InvalidInputError(
-                f"sample count {name} must be a positive integer, not {count!r}"
-            )
+    counts = _merge(
+        DEFAULT_SAMPLES, samples, "sample count", lambda v: isinstance(v, int) and v >= 1,
+        "sample count {name} must be a positive integer, not {value!r}",
+    )
+    for name, flag in (("product_check", product_check), ("negative_control", negative_control)):
+        if not isinstance(flag, bool):
+            raise InvalidInputError(f"scenario key {name!r} must be true or false: {flag!r}")
     rng = np.random.default_rng(seed)
     results = []
 
-    def verdict(check, inputs, residual, tolerance, passed=None):
-        """Record a check; it passes when residual <= tolerance unless passed is given."""
+    def verdict(check, inputs, residual, tolerance, holds=True):
+        """Record a check; it passes when residual <= tolerance and its own condition holds."""
         residual = float(residual)
-        passed = residual <= tolerance if passed is None else passed
+        passed = residual <= tolerance and holds
         results.append(CheckResult(check, inputs, residual, tolerance, bool(passed)))
 
     report = validate_delzant(P)
-    verdict("delzant", {"facets": P.n_facets}, len(report.failures), 0.0, passed=report.valid)
+    verdict("delzant", {"facets": P.n_facets}, len(report.failures), 0.0, holds=report.valid)
 
     x = random_interior(P, rng, size=counts["legendre_points"])
     back = np.array([pair.x for pair in from_dual(phi, P, phi.gradient(x))]).reshape(x.shape)
@@ -151,20 +167,22 @@ def run_scenario(
         faces = [(r,) for r in range(1, P.n_facets + 1)] if P.dim > 1 else []
     for active in faces:
         active = tuple(active)
+        if not active:
+            raise InvalidInputError("face [] lists no facet; name a face by its vanishing facets")
         chart = face_chart(P, active)
         if chart.dim_face < 1:
-            continue
+            raise InvalidInputError(f"face {list(active)} is a vertex; faces need dimension >= 1")
         pairs = counts["continuity_pairs"]
         etas = random_face_point(chart, rng, size=2 * pairs)
-        rep = continuity_check(
-            phi, chart, etas[:pairs], etas[pairs:], tolerance=tol["continuity_gap"]
-        )
+        gaps = continuity_check(phi, etas[:pairs], etas[pairs:]).gaps
+        # each pair's last gap is within tolerance, and its last four gaps decrease
+        tail = gaps[:, -4:]
         verdict(
             "boundary-continuity",
             {"face": list(active), "pairs": pairs},
-            _worst(rep.gaps[:, -1]),
+            _worst(gaps[:, -1]),
             tol["continuity_gap"],
-            passed=np.all(rep.passed),
+            holds=np.all(tail[:, :-1] > tail[:, 1:]),
         )
 
         xi2 = random_interior(P, rng, size=counts["boundary_feet"])
@@ -185,7 +203,7 @@ def run_scenario(
         verdict(
             "pythagoras-boundary-foot",
             {"face": list(active), "draws": counts["boundary_feet"]},
-            _worst(np.abs(pythagoras_boundary_foot(phi, chart, etas, feet, xi2).residual)),
+            _worst(np.abs(pythagoras_boundary_foot(phi, etas, feet, xi2).residual)),
             tol["boundary_foot"],
         )
 
@@ -194,19 +212,22 @@ def run_scenario(
         etas = random_face_point(chart, rng, size=triples)
         # dual velocities orthogonal to the flat segments toward eta
         w = _orthogonal_directions(etas.ambient - xi, rng)
-        reps = pythagoras_interior_foot(phi, chart, etas, xi, xi2)
+        reps = pythagoras_interior_foot(phi, etas, xi, xi2)
         worst_id = _worst(np.abs(reps.residual - reps.perp_value))
-        # rebuild xi2 so the dual velocity is orthogonal; skip targets Newton cannot reach
+        # rebuild xi2 so the dual velocity is orthogonal; a row Newton does not
+        # solve is left out of the residual and fails the check
         x_orth, _, status, _ = newton_solve(phi, P, phi.gradient(xi) + 0.3 * w)
         ok = status == "converged"
-        reps = pythagoras_interior_foot(phi, chart, etas[ok], xi[ok], x_orth[ok])
+        reps = pythagoras_interior_foot(phi, etas[ok], xi[ok], x_orth[ok])
         inputs = {"face": list(active), "triples": triples}
         verdict("pythagoras-interior-identity", inputs, worst_id, tol["interior_identity"])
+        unsolved = int(np.sum(~ok))
         verdict(
             "pythagoras-interior-orthogonal",
-            inputs,
+            {**inputs, "unconverged": unsolved} if unsolved else inputs,
             _worst(np.abs(reps.residual)),
             tol["interior_orthogonal"],
+            holds=not unsolved,
         )
 
     if product_check and P.bounded:

@@ -12,6 +12,18 @@ from polyflat.intlattice import integer_kernel, primitivize, solve_integer
 from polyflat.polynomial import Polynomial
 from polyflat.polytope import HalfSpace, Polytope, _drop_redundant, halfspace, product
 from polyflat.potential import SymplecticPotential, guillemin
+from polyflat.verify import DEFAULT_TOLERANCES
+
+
+def continuity_passes(gaps, tolerance=DEFAULT_TOLERANCES["continuity_gap"]):
+    """The rule verify-all judges continuity gaps by, one bool per row of gaps.
+
+    A pair passes when its last gap is within tolerance and its last four
+    gaps strictly decrease.
+    """
+    gaps = np.atleast_2d(gaps)
+    tail = gaps[:, -4:]
+    return (gaps[:, -1] <= tolerance) & np.all(tail[:, :-1] > tail[:, 1:], axis=1)
 
 
 def fd_gradient(f, x, h=1e-6):

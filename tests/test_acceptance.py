@@ -60,12 +60,12 @@ def test_criterion_1_triangle_golden_values(triangle):
 
     chart = face_chart(triangle, [3])
     foot = boundary_point(chart, ambient=limit.point)
-    ok &= abs(limit_divergence(phi, chart, foot, (0.25, 0.25)) - LOG2) <= 1e-8
+    ok &= abs(limit_divergence(phi, foot, (0.25, 0.25)) - LOG2) <= 1e-8
 
     eta = boundary_point(chart, ambient=(0.3, 0.7))
-    lhs = limit_divergence(phi, chart, eta, (0.25, 0.25))
-    rhs = boundary_divergence(phi, chart, eta, foot) + limit_divergence(
-        phi, chart, foot, (0.25, 0.25)
+    lhs = limit_divergence(phi, eta, (0.25, 0.25))
+    rhs = boundary_divergence(phi, eta, foot) + limit_divergence(
+        phi, foot, (0.25, 0.25)
     )
     ok &= abs(lhs - rhs) <= 1e-8
 
@@ -101,7 +101,7 @@ def test_criterion_3_boundary_continuity(triangle, square):
             for _ in range(20):
                 eta = random_face_point(chart, rng)
                 eta2 = random_face_point(chart, rng)
-                report = continuity_check(phi, chart, eta, eta2, k_max=8)
+                report = continuity_check(phi, eta, eta2)
                 worst = max(worst, report.gaps[-1])
                 ok &= report.gaps[-1] <= 1e-5
                 tail = report.gaps[-4:]
@@ -124,7 +124,7 @@ def test_criterion_4_boundary_foot_pythagoras(triangle, square):
             xi2 = random_interior(P, rng)
             eta = random_face_point(chart, rng)
             foot = project_to_face(phi, chart, xi2)
-            report = pythagoras_boundary_foot(phi, chart, eta, foot, xi2)
+            report = pythagoras_boundary_foot(phi, eta, foot, xi2)
             worst = max(worst, abs(report.residual))
             ok &= abs(report.residual) <= 1e-8
 
@@ -141,7 +141,7 @@ def test_criterion_4_boundary_foot_pythagoras(triangle, square):
                     continue
             if wrong is None:
                 continue
-            neg = pythagoras_boundary_foot(phi, chart, eta, wrong, xi2)
+            neg = pythagoras_boundary_foot(phi, eta, wrong, xi2)
             worst_neg = min(worst_neg, abs(neg.residual))
             ok &= abs(neg.residual) >= 1e-4
     _report(
@@ -160,7 +160,7 @@ def test_criterion_5_interior_foot_pythagoras(triangle):
         eta = random_face_point(chart, rng)
         xi = random_interior(triangle, rng)
         xi2 = random_interior(triangle, rng)
-        report = pythagoras_interior_foot(phi, chart, eta, xi, xi2)
+        report = pythagoras_interior_foot(phi, eta, xi, xi2)
         worst_id = max(worst_id, abs(report.residual - report.perp_value))
         ok &= abs(report.residual - report.perp_value) <= 1e-9
 
@@ -173,7 +173,7 @@ def test_criterion_5_interior_foot_pythagoras(triangle):
         w = np.array([-seg[1], seg[0]])
         w /= np.linalg.norm(w)
         xi2 = from_dual(phi, triangle, phi.gradient(xi) + 0.4 * w).x_array
-        report = pythagoras_interior_foot(phi, chart, eta, xi, xi2)
+        report = pythagoras_interior_foot(phi, eta, xi, xi2)
         worst_orth = max(worst_orth, abs(report.residual))
         ok &= abs(report.residual) <= 1e-9
         done += 1

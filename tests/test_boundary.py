@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import delzant_products, potential
+from helpers import continuity_passes, delzant_products, potential
 from polyflat.boundary import (
+    ContinuityReport,
+    PythagorasReport,
     boundary_divergence,
     boundary_point,
     continuity_check,
@@ -21,7 +23,7 @@ from polyflat.boundary import (
     random_interior,
 )
 from polyflat.dually_flat import GeodesicSpec, bregman, from_dual
-from polyflat.errors import DomainError, FaceBoundaryError
+from polyflat.errors import DomainError, FaceBoundaryError, InvalidInputError
 from polyflat.polynomial import Polynomial
 from polyflat.polytope import FaceChart, Polytope, face_chart, halfspace, product
 from polyflat.potential import AffineLogTerm, SymplecticPotential, guillemin
@@ -81,8 +83,8 @@ def test_boundary_divergence_edge_formula(tri_setup):
     eta = boundary_point(chart, ambient=(0.5, 0.5))
     eta2 = boundary_point(chart, ambient=(0.4, 0.6))
     expected = 0.5 * math.log(0.5 / 0.4) + 0.5 * math.log(0.5 / 0.6)
-    assert boundary_divergence(phi, chart, eta, eta2) == pytest.approx(expected, abs=1e-12)
-    assert boundary_divergence(phi, chart, eta, eta) == 0.0
+    assert boundary_divergence(phi, eta, eta2) == pytest.approx(expected, abs=1e-12)
+    assert boundary_divergence(phi, eta, eta) == 0.0
 
 
 def test_boundary_divergence_codim0_equals_bregman(triangle, rng):
@@ -93,7 +95,7 @@ def test_boundary_divergence_codim0_equals_bregman(triangle, rng):
         b = random_interior(triangle, rng)
         pa = boundary_point(chart, ambient=a)
         pb = boundary_point(chart, ambient=b)
-        assert boundary_divergence(phi, chart, pa, pb) == pytest.approx(
+        assert boundary_divergence(phi, pa, pb) == pytest.approx(
             bregman(phi, a, b), abs=1e-12
         )
 
@@ -110,24 +112,44 @@ def test_boundary_divergence_chart_invariance(tri_setup, square, rng):
     for _ in range(20):
         a = random_face_point(chart, rng)
         b = random_face_point(chart, rng)
-        d1 = boundary_divergence(phi, chart, a, b)
-        d2 = boundary_divergence(phi, alt, boundary_point(alt, ambient=a.ambient),
+        d1 = boundary_divergence(phi, a, b)
+        d2 = boundary_divergence(phi, boundary_point(alt, ambient=a.ambient),
                                  boundary_point(alt, ambient=b.ambient))
         assert abs(d1 - d2) < 1e-10
+
+
+def test_boundary_functions_take_the_chart_of_their_points(tri_setup):
+    # the chart is read from the BoundaryPoints, which must share it
+    triangle, phi, chart = tri_setup
+    eta = boundary_point(chart, ambient=(0.5, 0.5))
+    other = boundary_point(face_chart(triangle, [1]), ambient=(0.0, 0.5))
+    xi2 = (0.25, 0.25)
+    for call in (
+        lambda: boundary_divergence(phi, eta, other),
+        lambda: limit_divergence(phi, (0.5, 0.5), xi2),
+        lambda: continuity_check(phi, eta, other),
+        lambda: pythagoras_boundary_foot(phi, eta, other, xi2),
+        lambda: pythagoras_interior_foot(phi, np.array([0.5, 0.5]), xi2, xi2),
+    ):
+        with pytest.raises(InvalidInputError):
+            call()
+    # the reports hold measurements only; their callers judge them
+    assert list(ContinuityReport.__dataclass_fields__) == ["target", "estimates", "gaps"]
+    assert list(PythagorasReport.__dataclass_fields__) == ["residual", "perp_value", "terms"]
 
 
 def test_limit_divergence_golden(tri_setup):
     _, phi, chart = tri_setup
     a = b = 0.25
     eta_prime = boundary_point(chart, ambient=(a / (a + b), b / (a + b)))
-    assert limit_divergence(phi, chart, eta_prime, (a, b)) == pytest.approx(
+    assert limit_divergence(phi, eta_prime, (a, b)) == pytest.approx(
         math.log(2), abs=1e-12
     )
     # general face point: eta log(eta/a) + (1-eta) log((1-eta)/b)
     for eta in (0.3, 0.62):
         bp = boundary_point(chart, ambient=(eta, 1 - eta))
         expected = eta * math.log(eta / a) + (1 - eta) * math.log((1 - eta) / b)
-        assert limit_divergence(phi, chart, bp, (a, b)) == pytest.approx(expected, abs=1e-12)
+        assert limit_divergence(phi, bp, (a, b)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_limit_divergence_matches_numeric_limit(tri_setup, rng):
@@ -135,7 +157,7 @@ def test_limit_divergence_matches_numeric_limit(tri_setup, rng):
     _, phi, chart = tri_setup
     eta = boundary_point(chart, ambient=(0.45, 0.55))
     xi2 = np.array([0.3, 0.25])
-    closed = limit_divergence(phi, chart, eta, xi2)
+    closed = limit_divergence(phi, eta, xi2)
     direction = np.array([1 / 3, 1 / 3]) - eta.ambient
     seq = [
         bregman(phi, eta.ambient + 10.0**-k * direction, xi2) for k in range(4, 9)
@@ -150,7 +172,7 @@ def test_limit_divergence_path_independent(tri_setup, rng):
     _, phi, chart = tri_setup
     eta = boundary_point(chart, ambient=(0.5, 0.5))
     xi2 = np.array([0.2, 0.4])
-    closed = limit_divergence(phi, chart, eta, xi2)
+    closed = limit_divergence(phi, eta, xi2)
     for _ in range(10):
         d = np.array([-(0.2 + rng.uniform(0, 1)), -(0.2 + rng.uniform(0, 1))])
         d /= np.linalg.norm(d) * 1  # interior-pointing direction
@@ -164,7 +186,7 @@ def test_limit_divergence_strictly_positive(tri_setup, rng):
     for _ in range(50):
         eta = random_face_point(chart, rng)
         xi2 = random_interior(chart.polytope, rng)
-        assert limit_divergence(phi, chart, eta, xi2) > 0
+        assert limit_divergence(phi, eta, xi2) > 0
 
 
 def test_limit_divergence_zero_probability_terms(tri_setup, rng):
@@ -183,7 +205,7 @@ def test_limit_divergence_zero_probability_terms(tri_setup, rng):
             for r in inactive
         )
         active_sum = s * sum(l_xi[r - 1] for r in chart.vanishing)
-        total = limit_divergence(phi, chart, eta, xi2)
+        total = limit_divergence(phi, eta, xi2)
         assert total - inactive_sum == pytest.approx(active_sum, abs=1e-12)
 
 
@@ -191,8 +213,8 @@ def test_continuity_check_triangle(tri_setup):
     _, phi, chart = tri_setup
     eta = boundary_point(chart, ambient=(0.5, 0.5))
     eta2 = boundary_point(chart, ambient=(0.4, 0.6))
-    report = continuity_check(phi, chart, eta, eta2)
-    assert report.passed
+    report = continuity_check(phi, eta, eta2)
+    assert continuity_passes(report.gaps).all()
     assert report.target == pytest.approx(0.020410997260, abs=1e-9)
     assert report.gaps[-1] <= 1e-5
 
@@ -200,8 +222,8 @@ def test_continuity_check_triangle(tri_setup):
 def test_continuity_check_identical_points(tri_setup):
     _, phi, chart = tri_setup
     eta = boundary_point(chart, ambient=(0.45, 0.55))
-    report = continuity_check(phi, chart, eta, eta)
-    assert report.passed
+    report = continuity_check(phi, eta, eta)
+    assert continuity_passes(report.gaps).all()
     assert report.target == 0.0
 
 
@@ -221,17 +243,16 @@ def test_continuity_check_batches_equal_pairs(triangle, rng):
         phi = guillemin(P, scale)
         chart = face_chart(P, face)
         etas = random_face_point(chart, rng, size=6)
-        batch = continuity_check(phi, chart, etas[:3], etas[3:])
-        assert batch.target.shape == batch.passed.shape == (3,)
+        batch = continuity_check(phi, etas[:3], etas[3:])
+        assert batch.target.shape == (3,)
         assert batch.estimates.shape == batch.gaps.shape == (3, 8)
-        assert batch.passed.all()
+        assert continuity_passes(batch.gaps).all()
         for i in range(3):
-            one = continuity_check(phi, chart, etas[i], etas[3 + i])
-            assert isinstance(one.target, float) and isinstance(one.passed, bool)
+            one = continuity_check(phi, etas[i], etas[3 + i])
+            assert isinstance(one.target, float) and one.gaps.shape == (8,)
             np.testing.assert_array_equal(one.target, batch.target[i])
             np.testing.assert_array_equal(one.estimates, batch.estimates[i])
             np.testing.assert_array_equal(one.gaps, batch.gaps[i])
-            assert one.passed == batch.passed[i]
 
 
 def test_continuity_check_square_edge(square):
@@ -239,8 +260,8 @@ def test_continuity_check_square_edge(square):
     chart = face_chart(square, [3])  # x2 = 0
     eta = boundary_point(chart, ambient=(0.3, 0.0))
     eta2 = boundary_point(chart, ambient=(0.7, 0.0))
-    report = continuity_check(phi, chart, eta, eta2)
-    assert report.passed
+    report = continuity_check(phi, eta, eta2)
+    assert continuity_passes(report.gaps).all()
     # 1-d oracle: interval divergence of the restricted potential
     a, b = 0.3, 0.7
     expected = 0.5 * (
@@ -336,7 +357,7 @@ def test_dual_geodesic_limit_is_projection_onto_argmax_face(case):
         return
     assert limit.face == tuple(sorted(chart.vanishing))
     foot = boundary_point(chart, ambient=limit.point)
-    assert pythagoras_boundary_foot(phi, chart, foot, foot, start).perp_value <= 1e-8
+    assert pythagoras_boundary_foot(phi, foot, foot, start).perp_value <= 1e-8
 
 
 def test_dual_geodesic_limit_non_simple_face():
@@ -364,12 +385,11 @@ def test_pythagoras_boundary_foot(tri_setup):
     xi2 = np.array([0.25, 0.25])
     foot = project_to_face(phi, chart, xi2)
     eta = boundary_point(chart, ambient=(0.3, 0.7))
-    report = pythagoras_boundary_foot(phi, chart, eta, foot, xi2)
+    report = pythagoras_boundary_foot(phi, eta, foot, xi2)
     assert abs(report.residual) <= 1e-9
     assert report.perp_value <= 1e-9
-    assert report.passed
     # eta = eta': residual is identically zero
-    same = pythagoras_boundary_foot(phi, chart, foot, foot, xi2)
+    same = pythagoras_boundary_foot(phi, foot, foot, xi2)
     assert same.residual == pytest.approx(0.0, abs=1e-12)
 
 
@@ -379,7 +399,7 @@ def test_pythagoras_boundary_foot_counterexample(tri_setup):
     foot = project_to_face(phi, chart, xi2)
     eta = boundary_point(chart, ambient=(0.3, 0.7))
     wrong = boundary_point(chart, chart_coords=(foot.chart_coords[0] + 0.05,))
-    report = pythagoras_boundary_foot(phi, chart, eta, wrong, xi2)
+    report = pythagoras_boundary_foot(phi, eta, wrong, xi2)
     assert abs(report.residual) >= 1e-4
     assert report.perp_value >= 1e-4
 
@@ -392,7 +412,7 @@ def test_pythagoras_boundary_foot_random(tri_setup, square, rng):
             xi2 = random_interior(P, rng)
             eta = random_face_point(chart, rng)
             foot = project_to_face(phi, chart, xi2)
-            report = pythagoras_boundary_foot(phi, chart, eta, foot, xi2)
+            report = pythagoras_boundary_foot(phi, eta, foot, xi2)
             assert report.perp_value <= 1e-8
             assert abs(report.residual) <= 1e-8
 
@@ -403,7 +423,7 @@ def test_pythagoras_interior_foot_identity(tri_setup, rng):
         eta = random_face_point(chart, rng)
         xi = random_interior(triangle, rng)
         xi2 = random_interior(triangle, rng)
-        report = pythagoras_interior_foot(phi, chart, eta, xi, xi2)
+        report = pythagoras_interior_foot(phi, eta, xi, xi2)
         assert report.residual == pytest.approx(report.perp_value, abs=1e-9)
 
 
@@ -418,7 +438,7 @@ def test_pythagoras_interior_foot_orthogonal(tri_setup, rng):
         w /= np.linalg.norm(w)
         y2 = phi.gradient(xi) + 0.4 * w
         xi2 = from_dual(phi, triangle, y2).x_array
-        report = pythagoras_interior_foot(phi, chart, eta, xi, xi2)
+        report = pythagoras_interior_foot(phi, eta, xi, xi2)
         assert abs(report.residual) <= 1e-9
         done += 1
 
@@ -427,7 +447,7 @@ def test_pythagoras_interior_foot_coincident(tri_setup):
     _, phi, chart = tri_setup
     eta = boundary_point(chart, ambient=(0.45, 0.55))
     xi = (0.2, 0.3)
-    report = pythagoras_interior_foot(phi, chart, eta, xi, xi)
+    report = pythagoras_interior_foot(phi, eta, xi, xi)
     assert report.residual == pytest.approx(0.0, abs=1e-12)
 
 
@@ -439,7 +459,7 @@ def test_limit_divergence_at_vertex(triangle, rng):
     np.testing.assert_array_equal(vertex.ambient, [0.0, 0.0])
     np.testing.assert_array_equal(vertex.chart_coords, np.empty(0))
     xi2 = np.array([0.2, 0.35])
-    closed = limit_divergence(phi, chart, vertex, xi2)
+    closed = limit_divergence(phi, vertex, xi2)
     for _ in range(5):
         d = rng.uniform(0.2, 1.0, size=2)
         d /= np.linalg.norm(d)
@@ -478,11 +498,11 @@ def test_boundary_ops_with_polynomial_correction(triangle, rng):
         mismatch = phi_f.gradient(foot.chart_coords) - chart.basis_array.T @ phi.gradient(xi2)
         assert np.max(np.abs(mismatch)) <= 1e-9
         eta = random_face_point(chart, rng)
-        report = pythagoras_boundary_foot(phi, chart, eta, foot, xi2)
+        report = pythagoras_boundary_foot(phi, eta, foot, xi2)
         assert abs(report.residual) <= 1e-8
     eta = boundary_point(chart, ambient=(0.45, 0.55))
     eta2 = boundary_point(chart, ambient=(0.6, 0.4))
-    assert continuity_check(phi, chart, eta, eta2).passed
+    assert continuity_passes(continuity_check(phi, eta, eta2).gaps).all()
 
 
 def test_random_face_point_evaluates_each_drawn_row_once(triangle, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from polyflat.boundary import boundary_point
 from polyflat.cli import main
+from polyflat.dually_flat import newton_solve
 from polyflat.errors import DomainError
 from polyflat.jsonio import parse_polytope, parse_potential
 from polyflat.polytope import face_chart
@@ -425,6 +426,77 @@ def test_pythagoras_tolerances_are_checked(tri_input, tmp_path, capsys):
     for tol in ("boundary_fot=1", "boundary_foot=nan", "interior_identity=-1"):
         assert main([*argv, tol]) == 2
         assert capsys.readouterr().err.startswith("error: tolerance")
+
+
+def test_pythagoras_takes_only_the_tolerance_of_its_kind(tri_input, tmp_path, capsys):
+    # a tolerance that does not judge the triple's kind would be ignored in silence
+    interior = {**TRIPLE, "kind": "interior_foot", "xi_prime": [0.2, 0.3]}
+    for payload, other in ((TRIPLE, "interior_identity"), (interior, "boundary_foot")):
+        triple = write(tmp_path, "triple.json", payload)
+        assert main(["pythagoras", tri_input, "--triple", triple, "--tol", f"{other}=1e6"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: tolerance {other!r}")
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"samples": {"boundary_fet": 1}}, "'boundary_fet'"),
+        ({"samples": [["boundary_feet", 2]]}, "sample count"),
+        ({"tolerance": {"continuity_gap": 1e-300}}, "'tolerance'"),
+        ({"negative_controll": True}, "'negative_controll'"),
+        ({"product_check": "false"}, "'product_check'"),
+        ({"negative_control": 1}, "'negative_control'"),
+        ({"faces": [[3], [1, 2]]}, "[1, 2]"),
+        ({"faces": [[]]}, "face []"),
+    ],
+    ids=[
+        "samples-unknown", "samples-list", "key-tolerance", "key-misspelt",
+        "product-check-string", "negative-control-int", "faces-vertex", "faces-empty",
+    ],
+)
+def test_verify_all_rejects_settings_it_would_ignore(tmp_path, capsys, changes, named):
+    # each of these ran the sweep with the setting skipped or misread
+    assert main(["verify-all", write(tmp_path, "in.json", small_scenario(**changes))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+def test_unsolved_orthogonal_rebuild_fails_its_check(tmp_path, capsys, monkeypatch):
+    # a rebuilt xi2 that Newton does not solve is dropped from the residual,
+    # so the check must fail rather than judge the rows that are left
+    def one_row_stalls(*args, **kwargs):
+        x, residual, status, iterations = newton_solve(*args, **kwargs)
+        status = status.copy()
+        status[0] = "stalled"
+        return x, residual, status, iterations
+
+    monkeypatch.setattr("polyflat.verify.newton_solve", one_row_stalls)
+    assert main(["verify-all", write(tmp_path, "in.json", small_scenario())]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failing = [c for c in checks if not c["pass"]]
+    assert failing and all(c["check"] == "pythagoras-interior-orthogonal" for c in failing)
+    assert all(c["inputs"]["unconverged"] == 1 for c in failing)
+
+
+@pytest.mark.parametrize("flag", ["--seed=5", "--tol=bogus=abc"])
+def test_subcommands_reject_flags_they_do_not_read(tri_input, tmp_path, flag):
+    # --seed is read only by verify-all, --tol only by verify-all and pythagoras
+    points = write(tmp_path, "pts.json", {"pairs": [[[0.25, 0.25], [0.2, 0.3]]]})
+    face_points = write(tmp_path, "bpts.json", {"pairs": [[[0.5, 0.5], [0.4, 0.6]]]})
+    runs = [
+        ["validate", tri_input],
+        ["divergence", tri_input, "--points", points],
+        ["geodesic", tri_input, "--spec", write(tmp_path, "spec.json", DUAL_SPEC)],
+        ["boundary", tri_input, "--face", "3", "--points", face_points],
+        ["torify", tri_input],
+    ]
+    if flag.startswith("--seed"):
+        runs.append(["pythagoras", tri_input, "--triple", write(tmp_path, "t.json", TRIPLE)])
+    for argv in runs:
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0, argv[0]
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, flag])
+        assert exit_.value.code == 2, argv[0]
 
 
 HALF_LINE = {"dim": 1, "halfspaces": [{"normal": [1], "offset": 0}]}
