@@ -24,7 +24,6 @@ import numpy as np
 from . import rowwise
 from .dually_flat import GeodesicSpec, bregman, newton_solve
 from .errors import DomainError, FaceBoundaryError, InvalidInputError, NumericalError
-from .intlattice import rank
 from .polytope import (
     FaceChart,
     HalfSpace,
@@ -269,8 +268,9 @@ def dual_geodesic_limit(phi: SymplecticPotential, P: Polytope, spec: GeodesicSpe
     Along y(t) = grad phi(start) + t d the components of y along the face
     of P on which x . d is largest stay constant, so the geodesic tends to
     that face, at the projection of start onto it (``project_to_face``).
-    Vertex scores x . d within 1e-12 of the best one tie.  A single top
-    vertex is returned exactly; a foot the face solve does not resolve
+    Vertex scores x . d within 1e-12 of the best one tie; the facets
+    through every top vertex name the face to ``face_chart``, so a single top
+    vertex is its own limit.  A foot the face solve does not resolve
     raises DomainError (FaceBoundaryError when the solve does not converge).
     """
     if spec.kind != "dual":
@@ -283,18 +283,7 @@ def dual_geodesic_limit(phi: SymplecticPotential, P: Polytope, spec: GeodesicSpe
     scores = P.vertex_array @ np.array(spec.direction)
     best = scores.max()
     top = [v for v, s in zip(P.vertex_list, scores) if s >= best - DIRECTION_TIE_TOL]
-    if len(top) == 1:
-        return GeodesicLimit(point=tuple(top[0].array.tolist()), face=top[0].active)
-    # the facets through every top vertex cut out the limit face; from dimension
-    # 4 on their normals can be dependent, and an independent subset of them
-    # cuts out the same face
-    facets, rows = [], []
-    for r in sorted(set.intersection(*(set(v.active) for v in top))):
-        normal = P.halfspaces[r - 1].normal
-        if rank(rows + [normal]) > len(rows):
-            facets.append(r)
-            rows.append(normal)
-    chart = face_chart(P, facets)
+    chart = face_chart(P, set.intersection(*(set(v.active) for v in top)))
     foot = project_to_face(phi, chart, start)
     return GeodesicLimit(point=tuple(foot.ambient.tolist()), face=tuple(sorted(chart.vanishing)))
 

@@ -278,26 +278,28 @@ def bregman(phi: SymplecticPotential, xi, xi2):
     return float(d) if np.ndim(d) == 0 else d
 
 
-def _match_facet_terms(phi: SymplecticPotential, P: Polytope) -> bool:
-    """Whether the facets of P pair one to one with the weight-1 log terms of phi."""
-    if len(phi.log_terms) != P.n_facets:
-        return False
-    used = set()
+def require_facet_potential(phi: SymplecticPotential, P: Polytope):
+    """Raise InvalidInputError unless the log terms of phi pair one to one with the facets of P.
+
+    Each term must have weight 1: the paper's facet potential, up to scale
+    and a smooth correction.
+    """
+    unused, paired = list(phi.log_terms), 0
     for hs in P.halfspaces:
-        normal = tuple(float(v) for v in hs.normal)
-        offset = float(hs.offset)
-        for idx, term in enumerate(phi.log_terms):
+        normal, offset = tuple(float(v) for v in hs.normal), float(hs.offset)
+        for term in unused:
             if (
-                idx not in used
-                and term.weight == 1.0
+                term.weight == 1.0
                 and max(abs(a - b) for a, b in zip(term.normal, normal)) <= 1e-12
                 and abs(term.offset - offset) <= 1e-12
             ):
-                used.add(idx)
+                unused.remove(term)
+                paired += 1
                 break
-        else:
-            return False
-    return True
+    if unused or paired < P.n_facets:
+        raise InvalidInputError(
+            "the potential's log terms must be the facets of the polytope, each with weight 1"
+        )
 
 
 def bregman_expanded(phi: SymplecticPotential, P: Polytope, xi, xi2):
@@ -310,10 +312,7 @@ def bregman_expanded(phi: SymplecticPotential, P: Polytope, xi, xi2):
     weights (plus the polynomial correction f).  Points and results are
     shaped as in ``bregman``.
     """
-    if not _match_facet_terms(phi, P):
-        raise InvalidInputError(
-            "potential does not decompose over the facets of this polytope"
-        )
+    require_facet_potential(phi, P)
     xi = np.asarray(xi, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
     l1 = P.facet_values(xi)

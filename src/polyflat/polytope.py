@@ -153,9 +153,7 @@ class Polytope:
     @cached_property
     def interior_point(self):
         """An exact strictly interior point (Fourier-Motzkin for unbounded polyhedra)."""
-        if self.dim == 0:
-            return ()
-        if self.bounded:
+        if self.bounded:  # a point when dim == 0
             return self.centroid
         point = intlattice.strict_interior_point(
             [(hs.normal, hs.offset) for hs in self.halfspaces], self.dim
@@ -333,7 +331,7 @@ class FaceChart:
 
     @cached_property
     def vanishing(self):
-        """Facets identically zero on the face (includes face_active)."""
+        """Facets identically zero on the face (includes face_active); see ``face_chart``."""
         return self._at_origin[2]
 
     @cached_property
@@ -391,18 +389,15 @@ class FaceChart:
         """
         P, k = self.polytope, self.dim_face
         pulled, facets, _ = self._at_origin
-        if P.bounded and k:
-            # every face of a bounded P is bounded, with the vertices of P on it
-            merged, sources = _merged(pulled)
-            of = {}  # facet of P -> position of the merged constraint it attains
-            for j, src in enumerate(sources):
-                for i in src:
-                    of[facets[i]] = j
-            tight = [{of[r] for r in v.active if r in of} for v in self.vertices]
-            kept = _facets_from_incidence(merged, [v.coords for v in self.vertices], tight, k)
-            if kept is not None:
-                return _proven_bounded(_irredundant_polytope(kept, k))
-        return reduced_polytope(pulled, k)
+        if not P.bounded:
+            return reduced_polytope(pulled, k)
+        # every face of a bounded P is the hull of the vertices of P on it
+        merged, sources = _merged(pulled)
+        # facet of P -> position of the merged constraint it attains
+        of = {facets[i]: j for j, src in enumerate(sources) for i in src}
+        tight = [{of[r] for r in v.active if r in of} for v in self.vertices]
+        kept = _facets_from_incidence(merged, [v.coords for v in self.vertices], tight, k)
+        return _proven_bounded(_irredundant_polytope(kept, k))
 
     def to_ambient(self, u):
         """Ambient point of chart coordinates u (k,), or the rows of a batch (m, k)."""
@@ -422,10 +417,12 @@ class FaceChart:
 def face_chart(P: Polytope, active) -> FaceChart:
     """Chart for the face cut out by the given facet indices (1-based).
 
-    The origin is a rational relative-interior point (the mean of the face's
-    vertices when the face is bounded); the basis is the Hermite-canonical
-    basis of the integer kernel of the active normals, so charts are
-    deterministic.  The chart is built once per face and memoized on P.
+    On a bounded P the face is read from the vertices on every named facet,
+    so any facets that meet at a vertex name a face of its true dimension;
+    the origin is their mean.  On an unbounded P the named normals must be
+    independent, and the origin is a rational relative-interior point.  The
+    basis is the Hermite-canonical integer kernel basis of the normals, so
+    charts are deterministic; each is built once per face and memoized on P.
     """
     active = tuple(sorted(set(int(r) for r in active)))
     for r in active:
@@ -438,12 +435,23 @@ def face_chart(P: Polytope, active) -> FaceChart:
 
 
 def _build_chart(P, active):
-    rows = [P.halfspaces[r - 1].normal for r in active]
-    if intlattice.rank(rows) != len(rows):
-        raise EmptyFaceError("active facet normals are linearly dependent")
-    basis = intlattice.integer_kernel(rows, P.dim)  # n - len(rows) columns: rows independent
-    origin = _face_origin(P, active, basis)
-    return FaceChart(polytope=P, face_active=active, origin=origin, basis=tuple(basis))
+    if not P.bounded:
+        rows = [P.halfspaces[r - 1].normal for r in active]
+        if intlattice.rank(rows) != len(rows):
+            raise EmptyFaceError("active facet normals are linearly dependent")
+        basis = intlattice.integer_kernel(rows, P.dim)  # n - len(rows) columns: rows independent
+        origin = _face_origin(P, active, basis)
+        return FaceChart(polytope=P, face_active=active, origin=origin, basis=tuple(basis))
+    on = _face_vertices(P, active)
+    if not on:
+        raise EmptyFaceError(f"facets {list(active)} meet at no vertex of the polytope")
+    # a face is the hull of its vertices, and the facets through all of them
+    # cut out its affine hull (Ziegler, Lectures on Polytopes, Lecture 2)
+    vanishing = frozenset.intersection(*(frozenset(v.active) for v in on))
+    basis = intlattice.integer_kernel([P.halfspaces[r - 1].normal for r in sorted(vanishing)], P.dim)
+    chart = FaceChart(polytope=P, face_active=active, origin=_mean(on, P.dim), basis=tuple(basis))
+    chart.__dict__.update(vertices=on, vanishing=vanishing)  # fill the two cached properties
+    return chart
 
 
 def _vertex_array(verts, dim):
@@ -488,11 +496,10 @@ def _pulled_back(P, chart_normals, point):
 
 
 def _face_origin(P, active, basis):
+    """A rational relative-interior point of a face of an unbounded P."""
     if not active:
         return P.interior_point
     face_vertices = _face_vertices(P, active)
-    if P.bounded and face_vertices:  # every face of a bounded P is bounded
-        return _mean(face_vertices, P.dim)
     part = intlattice.solve_particular(
         [P.halfspaces[r - 1].normal for r in active],
         [-P.halfspaces[r - 1].offset for r in active],

@@ -24,7 +24,7 @@ from .boundary import (
     random_face_point,
     random_interior,
 )
-from .dually_flat import bregman, bregman_expanded, from_dual, newton_solve
+from .dually_flat import bregman, bregman_expanded, from_dual, newton_solve, require_facet_potential
 from .errors import InvalidInputError, PolyflatError
 from .mixture import kl, to_mixture, zero_sum_check
 from .polytope import Polytope, face_chart, validate_delzant
@@ -112,6 +112,8 @@ def run_scenario(
 ):
     """Run all verification sweeps; returns (results, all_passed).
 
+    phi must be P's facet potential (``require_facet_potential``); kl-relation
+    runs when the facet normals sum to zero and the correction is affine.
     faces lists faces of dimension >= 1, each by its non-empty facet indices,
     by default every facet when P.dim >= 2; samples and tolerances override the defaults by name.
     """
@@ -123,6 +125,7 @@ def run_scenario(
     for name, flag in (("product_check", product_check), ("negative_control", negative_control)):
         if not isinstance(flag, bool):
             raise InvalidInputError(f"scenario key {name!r} must be true or false: {flag!r}")
+    require_facet_potential(phi, P)
     rng = np.random.default_rng(seed)
     results = []
 
@@ -152,7 +155,8 @@ def run_scenario(
         tol["divergence_expansion"],
     )
 
-    if zero_sum_check(P):
+    # D = s * sum(lambda) * KL for the facet potential up to an affine correction
+    if zero_sum_check(P) and all(sum(e) <= 1 for e, _ in phi.correction.terms):
         theta = to_mixture(P)
         factor = phi.scale * float(sum(float(hs.offset) for hs in P.halfspaces))
         a, b = _draw_pairs(counts["divergence_pairs"], P, rng)

@@ -178,3 +178,18 @@ def pulled_back(chart):
         if any(coeffs):
             out.append((coeffs, hs.offset + sum(x * v for x, v in zip(chart.origin, hs.normal))))
     return out
+
+
+def pyramid_prism():
+    """The square pyramid times [0, 1]: its apex edge lies on four facets, 2-5."""
+    pyramid = Polytope(
+        dim=3,
+        halfspaces=(
+            halfspace((0, 0, 1), 0),
+            halfspace((1, 0, -1), 0),
+            halfspace((0, 1, -1), 0),
+            halfspace((-1, 0, -1), 2),
+            halfspace((0, -1, -1), 2),
+        ),
+    )
+    return product(pyramid, Polytope(dim=1, halfspaces=(halfspace((1,), 0), halfspace((-1,), 1))))

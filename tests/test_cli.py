@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import pyramid_prism
 from polyflat.boundary import boundary_point
 from polyflat.cli import main
 from polyflat.dually_flat import newton_solve
@@ -448,10 +449,17 @@ def test_pythagoras_takes_only_the_tolerance_of_its_kind(tri_input, tmp_path, ca
         ({"negative_control": 1}, "'negative_control'"),
         ({"faces": [[3], [1, 2]]}, "[1, 2]"),
         ({"faces": [[]]}, "face []"),
+        # a weight-2 log term failed halfway through the sweep, in bregman_expanded
+        ({"potential": {"scale": 1.0, "log_terms": [
+            {"normal": [1, 0], "offset": 0, "weight": 2},
+            {"normal": [0, 1], "offset": 0},
+            {"normal": [-1, -1], "offset": 1},
+        ]}}, "facets of the polytope, each with weight 1"),
     ],
     ids=[
         "samples-unknown", "samples-list", "key-tolerance", "key-misspelt",
         "product-check-string", "negative-control-int", "faces-vertex", "faces-empty",
+        "potential-weighted",
     ],
 )
 def test_verify_all_rejects_settings_it_would_ignore(tmp_path, capsys, changes, named):
@@ -476,6 +484,46 @@ def test_unsolved_orthogonal_rebuild_fails_its_check(tmp_path, capsys, monkeypat
     failing = [c for c in checks if not c["pass"]]
     assert failing and all(c["check"] == "pythagoras-interior-orthogonal" for c in failing)
     assert all(c["inputs"]["unconverged"] == 1 for c in failing)
+
+
+def test_verify_all_sweeps_a_face_of_a_non_simple_polytope(tmp_path, capsys):
+    # the apex edge of the pyramid prism, named by two opposite triangles or
+    # by all four facets through it; each scenario draws the same samples
+    P = pyramid_prism()
+    polytope = {
+        "dim": P.dim,
+        "halfspaces": [{"normal": list(hs.normal), "offset": int(hs.offset)} for hs in P.halfspaces],
+    }
+    scenarios = [{"polytope": polytope, "faces": [face]} for face in ([2, 4], [2, 3, 4, 5])]
+    assert main(["verify-all", write(tmp_path, "in.json", scenarios)]) == 1
+    pair, four = (sc["checks"] for sc in json.loads(capsys.readouterr().out)["scenarios"])
+    for checks in (pair, four):
+        assert [c["check"] for c in checks if not c["pass"]] == ["delzant"]  # the apex is not simple
+    assert [c["residual"] for c in pair] == [c["residual"] for c in four]
+
+
+PRISM = {  # the zero-sum prism: triangle times [0, 1]
+    "dim": 3,
+    "halfspaces": [
+        {"normal": [1, 0, 0], "offset": 0},
+        {"normal": [0, 1, 0], "offset": 0},
+        {"normal": [-1, -1, 0], "offset": 1},
+        {"normal": [0, 0, 1], "offset": 0},
+        {"normal": [0, 0, -1], "offset": 1},
+    ],
+}
+
+
+def test_kl_relation_runs_only_for_an_affine_correction(tmp_path, capsys):
+    # D = s * sum(lambda) * KL needs the facet potential up to an affine
+    # correction; with a quadratic one, kl-relation failed a valid potential
+    for exponents, kl in (([2, 0, 0], [0, 0, 2]), False), (([1, 0, 0], [0, 0, 1]), True):
+        correction = {"monomials": [{"exponents": e, "coeff": c} for e, c in zip(exponents, (0.3, 0.2))]}
+        potential = {"scale": 0.5, "log_terms": PRISM["halfspaces"], "correction": correction}
+        scenario = {"polytope": PRISM, "potential": potential, "faces": [], "product_check": False}
+        assert main(["verify-all", write(tmp_path, "in.json", scenario)]) == 0
+        checks = [c["check"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert ("kl-relation" in checks) == kl
 
 
 @pytest.mark.parametrize("flag", ["--seed=5", "--tol=bogus=abc"])

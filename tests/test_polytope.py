@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from helpers import (
     delzant_products,
     pulled_back,
+    pyramid_prism,
     random_unimodular,
     reference_reduced_polytope,
     simplex,
@@ -233,14 +234,15 @@ def test_face_chart_basis_orthogonal_exact(triangle, square, simplex3, trapezoid
 
 
 def test_face_chart_errors(triangle, square):
-    with pytest.raises(EmptyFaceError):
-        face_chart(square, [1, 2])  # opposite facets: dependent normals
+    # one rule: the named facets meet at no vertex
+    with pytest.raises(EmptyFaceError, match="meet at no vertex"):
+        face_chart(square, [1, 2])  # opposite facets
     shifted = Polytope(
         dim=2,
         halfspaces=(halfspace((1, 0), 0), halfspace((0, 1), 0), halfspace((-1, -1), 1),
                     halfspace((1, 1), 1)),
     )
-    with pytest.raises(EmptyFaceError):
+    with pytest.raises(EmptyFaceError, match="meet at no vertex"):
         face_chart(shifted, [3, 4])  # parallel facets cannot both be active
 
 
@@ -401,17 +403,7 @@ def test_faces_of_a_bounded_polytope_take_its_vertices(monkeypatch):
 def test_face_polytopes_of_a_non_simple_polytope():
     # the square pyramid's apex lies on four facets; crossed with an interval
     # the apex edge has two non-simple vertices
-    pyramid = Polytope(
-        dim=3,
-        halfspaces=(
-            halfspace((0, 0, 1), 0),
-            halfspace((1, 0, -1), 0),
-            halfspace((0, 1, -1), 0),
-            halfspace((-1, 0, -1), 2),
-            halfspace((0, -1, -1), 2),
-        ),
-    )
-    P = product(pyramid, Polytope(dim=1, halfspaces=(halfspace((1,), 0), halfspace((-1,), 1))))
+    P = pyramid_prism()
     # every facet, and two opposite triangles of the pyramid, which meet only at the apex
     for active in [(r,) for r in range(1, P.n_facets + 1)] + [(2, 4), (3, 5)]:
         chart = face_chart(P, active)
@@ -419,6 +411,17 @@ def test_face_polytopes_of_a_non_simple_polytope():
         assert (F.halfspaces, F.bounded) == want
     assert face_chart(P, (1,)).face_polytope.n_facets == 6  # the square base times the interval
     assert face_chart(P, (6,)).face_polytope.n_facets == 5  # the pyramid itself
+
+
+def test_a_face_is_read_from_the_vertices_on_it():
+    # two opposite triangles of the pyramid, or all four, meet only along the
+    # apex edge, which lies on facets 2-5: either name gives its 1-D chart
+    P = pyramid_prism()
+    pair, four = face_chart(P, (2, 4)), face_chart(P, (2, 3, 4, 5))
+    for chart in (pair, four):
+        assert chart.dim_face == 1 and chart.vanishing == {2, 3, 4, 5}
+    assert (pair.basis, pair.origin) == (four.basis, four.origin)
+    assert pair.vertices == four.vertices == tuple(v for v in vertices(P) if len(v.active) == 5)
 
 
 def test_vanishing_holds_a_facet_that_is_not_active():
