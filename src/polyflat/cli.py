@@ -307,7 +307,8 @@ def cmd_torify(args):
     else:
         P = jsonio.parse_polytope(data.get("polytope", data))
         payload = {"zero_sum": zero_sum_check(P), "delzant": validate_delzant(P).as_dict()}
-        ok = payload["zero_sum"] and payload["delzant"]["valid"]
+        # as in from_mixture, only a bounded polytope has a compact torification
+        ok = payload["zero_sum"] and payload["delzant"]["valid"] and P.bounded
         if ok:
             payload["mixture"] = to_mixture(P).as_dict()
         payload["pass"] = ok

@@ -88,11 +88,11 @@ class NewtonSolve(NamedTuple):
 def newton_solve(phi: SymplecticPotential, P: Polytope, Y, X0=None) -> NewtonSolve:
     """Damped Newton solves of grad phi(x) = y, one per row of Y, all at once.
 
-    Each row starts from X0 (broadcast against Y) or from the vertex
-    centroid of P (an exact interior point when P is unbounded).  Iterates
-    are kept strictly inside P (facet margin >= 1e-15) and in the domain of
-    phi by step halving, at most 60 times, and a step is only accepted if it
-    decreases the infinity-norm residual.  A row converges at residual
+    Each row starts from X0 (broadcast against Y) or from P.interior_point,
+    the vertex mean plus the sum of P's rays (the centroid of a bounded P).
+    Iterates are kept strictly inside P (facet margin >= 1e-15) and in the
+    domain of phi by step halving, at most 60 times, and a step is only
+    accepted if it decreases the infinity-norm residual.  A row converges at residual
     <= 1e-10; it stalls when no step is accepted or its Hessian is singular,
     diverges when an iterate leaves the box |x| <= 1e12, and stops after
     200 Newton steps otherwise.  A target of shape (n,) gives one x, float,
@@ -244,8 +244,8 @@ def _unsolved(P: Polytope, y, x, residual, status, iterations) -> NumericalError
 def from_dual(phi: SymplecticPotential, P: Polytope, y, x0=None):
     """Invert the gradient map: the point x with grad phi(x) = y.
 
-    Starts from the vertex centroid (or an exact interior point for unbounded
-    polyhedra) and converges to infinity-norm residual <= 1e-10.  A target
+    Starts from P.interior_point (the vertex centroid when P is bounded; see
+    newton_solve) and converges to infinity-norm residual <= 1e-10.  A target
     of shape (n,) gives a DualPair; a batch (m, n) gives a tuple of m pairs,
     solved together.  The first target that does not converge raises.
     """

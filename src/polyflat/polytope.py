@@ -124,6 +124,14 @@ class Polytope:
         return rowwise.times(point, self.normal_matrix.T) + self.offset_array
 
     @cached_property
+    def rays(self):
+        """P's extreme rays, primitive and exact, computed once; none when P is bounded.
+
+        When P contains a line these generate its lineality space, in opposite pairs.
+        """
+        return tuple(intlattice.cone_rays([hs.normal for hs in self.halfspaces], self.dim))
+
+    @cached_property
     def bounded(self):
         """Whether the region is bounded: ``is_bounded``, computed once."""
         return is_bounded(self)
@@ -144,23 +152,13 @@ class Polytope:
 
     @cached_property
     def centroid(self):
-        """Mean of the vertices (exact); the Newton start point for bounded polytopes."""
-        verts = self.vertex_list
-        if not verts:
-            raise InconsistencyError("polytope has no vertices")
-        return _mean(verts, self.dim)
+        """Mean of the vertices (exact)."""
+        return _mean(_face_vertices(self, ()), self.dim)
 
     @cached_property
     def interior_point(self):
-        """An exact strictly interior point (Fourier-Motzkin for unbounded polyhedra)."""
-        if self.bounded:  # a point when dim == 0
-            return self.centroid
-        point = intlattice.strict_interior_point(
-            [(hs.normal, hs.offset) for hs in self.halfspaces], self.dim
-        )
-        if point is None:
-            raise InconsistencyError("polytope has empty interior")
-        return point
+        """The vertex mean plus the sum of the rays: an exact interior point, the Newton start."""
+        return _plus(self.centroid, self.rays)
 
 
 def flat_exit_time(P: Polytope, start, direction) -> float:
@@ -175,8 +173,8 @@ def flat_exit_time(P: Polytope, start, direction) -> float:
 
 
 def is_bounded(P: Polytope) -> bool:
-    """Exact boundedness of the feasible region: its recession cone is {0}."""
-    return not intlattice.cone_rays([hs.normal for hs in P.halfspaces], P.dim)
+    """Exact boundedness of the feasible region: it has no ray (``P.rays``)."""
+    return not P.rays
 
 
 def _enumerate_vertices(P: Polytope):
@@ -331,8 +329,8 @@ class FaceChart:
 
     @cached_property
     def vanishing(self):
-        """Facets identically zero on the face (includes face_active); see ``face_chart``."""
-        return self._at_origin[2]
+        """Facets identically zero on the face, face_active included (``_vanishing``)."""
+        return _vanishing(self.polytope, self.vertices, self.rays)
 
     @cached_property
     def vanishing_mask(self):
@@ -346,19 +344,14 @@ class FaceChart:
         return {}
 
     @cached_property
-    def _chart_normals(self):
-        """Each facet normal pulled back through the basis: its chart coefficients."""
-        return _chart_normals(self.polytope, self.basis)
-
-    @cached_property
-    def _at_origin(self):
-        """The one pass over the facets at the origin: ``_pulled_back`` on this chart."""
-        return _pulled_back(self.polytope, self._chart_normals, self.origin)
-
-    @cached_property
     def vertices(self):
         """The polytope's vertices that lie on the face, in vertex order."""
         return _face_vertices(self.polytope, self.face_active)
+
+    @cached_property
+    def rays(self):
+        """The polytope's rays that lie along the face: those every named normal is 0 on."""
+        return _face_rays(self.polytope, self.face_active)
 
     @cached_property
     def vertex_array(self):
@@ -383,21 +376,21 @@ class FaceChart:
     def face_polytope(self):
         """The face as a polytope in chart coordinates.
 
-        Inactive facets are pulled back through the chart, re-primitivized, and
-        redundant constraints are dropped; for a bounded polytope, by reading
-        which of the face's vertices each constraint is tight at.
+        The facets not constant on the face are pulled back through the
+        chart and re-primitivized, and the redundant ones are dropped by
+        reading which of the face's vertices and rays each is tight on.
         """
         P, k = self.polytope, self.dim_face
-        pulled, facets, _ = self._at_origin
-        if not P.bounded:
-            return reduced_polytope(pulled, k)
-        # every face of a bounded P is the hull of the vertices of P on it
+        pulled, facets = _pulled_back(P, self.basis, self.origin)
         merged, sources = _merged(pulled)
         # facet of P -> position of the merged constraint it attains
         of = {facets[i]: j for j, src in enumerate(sources) for i in src}
         tight = [{of[r] for r in v.active if r in of} for v in self.vertices]
-        kept = _facets_from_incidence(merged, [v.coords for v in self.vertices], tight, k)
-        return _proven_bounded(_irredundant_polytope(kept, k))
+        along = [{of[r] for r in _orthogonal(P, g) if r in of} for g in self.rays]
+        points = [v.coords for v in self.vertices]
+        kept = _facets_from_incidence(merged, points, tight, k, self.rays, along)
+        F = _irredundant_polytope(kept, k)
+        return F if self.rays else _proven_bounded(F)
 
     def to_ambient(self, u):
         """Ambient point of chart coordinates u (k,), or the rows of a batch (m, k)."""
@@ -417,12 +410,16 @@ class FaceChart:
 def face_chart(P: Polytope, active) -> FaceChart:
     """Chart for the face cut out by the given facet indices (1-based).
 
-    On a bounded P the face is read from the vertices on every named facet,
-    so any facets that meet at a vertex name a face of its true dimension;
-    the origin is their mean.  On an unbounded P the named normals must be
-    independent, and the origin is a rational relative-interior point.  The
-    basis is the Hermite-canonical integer kernel basis of the normals, so
-    charts are deterministic; each is built once per face and memoized on P.
+    The face is read from the generators on it: P's vertices on every named
+    facet and P's rays along all of them (Minkowski-Weyl: the face is the
+    hull of those vertices plus the cone of those rays).  So any facets that
+    meet at a vertex name a face of its true dimension, also on a polytope
+    that is not simple; facets that meet at no vertex raise EmptyFaceError,
+    and a polyhedron that contains a line, having no vertex, has no chart.
+    The origin is the vertices' mean plus the sum of the rays, a point of the
+    face's relative interior.  The basis is the Hermite-canonical integer
+    kernel basis of the vanishing normals, so charts are deterministic; each
+    is built once per face and memoized on P.
     """
     active = tuple(sorted(set(int(r) for r in active)))
     for r in active:
@@ -435,22 +432,13 @@ def face_chart(P: Polytope, active) -> FaceChart:
 
 
 def _build_chart(P, active):
-    if not P.bounded:
-        rows = [P.halfspaces[r - 1].normal for r in active]
-        if intlattice.rank(rows) != len(rows):
-            raise EmptyFaceError("active facet normals are linearly dependent")
-        basis = intlattice.integer_kernel(rows, P.dim)  # n - len(rows) columns: rows independent
-        origin = _face_origin(P, active, basis)
-        return FaceChart(polytope=P, face_active=active, origin=origin, basis=tuple(basis))
     on = _face_vertices(P, active)
-    if not on:
-        raise EmptyFaceError(f"facets {list(active)} meet at no vertex of the polytope")
-    # a face is the hull of its vertices, and the facets through all of them
-    # cut out its affine hull (Ziegler, Lectures on Polytopes, Lecture 2)
-    vanishing = frozenset.intersection(*(frozenset(v.active) for v in on))
+    rays = _face_rays(P, active)
+    vanishing = _vanishing(P, on, rays)
     basis = intlattice.integer_kernel([P.halfspaces[r - 1].normal for r in sorted(vanishing)], P.dim)
-    chart = FaceChart(polytope=P, face_active=active, origin=_mean(on, P.dim), basis=tuple(basis))
-    chart.__dict__.update(vertices=on, vanishing=vanishing)  # fill the two cached properties
+    origin = _plus(_mean(on, P.dim), rays)
+    chart = FaceChart(polytope=P, face_active=active, origin=origin, basis=tuple(basis))
+    chart.__dict__.update(vertices=on, rays=rays, vanishing=vanishing)  # fill the cached properties
     return chart
 
 
@@ -458,71 +446,72 @@ def _vertex_array(verts, dim):
     return rowwise.read_only(np.array([v.array for v in verts]).reshape(len(verts), dim))
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
 def _face_vertices(P, active):
+    """P's vertices on every facet in ``active``; EmptyFaceError when there are none."""
     active = set(active)
-    return tuple(v for v in vertices(P) if active <= set(v.active))
+    on = tuple(v for v in vertices(P) if active <= set(v.active))
+    if not on:
+        for g in P.rays:  # P contains a line exactly when its rays come in opposite pairs
+            if tuple(-v for v in g) in P.rays:
+                raise InconsistencyError(f"polyhedron contains the line along {list(g)}: no vertex")
+        raise EmptyFaceError(f"facets {sorted(active)} meet at no vertex of the polytope")
+    return on
 
 
-def _chart_normals(P, basis):
-    """The facet normals of P pulled back through the basis columns, in facet order."""
-    return [
-        tuple(sum(c * v for c, v in zip(col, hs.normal)) for col in basis) for hs in P.halfspaces
-    ]
+def _orthogonal(P, g):
+    """The facets whose normal is 0 on the direction g."""
+    return frozenset(r for r, hs in enumerate(P.halfspaces, start=1) if _dot(hs.normal, g) == 0)
 
 
-def _pulled_back(P, chart_normals, point):
-    """The facets as (coefficients, offset) constraints on u -> point + basis @ u.
+def _face_rays(P, active):
+    """P's rays on which the normal of every facet in ``active`` is 0."""
+    return tuple(g for g in P.rays if _orthogonal(P, g).issuperset(active))
 
-    ``chart_normals`` are the facet normals pulled back through the basis,
-    and the offsets are the exact facet values at ``point``.  A facet constant
-    on the face is dropped, after checking it is nonnegative.  Returns the
-    constraints, the 1-based facet index of each, and the frozenset of the
-    facets that are zero on the face.
+
+def _vanishing(P, verts, rays):
+    """The facets tight at every vertex of a face and orthogonal to every ray of it.
+
+    They are the facets zero on the face, and they cut out its affine hull
+    (Ziegler, Lectures on Polytopes, Lecture 2).
+    """
+    on = [frozenset(v.active) for v in verts] + [_orthogonal(P, g) for g in rays]
+    return frozenset.intersection(*on)
+
+
+def _pulled_back(P, basis, point):
+    """The facets not constant on a face, as constraints on u -> point + basis @ u.
+
+    Each is a (coefficients, offset) pair: the facet normal pulled back
+    through the basis columns, and the exact facet value at ``point``.
+    Returns the constraints and the 1-based facet index of each.
     """
     nums, d = intlattice.common_denominator(point)
-    pulled, facets, zero = [], [], set()
-    for r, (hs, coeffs) in enumerate(zip(P.halfspaces, chart_normals), start=1):
-        q = hs.offset.denominator
-        value = sum(x * v for x, v in zip(nums, hs.normal)) * q + hs.offset.numerator * d
-        if all(c == 0 for c in coeffs):
-            if value < 0:
-                raise EmptyFaceError(f"facet {r} excludes the face")
-            if value == 0:
-                zero.add(r)
-            continue
-        pulled.append((coeffs, Fraction(value, d * q)))
-        facets.append(r)
-    return pulled, facets, frozenset(zero)
-
-
-def _face_origin(P, active, basis):
-    """A rational relative-interior point of a face of an unbounded P."""
-    if not active:
-        return P.interior_point
-    face_vertices = _face_vertices(P, active)
-    part = intlattice.solve_particular(
-        [P.halfspaces[r - 1].normal for r in active],
-        [-P.halfspaces[r - 1].offset for r in active],
-    )
-    if part is None:
-        raise EmptyFaceError("active facet equations are inconsistent")
-    # used both for the bounded test and Fourier-Motzkin
-    pulled, _, _ = _pulled_back(P, _chart_normals(P, basis), part)
-    k = len(basis)
-    if face_vertices and (not k or not intlattice.cone_rays([c for c, _ in pulled], k)):
-        return _mean(face_vertices, P.dim)
-    u = intlattice.strict_interior_point(pulled, k)
-    if u is None:
-        raise EmptyFaceError("face has empty relative interior")
-    return tuple(
-        part[i] + sum(basis[j][i] * u[j] for j in range(k)) for i in range(P.dim)
-    )
+    pulled, facets = [], []
+    for r, hs in enumerate(P.halfspaces, start=1):
+        coeffs = tuple(_dot(col, hs.normal) for col in basis)
+        if any(coeffs):
+            q = hs.offset.denominator
+            value = _dot(nums, hs.normal) * q + hs.offset.numerator * d
+            pulled.append((coeffs, Fraction(value, d * q)))
+            facets.append(r)
+    return pulled, facets
 
 
 def _mean(verts, dim):
     nums, d = intlattice.common_denominator([c for v in verts for c in v.coords])
     m = len(verts)
     return tuple(Fraction(sum(nums[i::dim]), d * m) for i in range(dim))
+
+
+def _plus(point, rays):
+    """point plus the sum of the rays; point itself when there are none."""
+    if not rays:
+        return point
+    return tuple(c + sum(g[i] for g in rays) for i, c in enumerate(point))
 
 
 def _drop_redundant(constraints, k):
@@ -582,24 +571,27 @@ def _merged(constraints):
     return [(prim, off) for prim, (off, _) in items], [src for _, (_, src) in items]
 
 
-def _affine_rank(points):
-    """Dimension of the affine hull of a nonempty list of rational points."""
+def _affine_rank(points, rays=()):
+    """Dimension of the hull of a nonempty list of rational points plus the cone of rays."""
     first = points[0]
-    return intlattice.rank([[a - b for a, b in zip(p, first)] for p in points[1:]])
+    return intlattice.rank([[a - b for a, b in zip(p, first)] for p in points[1:]] + list(rays))
 
 
-def _facets_from_incidence(constraints, points, tight, k):
-    """The constraints of a bounded region in R^k that define its facets.
+def _facets_from_incidence(constraints, points, tight, k, rays=(), along=()):
+    """The constraints of a pointed region in R^k that define its facets.
 
-    ``points`` are the region's vertices in exact affine coordinates of any
-    space the region embeds in, and ``tight[v]`` holds the positions of the
-    constraints that vanish at ``points[v]``; constraints are merged, so
-    no two have the same primitive normal.  A constraint is a facet exactly
-    when the vertices where it is tight span a (k-1)-flat.  The constraints
-    tight at a vertex where exactly k are tight are facets without a rank
-    test: near such a vertex the region is a simplicial cone.  Returns the
-    kept constraints in order, or None when the vertices do not span a k-flat
-    (an empty or lower-dimensional region).
+    ``points`` are the region's vertices and ``rays`` its extreme rays, in
+    exact affine coordinates of any space the region embeds in; ``tight[v]``
+    holds the positions of the constraints that vanish at ``points[v]``, and
+    ``along[g]`` those whose normal is 0 on ``rays[g]``; constraints are
+    merged, so no two have the same primitive normal.  A constraint is a
+    facet exactly when it is tight at a vertex and the vertices and rays it
+    is tight on span a (k-1)-flat: a face of a pointed region is the hull of
+    its vertices plus the cone of its rays, and has a vertex.  The
+    constraints tight at a vertex where exactly k are tight are facets
+    without a rank test: near such a vertex the region is a simplicial cone.
+    Returns the kept constraints in order, or None when the vertices and rays
+    do not span a k-flat (an empty or lower-dimensional region).
     """
     facet = [False] * len(constraints)
     full = False
@@ -608,12 +600,13 @@ def _facets_from_incidence(constraints, points, tight, k):
             full = True
             for j in t:
                 facet[j] = True
-    if not points or not (full or _affine_rank(points) == k):
+    if not points or not (full or _affine_rank(points, rays) == k):
         return None
     for j, is_facet in enumerate(facet):
         if not is_facet:
             on = [p for p, t in zip(points, tight) if j in t]
-            facet[j] = len(on) >= k and _affine_rank(on) == k - 1
+            dirs = [g for g, t in zip(rays, along) if j in t]
+            facet[j] = bool(on) and len(on) + len(dirs) >= k and _affine_rank(on, dirs) == k - 1
     return [c for c, is_facet in zip(constraints, facet) if is_facet]
 
 
@@ -623,8 +616,8 @@ def _irredundant_polytope(kept, dim):
 
 
 def _proven_bounded(P):
-    """P, with the boundedness its builder has proven filled into its ``bounded`` slot."""
-    P.__dict__["bounded"] = True
+    """P, with the boundedness its caller has proven filled into its ``rays`` and ``bounded``."""
+    P.__dict__.update(rays=(), bounded=True)
     return P
 
 

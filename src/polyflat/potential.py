@@ -165,10 +165,11 @@ def restrict_potential(phi: SymplecticPotential, chart: FaceChart) -> Symplectic
     Terms that vanish identically on the face contribute 0 log 0 = 0 and are
     dropped; the remaining terms and the correction are composed with the
     affine chart map u -> origin + basis @ u.  Every kept term must be
-    nonnegative at the face's vertices, which proves it nonnegative on a
-    bounded face; on an unbounded face the rest is checked at evaluation.
-    The result is memoized on the chart, per potential object: the memo is
-    keyed by id(phi) and its entry holds phi, so no other object takes that id.
+    nonnegative at the face's vertices and nondecreasing along its rays,
+    which proves it nonnegative on the whole face, the hull of those
+    vertices plus the cone of those rays.  The result is memoized on the
+    chart, per potential object: the memo is keyed by id(phi) and its entry
+    holds phi, so no other object takes that id.
     """
     entry = chart.restrictions.get(id(phi))
     if entry is None:
@@ -203,6 +204,10 @@ def _restrict(phi, chart):
         raise DomainError(
             f"log term {kept[negative[0][1]] + 1} is negative at a vertex of the face"
         )
+    if chart.rays:  # (ray, term) pairs in ray order, then term order
+        falling = np.argwhere(np.array(chart.rays, dtype=float) @ phi._normals[kept].T < -1e-9)
+        if len(falling):
+            raise DomainError(f"log term {kept[falling[0][1]] + 1} falls along a ray of the face")
     return SymplecticPotential(
         dim=chart.dim_face,
         scale=phi.scale,

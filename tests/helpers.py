@@ -180,9 +180,9 @@ def pulled_back(chart):
     return out
 
 
-def pyramid_prism():
-    """The square pyramid times [0, 1]: its apex edge lies on four facets, 2-5."""
-    pyramid = Polytope(
+def square_pyramid():
+    """The square pyramid over [0, 2]^2; its apex (1, 1, 1) lies on its four side facets, 2-5."""
+    return Polytope(
         dim=3,
         halfspaces=(
             halfspace((0, 0, 1), 0),
@@ -192,4 +192,24 @@ def pyramid_prism():
             halfspace((0, -1, -1), 2),
         ),
     )
-    return product(pyramid, Polytope(dim=1, halfspaces=(halfspace((1,), 0), halfspace((-1,), 1))))
+
+
+def pyramid_prism():
+    """The square pyramid times [0, 1]: its apex edge lies on four facets, 2-5."""
+    interval = Polytope(dim=1, halfspaces=(halfspace((1,), 0), halfspace((-1,), 1)))
+    return product(square_pyramid(), interval)
+
+
+def pointed_unbounded():
+    """Six unbounded polyhedra with a vertex, by name; the last has a non-simple half-line."""
+    ray = Polytope(dim=1, halfspaces=(halfspace((1,), 0),))
+    interval = Polytope(dim=1, halfspaces=(halfspace((1,), 0), halfspace((-1,), 1)))
+    cut = Polytope(dim=2, halfspaces=(halfspace((1, 0), 0), halfspace((0, 1), 0), halfspace((1, 1), -1)))
+    return {
+        "triangle x ray": product(simplex(2), ray),
+        "square x ray": product(product(interval, interval), ray),
+        "ray x ray x interval": product(product(ray, ray), interval),
+        "cut quadrant": cut,
+        "triangle x ray x ray": product(product(simplex(2), ray), ray),
+        "pyramid x ray": product(square_pyramid(), ray),
+    }

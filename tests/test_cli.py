@@ -345,6 +345,16 @@ def test_torify_trapezoid_fails(tmp_path, capsys):
     assert not out["zero_sum"] and out["delzant"]["valid"]
 
 
+def test_torify_refuses_a_polyhedron_that_contains_a_line(tmp_path, capsys):
+    # the strip 0 <= x2 <= 1 has zero-sum normals and no vertex to fail the
+    # Delzant check, but its closure is not compact, as from_mixture also finds
+    strip = {"dim": 2, "halfspaces": [{"normal": [0, 1], "offset": 0}, {"normal": [0, -1], "offset": 1}]}
+    assert main(["torify", write(tmp_path, "strip.json", strip)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["zero_sum"] and out["delzant"]["valid"] and not out["pass"]
+    assert "mixture" not in out
+
+
 def test_verify_all_bundled_scenarios(capsys):
     assert main(["verify-all", str(SCENARIOS / "triangle.json")]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from helpers import (
     delzant_products,
+    pointed_unbounded,
     pulled_back,
     pyramid_prism,
     random_unimodular,
@@ -413,15 +414,53 @@ def test_face_polytopes_of_a_non_simple_polytope():
     assert face_chart(P, (6,)).face_polytope.n_facets == 5  # the pyramid itself
 
 
+def test_every_face_of_a_pointed_unbounded_polyhedron():
+    # each nonempty face is the hull of P's vertices on it plus the cone of
+    # P's rays along it; its chart origin lies in its relative interior
+    charts = 0
+    for name, P in pointed_unbounded().items():
+        for size in range(P.n_facets + 1):
+            for active in combinations(range(1, P.n_facets + 1), size):
+                try:
+                    chart = face_chart(P, active)
+                except EmptyFaceError:
+                    continue
+                charts += 1
+                F, want = chart.face_polytope, reference_reduced_polytope(pulled_back(chart), chart.dim_face)
+                assert (F.halfspaces, F.bounded) == want, (name, active)
+                for r, hs in enumerate(P.halfspaces, start=1):
+                    value = hs.offset + sum(a * x for a, x in zip(hs.normal, chart.origin))
+                    assert value == 0 if r in chart.vanishing else value > 0, (name, active, r)
+    assert charts == 128
+
+
+def test_interior_point_is_the_vertex_mean_plus_the_rays(triangle, half_line):
+    assert half_line.interior_point == (1,)
+    assert product(triangle, half_line).interior_point == (Fraction(1, 3), Fraction(1, 3), 1)
+    assert triangle.interior_point == triangle.centroid == (Fraction(1, 3), Fraction(1, 3))
+
+
+def test_a_polyhedron_that_contains_a_line_has_no_chart():
+    strip = Polytope(dim=2, halfspaces=(halfspace((0, 1), 0), halfspace((0, -1), 1)))
+    assert not strip.bounded and validate_delzant(strip).valid
+    for read in (lambda: strip.interior_point, lambda: face_chart(strip, (1,))):
+        with pytest.raises(InconsistencyError, match=r"contains the line along \[1, 0\]"):
+            read()
+
+
 def test_a_face_is_read_from_the_vertices_on_it():
     # two opposite triangles of the pyramid, or all four, meet only along the
-    # apex edge, which lies on facets 2-5: either name gives its 1-D chart
-    P = pyramid_prism()
-    pair, four = face_chart(P, (2, 4)), face_chart(P, (2, 3, 4, 5))
-    for chart in (pair, four):
-        assert chart.dim_face == 1 and chart.vanishing == {2, 3, 4, 5}
-    assert (pair.basis, pair.origin) == (four.basis, four.origin)
-    assert pair.vertices == four.vertices == tuple(v for v in vertices(P) if len(v.active) == 5)
+    # apex edge, which lies on facets 2-5: either name gives its 1-D chart;
+    # on the pyramid times a ray they meet along the half-line apex x ray
+    prism, times_ray = pyramid_prism(), pointed_unbounded()["pyramid x ray"]
+    for P, rays in ((prism, ()), (times_ray, ((0, 0, 0, 1),))):
+        pair, four = face_chart(P, (2, 4)), face_chart(P, (2, 3, 4, 5))
+        for chart in (pair, four):
+            assert chart.dim_face == 1 and chart.vanishing == {2, 3, 4, 5}
+            assert chart.rays == rays and chart.face_polytope.bounded == (not rays)
+        assert (pair.basis, pair.origin) == (four.basis, four.origin)
+        assert pair.vertices == four.vertices == tuple(v for v in vertices(P) if len(v.active) == 5)
+    assert face_chart(times_ray, (2, 4)).origin == (1, 1, 1, 1)  # the apex plus the ray
 
 
 def test_vanishing_holds_a_facet_that_is_not_active():

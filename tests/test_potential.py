@@ -333,3 +333,22 @@ def test_restrict_potential_checks_faces_of_unbounded_polytopes(triangle, half_l
         restrict_potential(bad, side)
     phi_f = restrict_potential(guillemin(prod, 1.0), side)
     assert phi_f.dim == 2 and len(phi_f.log_terms) == 3
+
+
+def test_restrict_potential_checks_the_rays_of_a_face(triangle, half_line):
+    # -x3 + 5 is positive at every vertex of the side face [3] of the
+    # triangle x ray, but negative past x3 = 5 along the face's ray
+    prod = product(triangle, half_line)
+    side = face_chart(prod, [3])
+    falling = SymplecticPotential(
+        dim=3, scale=1.0, log_terms=(AffineLogTerm(normal=(0.0, 0.0, -1.0), offset=5.0),)
+    )
+    with pytest.raises(DomainError, match="term 1 .* ray of the face"):
+        restrict_potential(falling, side)
+    # a term that grows along the ray, or is constant on it, is kept
+    rising = SymplecticPotential(
+        dim=3, scale=1.0,
+        log_terms=(AffineLogTerm(normal=(0.0, 0.0, 1.0), offset=0.0),
+                   AffineLogTerm(normal=(1.0, 0.0, 0.0), offset=0.5)),
+    )
+    assert len(restrict_potential(rising, side).log_terms) == 2
