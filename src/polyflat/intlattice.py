@@ -147,24 +147,6 @@ def solve_integer(rows, rhs):
     return tuple(nums), den
 
 
-def solve_particular(rows, rhs):
-    """One exact solution of an (under)determined rational system, or None.
-
-    Free variables are set to zero.  rows is a list of length-n sequences.
-    """
-    if not rows:
-        return None
-    n = len(rows[0])
-    mat, _ = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
-    sol = _solve_augmented(mat, n)
-    if sol is None:
-        return None  # inconsistent
-    x = [Fraction(0)] * n
-    for col, v in zip(sol[0], sol[1]):
-        x[col] = Fraction(v, sol[2])
-    return tuple(x)
-
-
 def rank(rows):
     """Rank of a rational matrix, exact."""
     mat, _ = _integer_rows(rows)
@@ -294,58 +276,3 @@ def cone_rays(normals, n):
             if all(sum(a * u for a, u in zip(row, cand)) >= 0 for row in normals):
                 rays.append(cand)
     return rays
-
-
-def strict_interior_point(constraints, n):
-    """Exact rational point with a·x + c > 0 for every (a, c) constraint.
-
-    Uses Fourier-Motzkin elimination; `constraints` is a list of pairs
-    (coefficients, offset) with rational entries.  Returns None when the open
-    region is empty.  Exponential in n, fine at desk scale.
-    """
-    system = [([Fraction(v) for v in coeffs], Fraction(off)) for coeffs, off in constraints]
-    return _fm_solve(system, n)
-
-
-def _fm_solve(system, n):
-    for coeffs, off in system:
-        if all(c == 0 for c in coeffs) and off <= 0:
-            return None
-    if n == 0:
-        return ()
-    # eliminate the last variable
-    lowers, uppers, rest = [], [], []
-    for coeffs, off in system:
-        a = coeffs[-1]
-        if a > 0:
-            lowers.append(([c / a for c in coeffs[:-1]], off / a))
-        elif a < 0:
-            uppers.append(([c / -a for c in coeffs[:-1]], off / -a))
-        else:
-            rest.append((coeffs[:-1], off))
-    reduced = list(rest)
-    for lc, lo in lowers:
-        for uc, uo in uppers:
-            # upper bound uc·x'+uo must exceed lower bound -(lc·x'+lo)
-            reduced.append(([u + l for u, l in zip(uc, lc)], uo + lo))
-    partial = _fm_solve(reduced, n - 1)
-    if partial is None:
-        return None
-    lo, hi = None, None
-    for lc, loff in lowers:
-        bound = -(sum(c * x for c, x in zip(lc, partial)) + loff)
-        lo = bound if lo is None else max(lo, bound)
-    for uc, uoff in uppers:
-        bound = sum(c * x for c, x in zip(uc, partial)) + uoff
-        hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None:
-        if lo >= hi:
-            return None
-        last = (lo + hi) / 2
-    elif lo is not None:
-        last = lo + 1
-    elif hi is not None:
-        last = hi - 1
-    else:
-        last = Fraction(0)
-    return partial + (last,)

@@ -149,9 +149,11 @@ def from_mixture(theta: MixtureFamily) -> TorificationReport:
     """Candidate polytope of a mixture family and its Delzant verdict.
 
     Clears the common denominator of the alpha entries, re-primitivizes each
-    normal, drops redundant constraints, and validates.  A compact
-    torification exists exactly when the closure is a bounded Delzant
-    polytope.
+    normal, drops redundant constraints (``reduced_polytope``), and validates.
+    A compact torification exists exactly when the closure is a bounded
+    Delzant polytope.  A family whose parameter domain is empty or not open,
+    or whose closure contains a line, is not a mixture family: its region has
+    no vertex or no interior point, and DegenerateError is raised.
     """
     _, lcm = common_denominator([a for row in theta.alphas for a in row])
     constraints = []

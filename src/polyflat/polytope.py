@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from . import intlattice, rowwise
-from .errors import EmptyFaceError, InconsistencyError, InvalidInputError
+from .errors import DegenerateError, EmptyFaceError, InconsistencyError, InvalidInputError
 
 
 def as_fraction(value):
@@ -419,8 +419,12 @@ def face_chart(P: Polytope, active) -> FaceChart:
     The origin is the vertices' mean plus the sum of the rays, a point of the
     face's relative interior.  The basis is the Hermite-canonical integer
     kernel basis of the vanishing normals, so charts are deterministic; each
-    is built once per face and memoized on P.
+    is built once per face and memoized on P.  Indices are Python or numpy
+    ints; a bool, float or str is refused, not truncated.
     """
+    for r in active:
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+            raise InvalidInputError(f"facet index {r!r} is not an integer")
     active = tuple(sorted(set(int(r) for r in active)))
     for r in active:
         if not 1 <= r <= P.n_facets:
@@ -514,43 +518,6 @@ def _plus(point, rays):
     return tuple(c + sum(g[i] for g in rays) for i, c in enumerate(point))
 
 
-def _drop_redundant(constraints, k):
-    """Remove constraints that do not cut the feasible region; exact."""
-    kept = list(constraints)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1 :]
-        if others and _is_redundant(kept[i], others, k):
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
-
-
-def _is_redundant(cons, others, k):
-    coeffs, off = cons
-    if k == 0:
-        return off >= 0
-    # minimum over the others-region: vertices plus recession rays
-    normals = [c for c, _ in others]
-    for ray in intlattice.cone_rays(normals, k):
-        if sum(a * u for a, u in zip(coeffs, ray)) < 0:
-            return False
-    found_vertex = False
-    for nums, den, _ in _feasible_solutions(normals, [o for _, o in others], k):
-        found_vertex = True
-        # the sign of coeffs . x + off at x = nums / den
-        if sum(a * u for a, u in zip(coeffs, nums)) * off.denominator + off.numerator * den < 0:
-            return False
-    if not found_vertex:
-        # others-region has no vertex (e.g. no constraints): probe the cons itself
-        probe = intlattice.strict_interior_point(
-            [(tuple(-c for c in coeffs), -off)] + list(others), k
-        )
-        return probe is None
-    return True
-
-
 def _merged(constraints):
     """Primitive forms of (coefficients, offset) constraints, parallel ones merged.
 
@@ -625,31 +592,39 @@ def reduced_polytope(constraints, dim) -> Polytope:
     """The polytope {u : coeffs . u + offset >= 0} in irredundant primitive form.
 
     ``constraints`` are (integer coefficients, rational offset) pairs with
-    nonzero coefficients.  Each is re-primitivized, parallel constraints keep
-    the tightest offset, redundant ones are dropped, and boundedness is tested
-    exactly.  When the normals bound the region, its vertices are enumerated
-    once and redundancy is read from their incidences; otherwise each
-    constraint is tested against the others.
+    nonzero coefficients.  Each is re-primitivized and parallel constraints
+    keep the tightest offset.  The rule is the one ``face_polytope`` uses: the
+    region's rays come from one ``cone_rays`` call and its vertices from one
+    subset loop, and a constraint stays exactly when the vertices and rays it
+    is tight on span a facet (``_facets_from_incidence``).  A region with no
+    vertex or no interior point (empty, lower-dimensional or containing a
+    line) raises DegenerateError.  The vertices are kept on the polytope, and
+    so is its boundedness when it has no ray.
     """
     merged, _ = _merged(constraints)
     normals = [prim for prim, _ in merged]
-    if dim and merged and not intlattice.cone_rays(normals, dim):
-        found = _subset_vertices(normals, [off for _, off in merged], dim)
-        kept = _facets_from_incidence(merged, list(found.values()), list(found), dim)
-        if kept is not None:
-            P = _proven_bounded(_irredundant_polytope(kept, dim))
-            # dropping a redundant constraint moves no vertex, so these are P's
-            # vertices, filled into its vertex_list slot; kept is in merged
-            # order, so the 1-based positions stay sorted
-            position = {prim: i for i, (prim, _) in enumerate(kept, start=1)}
-            verts = []
-            for tight, point in found.items():
-                normals = (merged[j][0] for j in tight)
-                active = tuple(position[v] for v in normals if v in position)
-                verts.append(Vertex(coords=point, active=active))
-            P.__dict__["vertex_list"] = tuple(sorted(verts, key=lambda v: v.coords))
-            return P
-    return _irredundant_polytope(_drop_redundant(merged, dim), dim)
+    rays = intlattice.cone_rays(normals, dim)
+    found = _subset_vertices(normals, [off for _, off in merged], dim)
+    along = [{j for j, v in enumerate(normals) if _dot(v, g) == 0} for g in rays]
+    kept = _facets_from_incidence(merged, list(found.values()), list(found), dim, rays, along)
+    if kept is None:
+        raise DegenerateError(
+            "the constraints cut out a region with no vertex or no interior point"
+            " (empty, lower-dimensional or containing a line)"
+        )
+    P = _irredundant_polytope(kept, dim)
+    if not rays:
+        _proven_bounded(P)
+    # dropping a redundant constraint moves no vertex, so these are P's
+    # vertices, filled into its vertex_list slot; kept is in merged order, so
+    # the 1-based positions stay sorted
+    position = {prim: i for i, (prim, _) in enumerate(kept, start=1)}
+    verts = []
+    for tight, point in found.items():
+        active = tuple(position[normals[j]] for j in tight if normals[j] in position)
+        verts.append(Vertex(coords=point, active=active))
+    P.__dict__["vertex_list"] = tuple(sorted(verts, key=lambda v: v.coords))
+    return P
 
 
 def restrict_polytope(P: Polytope, chart: FaceChart) -> Polytope:

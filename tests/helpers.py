@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference oracles, lattice transforms and
 random Delzant polytopes with potentials."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from polyflat.errors import InvalidInputError
 from polyflat.intlattice import integer_kernel, primitivize, solve_integer
 from polyflat.polynomial import Polynomial
-from polyflat.polytope import HalfSpace, Polytope, _drop_redundant, halfspace, product
+from polyflat.polytope import HalfSpace, Polytope, halfspace, product
 from polyflat.potential import SymplecticPotential, guillemin
 from polyflat.verify import DEFAULT_TOLERANCES
 
@@ -153,19 +154,45 @@ def reference_cone_rays(normals, n):
     return rays
 
 
+def subset_vertices(constraints, k):
+    """The vertices of {x : c . x + o >= 0 for every (c, o)}, from every k-subset solved alone."""
+    d = math.lcm(*(Fraction(o).denominator for _, o in constraints))
+    for subset in combinations(constraints, k):
+        sol = solve_integer([c for c, _ in subset], [int(-o * d) for _, o in subset])
+        if sol is not None:
+            x = tuple(Fraction(v, sol[1] * d) for v in sol[0])
+            if all(sum(a * u for a, u in zip(c, x)) + o >= 0 for c, o in constraints):
+                yield x
+
+
 def reference_reduced_polytope(constraints, dim):
-    """(half-spaces, bounded) of reduced_polytope, with every constraint tested against
-    the others (no incidences) and boundedness from ``reference_cone_rays``."""
+    """(half-spaces, bounded) of reduced_polytope on a pointed full-dimensional region.
+
+    Each constraint is tested against the others (no incidences): it is
+    dropped when it is nonnegative on every ray and vertex of the others'
+    region.  For a pointed region that region has a vertex, or contains a
+    line the tested constraint cuts.  Boundedness is from ``reference_cone_rays``.
+    """
     tightest = {}
     for coeffs, off in constraints:
         prim, g = primitivize(coeffs)
         off = Fraction(off, g)
         if prim not in tightest or off < tightest[prim]:
             tightest[prim] = off
-    kept = _drop_redundant(sorted(tightest.items()), dim)
+    kept = sorted(tightest.items())
+    i = 0
+    while i < len(kept):
+        coeffs, off = kept[i]
+        others = kept[:i] + kept[i + 1 :]
+        rays = reference_cone_rays([c for c, _ in others], dim)
+        if all(sum(a * u for a, u in zip(coeffs, g)) >= 0 for g in rays) and all(
+            sum(a * u for a, u in zip(coeffs, x)) + off >= 0 for x in subset_vertices(others, dim)
+        ):
+            kept.pop(i)
+        else:
+            i += 1
     halfspaces = tuple(HalfSpace(normal=prim, offset=off) for prim, off in kept)
-    bounded = not reference_cone_rays([hs.normal for hs in halfspaces], dim) if dim else True
-    return halfspaces, bounded
+    return halfspaces, not reference_cone_rays([hs.normal for hs in halfspaces], dim)
 
 
 def pulled_back(chart):

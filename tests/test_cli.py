@@ -293,13 +293,17 @@ TRIPLE = {"kind": "boundary_foot", "face": [3], "eta": [0.3, 0.7], "xi": [0.25, 
         ("verify-all", small_scenario(samples={"boundary_feet": True})),
         ("verify-all", small_scenario(samples={"continuity_pairs": -1})),
         ("verify-all", small_scenario(samples={"continuity_pairs": 0})),
+        ("verify-all", small_scenario(faces=[[1.5]])),
+        ("verify-all", small_scenario(faces=[[True]])),
+        ("verify-all", small_scenario(faces=[["1"]])),
     ],
     ids=[
         "divergence-pairs-dict", "boundary-pairs-dict", "points-list", "t-grid-number",
         "start-number", "face-number", "scenario-number", "scenario-list-empty",
         "faces-number", "tolerance-string", "tolerance-bool", "tolerance-negative",
         "tolerance-unknown", "samples-float", "samples-string",
-        "samples-bool", "samples-negative", "samples-zero",
+        "samples-bool", "samples-negative", "samples-zero", "face-index-float",
+        "face-index-bool", "face-index-string",
     ],
 )
 def test_hostile_input_exits_2(tri_input, tmp_path, capsys, command, payload):
@@ -353,6 +357,26 @@ def test_torify_refuses_a_polyhedron_that_contains_a_line(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["zero_sum"] and out["delzant"]["valid"] and not out["pass"]
     assert "mixture" not in out
+
+
+@pytest.mark.parametrize(
+    "alphas, betas",
+    [
+        ([[1, 0], [-1, 0], [0, 0]], [0, "1/2", "1/2"]),
+        ([[1], [1], [-2]], [-5, 5, 1]),
+        ([[1], [-1], [1], [-1]], [0, 0, "1/2", "1/2"]),
+        ([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, "1/2", "1/2"]),
+    ],
+    ids=["strip", "empty", "point", "segment"],
+)
+def test_torify_refuses_a_degenerate_family(tmp_path, capsys, alphas, betas):
+    # no open parameter domain, or a closure that contains a line: the region
+    # has no vertex or no interior point, so it is refused, not judged
+    path = write(tmp_path, "mix.json", {"alphas": alphas, "betas": betas})
+    assert main(["torify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "no vertex or no interior point" in captured.err
 
 
 def test_verify_all_bundled_scenarios(capsys):

@@ -25,14 +25,6 @@ def test_primitivize():
 def test_solve_integer_exact():
     assert intlattice.solve_integer([[2, 1], [1, 3]], [1, 0]) == ((3, -1), 5)
     assert intlattice.solve_integer([[1, 2], [2, 4]], [1, 2]) is None
-    x = intlattice.solve_particular([[2, 1], [1, 3]], [Fraction(1), Fraction(0)])
-    assert x == (Fraction(3, 5), Fraction(-1, 5))
-
-
-def test_solve_particular_underdetermined():
-    x = intlattice.solve_particular([[1, 1, 1]], [Fraction(1)])
-    assert sum(x) == 1
-    assert intlattice.solve_particular([[1, 0], [1, 0]], [0, 1]) is None
 
 
 def test_determinant_and_rank():
@@ -138,7 +130,6 @@ def sympy_particular(rows, rhs):
 def test_rational_elimination_matches_sympy(system):
     rows, rhs, n = system
     assert intlattice.rank(rows) == qq_matrix(rows).rank()
-    assert intlattice.solve_particular(rows, rhs) == sympy_particular(rows, rhs)
     k = min(len(rows), n)
     square, b = [row[:k] for row in rows[:k]], rhs[:k]
     det = intlattice.determinant(square)
@@ -152,7 +143,6 @@ def test_rational_elimination_matches_sympy(system):
         assert den == abs(Matrix([row[:k] for row in scaled]).det())
         x = tuple(Fraction(v, den) for v in nums)
         assert x == sympy_particular(square, b)
-        assert intlattice.solve_particular(square, b) == x
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,10 +153,7 @@ def test_cone_rays_match_reference(matrix):
 
 
 def test_singular_and_inconsistent_systems():
-    assert intlattice.solve_particular([[Fraction(1, 2), 1], [1, 2]], [1, 0]) is None
     assert intlattice.solve_integer([[1, 2], [2, 4]], [1, 2]) is None
-    assert intlattice.solve_particular([[Fraction(1, 3), 1], [1, 3]], [0, 1]) is None
-    assert intlattice.solve_particular([[Fraction(1, 3), 1], [1, 3]], [1, 3]) == (Fraction(3), Fraction(0))
     assert intlattice.determinant([[Fraction(1, 2), Fraction(1, 3)], [1, 1]]) == Fraction(1, 6)
     assert intlattice.rank([[Fraction(1, 2), 1], [1, 2], [0, Fraction(5, 7)]]) == 2
 
@@ -197,30 +184,6 @@ def test_cone_rays_unbounded_cases():
     assert any(r[1] > 0 for r in rays) and any(r[1] < 0 for r in rays)
     # half-line in 1-d
     assert intlattice.cone_rays([(1,)], 1) == [(1,)]
-
-
-def test_strict_interior_point_feasible():
-    # open triangle
-    pt = intlattice.strict_interior_point(
-        [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)], 2
-    )
-    assert pt is not None
-    assert pt[0] > 0 and pt[1] > 0 and pt[0] + pt[1] < 1
-    # unbounded wedge
-    pt = intlattice.strict_interior_point([((1, 1), 0), ((1, -1), 0)], 2)
-    assert pt[0] + pt[1] > 0 and pt[0] - pt[1] > 0
-    # zero variables: no constraint, or a positive constant
-    assert intlattice.strict_interior_point([], 0) == ()
-    assert intlattice.strict_interior_point([((), Fraction(1, 2))], 0) == ()
-
-
-def test_strict_interior_point_infeasible():
-    assert intlattice.strict_interior_point([((1,), 0), ((-1,), 0)], 1) is None
-    # contradictory constants
-    assert intlattice.strict_interior_point([((0, 0), Fraction(-1)), ((1, 0), 5)], 2) is None
-    # zero variables: a non-positive constant
-    assert intlattice.strict_interior_point([((), 0)], 0) is None
-    assert intlattice.strict_interior_point([((), 1), ((), -1)], 0) is None
 
 
 def test_invert_unimodular():

@@ -213,14 +213,14 @@ def test_from_mixture_constant_outcome_dropped():
 
 
 def test_from_mixture_unbounded_closure():
-    # the second coordinate is unconstrained, so the closure is a strip
+    # the second coordinate is unconstrained, so the closure is a strip: the
+    # weights are not linearly independent, and the region has no vertex
     theta = MixtureFamily(
         alphas=(((1, 0)), ((-1, 0)), ((0, 0))),
         betas=(Fraction(0), Fraction(1, 2), Fraction(1, 2)),
     )
-    report = from_mixture(theta)
-    assert not report.bounded
-    assert not report.torifiable
+    with pytest.raises(DegenerateError, match="no vertex or no interior point"):
+        from_mixture(theta)
 
 
 def test_from_mixture_denominator_clearing():

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from helpers import (
     delzant_products,
@@ -18,6 +18,7 @@ from helpers import (
 )
 from polyflat import intlattice, jsonio
 from polyflat.errors import (
+    DegenerateError,
     EmptyFaceError,
     InconsistencyError,
     InvalidInputError,
@@ -371,8 +372,16 @@ def _with_redundant_constraints(P, rng):
     return [cons[i] for i in rng.permutation(len(cons))]
 
 
+def _pointed_unbounded_examples(test):
+    """test with each polyhedron of ``pointed_unbounded`` as one more explicit input."""
+    for P in pointed_unbounded().values():
+        test = example((P, np.random.default_rng(0)))(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(delzant_products())
+@_pointed_unbounded_examples
 def test_incidence_redundancy_matches_subset_tests(case):
     P, rng = case
     cons = _with_redundant_constraints(P, rng)
@@ -478,11 +487,15 @@ def test_vanishing_holds_a_facet_that_is_not_active():
 
 
 def test_reduced_polytope_of_unbounded_and_degenerate_systems():
-    cases = [
-        ([((1, 0), 0), ((0, 1), 0), ((1, 1), 1)], 2),  # quadrant plus a redundant cut
-        ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)], 2),  # a segment in the plane
-        ([((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), 1)], 2),  # empty
+    quadrant = [((1, 0), 0), ((0, 1), 0), ((1, 1), 1)]  # plus a redundant cut
+    got = reduced_polytope(quadrant, 2)
+    assert (got.halfspaces, got.bounded) == reference_reduced_polytope(quadrant, 2)
+    assert got.n_facets == 2 and not got.bounded
+    degenerate = [
+        [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)],  # a segment in the plane
+        [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), 1)],  # empty
+        [((0, 1), 0), ((0, -1), 1), ((0, 2), 1)],  # a strip, which contains a line
     ]
-    for cons, dim in cases:
-        got = reduced_polytope(cons, dim)
-        assert (got.halfspaces, got.bounded) == reference_reduced_polytope(cons, dim)
+    for cons in degenerate:
+        with pytest.raises(DegenerateError, match="no vertex or no interior point"):
+            reduced_polytope(cons, 2)
