@@ -37,7 +37,6 @@ from .errors import (
     DomainError,
     EmptyFaceError,
     FaceBoundaryError,
-    InconsistencyError,
     InvalidInputError,
     NoSolutionError,
     NotTorifiableError,

@@ -358,7 +358,8 @@ def random_interior(P: Polytope, rng, margin: float = 1e-3, size=None) -> np.nda
 
     With size=m, a block (m, n) of such points.
     """
-    X = _draw_clearing(rng, P.vertex_array, size, lambda _, X: P.facet_values(X), margin)
+    rays = np.array(P.rays, dtype=float).reshape(-1, P.dim)
+    X = _draw_clearing(rng, P.vertex_array, rays, size, lambda _, X: P.facet_values(X), margin)
     if X is None:
         raise NumericalError("failed to draw an interior point with the requested margin")
     return X if size is not None else X[0]
@@ -368,8 +369,9 @@ def random_face_point(chart: FaceChart, rng, margin: float = 1e-3, size=None):
     """A random BoundaryPoint of the open face whose inactive facet values exceed margin.
 
     With size=m, a batch of m of them.  The points are drawn in chart
-    coordinates, from the face's vertices; the facet values of each drawn row
-    are computed once, for the margin and for the checks of ``boundary_point``.
+    coordinates, from the face's vertices and rays; the facet values of each
+    drawn row are computed once, for the margin and for the checks of
+    ``boundary_point``.
     """
     P = chart.polytope
     m = 1 if size is None else size
@@ -382,7 +384,8 @@ def random_face_point(chart: FaceChart, rng, margin: float = 1e-3, size=None):
         X[rows], values[rows] = x, v
         return v[:, inactive]
 
-    U = _draw_clearing(rng, chart.vertex_chart_array, size, inactive_values, margin)
+    rays = np.array(chart.rays, dtype=float).reshape(-1, P.dim) @ chart.left_inverse.T
+    U = _draw_clearing(rng, chart.vertex_chart_array, rays, size, inactive_values, margin)
     if U is None:
         raise NumericalError("failed to draw a face-interior point")
     _check_rows(chart, values, np.zeros(m, dtype=bool))
@@ -390,19 +393,23 @@ def random_face_point(chart: FaceChart, rng, margin: float = 1e-3, size=None):
     return points if size is not None else points[0]
 
 
-def _draw_clearing(rng, vertices, size, values, margin):
-    """Rows of random convex combinations of vertices whose values all exceed margin.
+def _draw_clearing(rng, vertices, rays, size, values, margin):
+    """Random points of the hull of vertices plus the cone of rays, all values above margin.
 
-    Draws a block of size rows (one row for size None) from a flat Dirichlet
-    distribution, then redraws the rows at or below the margin, in row order,
-    for at most 200 rounds in all; None when some row never clears.  values
-    gets the positions in the block of the rows drawn last, and those rows.
+    Draws a block of size rows (one row for size None): flat Dirichlet
+    weights on the vertices plus, only when there are rays, exponential
+    weights on the rays, so a bounded region draws what it drew before.
+    Then redraws the rows at or below the margin, in row order, for at most
+    200 rounds in all; None when some row never clears.  values gets the
+    positions in the block of the rows drawn last, and those rows.
     """
     weights = np.ones(len(vertices))
     rows = np.arange(1 if size is None else size)
     out = np.empty((len(rows), vertices.shape[1]))
     for _ in range(200):
         out[rows] = rowwise.times(rng.dirichlet(weights, size=len(rows)), vertices)
+        if len(rays):
+            out[rows] += rowwise.times(rng.exponential(size=(len(rows), len(rays))), rays)
         rows = rows[~(np.min(values(rows, out[rows]), axis=1, initial=np.inf) > margin)]
         if not rows.size:
             return out

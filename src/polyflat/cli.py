@@ -324,11 +324,8 @@ def cmd_verify_all(args):
     tols = _parse_tols(args.tol)
     all_payload = []
     for sc in scenarios:
+        jsonio.known_keys(sc, SCENARIO_KEYS, "scenario")
         P = jsonio.parse_polytope(sc["polytope"])
-        unknown = sorted(sc.keys() - set(SCENARIO_KEYS))
-        if unknown:
-            known = ", ".join(SCENARIO_KEYS)
-            raise InvalidInputError(f"scenario key {unknown[0]!r} is unknown; known: {known}")
         phi = jsonio.parse_potential(sc.get("potential", {"guillemin_of": "polytope"}), P)
         results, ok = run_scenario(
             P,

@@ -9,10 +9,6 @@ class InvalidInputError(PolyflatError):
     """Malformed or dimensionally inconsistent input."""
 
 
-class InconsistencyError(PolyflatError):
-    """The data contradicts a property it must have (e.g. a bounded region without vertices)."""
-
-
 class EmptyFaceError(PolyflatError):
     """The requested facet index set does not cut out a nonempty face."""
 
@@ -47,4 +43,4 @@ class NotTorifiableError(PolyflatError):
 
 
 class DegenerateError(PolyflatError):
-    """Degenerate data, e.g. a nonpositive offset sum when normalizing probabilities."""
+    """Degenerate data, e.g. a region with no vertex or no interior point, or no positive offset sum."""

@@ -20,6 +20,16 @@ from .polytope import Polytope, as_fraction, halfspace
 from .potential import AffineLogTerm, SymplecticPotential, guillemin
 
 
+# the keys each object of the schema may hold
+POLYTOPE_KEYS = ("dim", "bounded", "halfspaces")
+HALFSPACE_KEYS = ("normal", "offset")
+GUILLEMIN_KEYS = ("guillemin_of", "scale", "correction")
+POTENTIAL_KEYS = ("dim", "scale", "log_terms", "correction")
+LOG_TERM_KEYS = ("normal", "offset", "weight")
+CORRECTION_KEYS = ("monomials",)
+MONOMIAL_KEYS = ("exponents", "coeff")
+
+
 def fraction_str(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
@@ -31,17 +41,30 @@ def _dim(value) -> int:
     return int(value)
 
 
+def known_keys(data, keys, what):
+    """data, a JSON object whose keys all are in keys; a key nothing reads is refused."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{what} {data!r} is not an object")
+    unknown = sorted(data.keys() - set(keys))
+    if unknown:
+        raise InvalidInputError(f"{what} key {unknown[0]!r} is unknown; known: {', '.join(keys)}")
+    return data
+
+
 def parse_polytope(data) -> Polytope:
-    """A polytope from its schema; an optional "bounded" must agree with the half-spaces."""
+    """A polytope from its schema, its region read once; a "bounded" must agree with it."""
     try:
+        known_keys(data, POLYTOPE_KEYS, "polytope")
         dim = _dim(data["dim"])
         claimed = data.get("bounded")
         if "bounded" in data and not isinstance(claimed, bool):
             raise InvalidInputError(f"bounded {claimed!r} is not a boolean")
-        halfspaces = tuple(halfspace(hs["normal"], hs["offset"]) for hs in data["halfspaces"])
+        rows = [known_keys(hs, HALFSPACE_KEYS, "half-space") for hs in data["halfspaces"]]
+        halfspaces = tuple(halfspace(hs["normal"], hs["offset"]) for hs in rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed polytope: {exc}") from exc
     P = Polytope(dim=dim, halfspaces=halfspaces)
+    P.vertex_list  # refuses a half-space that is not a facet, and a degenerate region
     if claimed not in (None, P.bounded):
         raise InvalidInputError(f"bounded is {json.dumps(claimed)}, contrary to the half-spaces")
     return P
@@ -59,50 +82,51 @@ def polytope_to_dict(P: Polytope) -> dict:
 
 
 def parse_potential(data, polytope: Polytope | None = None) -> SymplecticPotential:
-    """Parse a potential; {"guillemin_of": ...} requests the canonical one.
+    """Parse a potential; {"guillemin_of": ...} requests the canonical log terms.
 
     guillemin_of may be an inline polytope or the string "polytope", which
     refers to the polytope passed alongside (the one in the same input file).
+    Either form takes a scale and a correction.
     """
-    if "guillemin_of" in data:
-        target = data["guillemin_of"]
-        if target == "polytope":
-            if polytope is None:
-                raise InvalidInputError('"guillemin_of": "polytope" needs a polytope in the file')
-            base = polytope
-        else:
-            base = parse_polytope(target)
-        return guillemin(base, float(data.get("scale", 0.5)))
     try:
-        scale = float(data.get("scale", 0.5))
-        terms = tuple(
-            AffineLogTerm(
-                normal=tuple(float(v) for v in t["normal"]),
-                offset=float(t["offset"]),
-                weight=float(t.get("weight", 1.0)),
-            )
-            for t in data.get("log_terms", [])
-        )
-        dim = data.get("dim")
-        if dim is None:
-            if terms:
-                dim = len(terms[0].normal)
-            elif polytope is not None:
-                dim = polytope.dim
+        if "guillemin_of" in data:
+            known_keys(data, GUILLEMIN_KEYS, "potential")
+            target = data["guillemin_of"]
+            if target == "polytope":
+                if polytope is None:
+                    raise InvalidInputError('"guillemin_of": "polytope" needs a polytope in the file')
+                base = polytope
             else:
-                raise InvalidInputError("potential needs a dim, log_terms, or a polytope")
-        dim = _dim(dim)
-        correction = Polynomial.zero(dim)
-        if "correction" in data:
-            correction = Polynomial.from_monomials(
-                dim,
-                [
-                    (tuple(m["exponents"]), float(m["coeff"]))
-                    for m in data["correction"].get("monomials", [])
-                ],
+                base = parse_polytope(target)
+            dim, terms = base.dim, guillemin(base).log_terms
+        else:
+            known_keys(data, POTENTIAL_KEYS, "potential")
+            log_terms = [known_keys(t, LOG_TERM_KEYS, "log term") for t in data.get("log_terms", [])]
+            terms = tuple(
+                AffineLogTerm(
+                    normal=tuple(float(v) for v in t["normal"]),
+                    offset=float(t["offset"]),
+                    weight=float(t.get("weight", 1.0)),
+                )
+                for t in log_terms
             )
+            dim = data.get("dim")
+            if dim is None:
+                if terms:
+                    dim = len(terms[0].normal)
+                elif polytope is not None:
+                    dim = polytope.dim
+                else:
+                    raise InvalidInputError("potential needs a dim, log_terms, or a polytope")
+            dim = _dim(dim)
+        correction = known_keys(data.get("correction", {}), CORRECTION_KEYS, "correction")
+        monomials = [known_keys(m, MONOMIAL_KEYS, "monomial") for m in correction.get("monomials", [])]
+        correction = Polynomial.from_monomials(
+            dim, [(tuple(m["exponents"]), float(m["coeff"])) for m in monomials]
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed potential: {exc}") from exc
+    scale = data.get("scale", 0.5)
     return SymplecticPotential(dim=dim, scale=scale, log_terms=terms, correction=correction)
 
 

@@ -13,6 +13,7 @@ then a product of powers and a matrix product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +41,8 @@ def _normalized(nvars, terms):
         if len(exps) != nvars or any(e < 0 for e in exps):
             raise InvalidInputError(f"bad exponent tuple {exps} for {nvars} variables")
         c = out.get(exps, 0.0) + float(coeff)
+        if not math.isfinite(c):
+            raise InvalidInputError(f"coefficient {coeff!r} of {exps} is not finite")
         if c != 0.0:
             out[exps] = c
         elif exps in out:

@@ -21,7 +21,7 @@ from math import gcd
 import numpy as np
 
 from . import intlattice, rowwise
-from .errors import DegenerateError, EmptyFaceError, InconsistencyError, InvalidInputError
+from .errors import DegenerateError, EmptyFaceError, InvalidInputError
 
 
 def as_fraction(value):
@@ -141,6 +141,11 @@ class Polytope:
         return _enumerate_vertices(self)
 
     @cached_property
+    def _region(self):
+        """The vertices and the facet positions, read once (``_read_region``)."""
+        return _read_region(self)
+
+    @cached_property
     def vertex_array(self):
         """The vertices as rows of a read-only float array, in vertex order."""
         return _vertex_array(self.vertex_list, self.dim)
@@ -153,7 +158,7 @@ class Polytope:
     @cached_property
     def centroid(self):
         """Mean of the vertices (exact)."""
-        return _mean(_face_vertices(self, ()), self.dim)
+        return _mean(self.vertex_list, self.dim)
 
     @cached_property
     def interior_point(self):
@@ -178,17 +183,36 @@ def is_bounded(P: Polytope) -> bool:
 
 
 def _enumerate_vertices(P: Polytope):
-    if P.dim == 0:
-        return (Vertex(coords=(), active=()),)
-    found = _subset_vertices(
-        [hs.normal for hs in P.halfspaces], [hs.offset for hs in P.halfspaces], P.dim
+    """P's vertices; InvalidInputError names the first half-space that is not a facet."""
+    verts, facets = P._region
+    if len(facets) < P.n_facets:
+        r = min(set(range(P.n_facets)).difference(facets)) + 1
+        raise InvalidInputError(f"half-space {r} is not a facet of the region")
+    return verts
+
+
+def _read_region(P: Polytope):
+    """P's vertices, sorted by coordinates, and the 0-based positions of its facets.
+
+    One pass over the region: the vertices from one subset loop, the rays
+    from ``P.rays``, and the facets from vertex-facet incidence
+    (``_facets_from_incidence``).  A region with no vertex or no interior
+    point (empty, lower-dimensional or containing a line) raises
+    DegenerateError.  A 0-dimensional polytope is its one point.
+    """
+    normals = [hs.normal for hs in P.halfspaces]
+    found = _subset_vertices(normals, [hs.offset for hs in P.halfspaces], P.dim)
+    along = [{j for j, v in enumerate(normals) if _dot(v, g) == 0} for g in P.rays]
+    facets = _facets_from_incidence(
+        range(P.n_facets), list(found.values()), list(found), P.dim, P.rays, along
     )
-    # boundedness is read here, so that the faces and the Delzant report that
-    # read these vertices next find it computed
-    if P.bounded and not found:
-        raise InconsistencyError("bounded polytope without vertices (empty or degenerate)")
+    if facets is None:
+        raise DegenerateError(
+            "the half-spaces cut out a region with no vertex or no interior point"
+            " (empty, lower-dimensional or containing a line)"
+        )
     verts = (Vertex(coords=point, active=tuple(i + 1 for i in tight)) for tight, point in found.items())
-    return tuple(sorted(verts, key=lambda v: v.coords))
+    return tuple(sorted(verts, key=lambda v: v.coords)), facets
 
 
 def _feasible_solutions(normals, offsets, n):
@@ -389,7 +413,7 @@ class FaceChart:
         along = [{of[r] for r in _orthogonal(P, g) if r in of} for g in self.rays]
         points = [v.coords for v in self.vertices]
         kept = _facets_from_incidence(merged, points, tight, k, self.rays, along)
-        F = _irredundant_polytope(kept, k)
+        F = _polytope(kept, k)
         return F if self.rays else _proven_bounded(F)
 
     def to_ambient(self, u):
@@ -415,7 +439,7 @@ def face_chart(P: Polytope, active) -> FaceChart:
     hull of those vertices plus the cone of those rays).  So any facets that
     meet at a vertex name a face of its true dimension, also on a polytope
     that is not simple; facets that meet at no vertex raise EmptyFaceError,
-    and a polyhedron that contains a line, having no vertex, has no chart.
+    and a region with no vertex raises DegenerateError (``_read_region``).
     The origin is the vertices' mean plus the sum of the rays, a point of the
     face's relative interior.  The basis is the Hermite-canonical integer
     kernel basis of the vanishing normals, so charts are deterministic; each
@@ -459,9 +483,6 @@ def _face_vertices(P, active):
     active = set(active)
     on = tuple(v for v in vertices(P) if active <= set(v.active))
     if not on:
-        for g in P.rays:  # P contains a line exactly when its rays come in opposite pairs
-            if tuple(-v for v in g) in P.rays:
-                raise InconsistencyError(f"polyhedron contains the line along {list(g)}: no vertex")
         raise EmptyFaceError(f"facets {sorted(active)} meet at no vertex of the polytope")
     return on
 
@@ -577,8 +598,8 @@ def _facets_from_incidence(constraints, points, tight, k, rays=(), along=()):
     return [c for c, is_facet in zip(constraints, facet) if is_facet]
 
 
-def _irredundant_polytope(kept, dim):
-    halfspaces = tuple(HalfSpace(normal=prim, offset=off) for prim, off in kept)
+def _polytope(pairs, dim):
+    halfspaces = tuple(HalfSpace(normal=prim, offset=off) for prim, off in pairs)
     return Polytope(dim=dim, halfspaces=halfspaces)
 
 
@@ -593,38 +614,17 @@ def reduced_polytope(constraints, dim) -> Polytope:
 
     ``constraints`` are (integer coefficients, rational offset) pairs with
     nonzero coefficients.  Each is re-primitivized and parallel constraints
-    keep the tightest offset.  The rule is the one ``face_polytope`` uses: the
-    region's rays come from one ``cone_rays`` call and its vertices from one
-    subset loop, and a constraint stays exactly when the vertices and rays it
-    is tight on span a facet (``_facets_from_incidence``).  A region with no
-    vertex or no interior point (empty, lower-dimensional or containing a
-    line) raises DegenerateError.  The vertices are kept on the polytope, and
-    so is its boundedness when it has no ray.
+    keep the tightest offset.  The merged polytope is read in one pass
+    (``_read_region``), which raises DegenerateError on a region with no
+    vertex or no interior point; it is returned when every constraint is a
+    facet, and otherwise the polytope of its facets.
     """
     merged, _ = _merged(constraints)
-    normals = [prim for prim, _ in merged]
-    rays = intlattice.cone_rays(normals, dim)
-    found = _subset_vertices(normals, [off for _, off in merged], dim)
-    along = [{j for j, v in enumerate(normals) if _dot(v, g) == 0} for g in rays]
-    kept = _facets_from_incidence(merged, list(found.values()), list(found), dim, rays, along)
-    if kept is None:
-        raise DegenerateError(
-            "the constraints cut out a region with no vertex or no interior point"
-            " (empty, lower-dimensional or containing a line)"
-        )
-    P = _irredundant_polytope(kept, dim)
-    if not rays:
-        _proven_bounded(P)
-    # dropping a redundant constraint moves no vertex, so these are P's
-    # vertices, filled into its vertex_list slot; kept is in merged order, so
-    # the 1-based positions stay sorted
-    position = {prim: i for i, (prim, _) in enumerate(kept, start=1)}
-    verts = []
-    for tight, point in found.items():
-        active = tuple(position[normals[j]] for j in tight if normals[j] in position)
-        verts.append(Vertex(coords=point, active=active))
-    P.__dict__["vertex_list"] = tuple(sorted(verts, key=lambda v: v.coords))
-    return P
+    Q = _polytope(merged, dim)
+    _, facets = Q._region
+    if len(facets) == len(merged):
+        return Q
+    return _polytope([merged[j] for j in facets], dim)
 
 
 def restrict_polytope(P: Polytope, chart: FaceChart) -> Polytope:

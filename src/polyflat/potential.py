@@ -13,6 +13,7 @@ to the closed polytope with the convention 0 log 0 = 0 applied termwise.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,6 +51,11 @@ class SymplecticPotential:
     correction: Polynomial | None = None
 
     def __post_init__(self):
+        scale = self.scale  # a NaN fails the comparison
+        number = isinstance(scale, (int, float)) and not isinstance(scale, bool)
+        if not (number and 0 < scale <= sys.float_info.max):
+            raise InvalidInputError(f"scale {scale!r} is not a finite number > 0")
+        object.__setattr__(self, "scale", float(scale))
         if self.correction is None:
             object.__setattr__(self, "correction", Polynomial.zero(self.dim))
         if self.correction.nvars != self.dim:
@@ -156,7 +162,7 @@ def guillemin(P: Polytope, scale: float = 0.5) -> SymplecticPotential:
         AffineLogTerm(normal=tuple(float(v) for v in hs.normal), offset=float(hs.offset))
         for hs in P.halfspaces
     )
-    return SymplecticPotential(dim=P.dim, scale=float(scale), log_terms=terms)
+    return SymplecticPotential(dim=P.dim, scale=scale, log_terms=terms)
 
 
 def restrict_potential(phi: SymplecticPotential, chart: FaceChart) -> SymplecticPotential:

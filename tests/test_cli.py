@@ -319,6 +319,67 @@ def test_hostile_input_exits_2(tri_input, tmp_path, capsys, command, payload):
     assert capsys.readouterr().err.startswith("error:")
 
 
+TRIANGLE_TERMS = [{"normal": hs["normal"], "offset": hs["offset"]} for hs in TRIANGLE["halfspaces"]]
+
+
+@pytest.mark.parametrize("form", ["guillemin", "explicit"])
+@pytest.mark.parametrize("scale", [-1, 0, "1", True, math.nan, math.inf])
+def test_a_scale_that_is_not_a_finite_positive_number_exits_2(tmp_path, capsys, form, scale):
+    base = {"guillemin_of": "polytope"} if form == "guillemin" else {"log_terms": TRIANGLE_TERMS}
+    sc = small_scenario(potential={**base, "scale": scale})
+    assert main(["verify-all", write(tmp_path, "in.json", sc)]) == 2
+    assert capsys.readouterr().err == f"error: scale {scale!r} is not a finite number > 0\n"
+
+
+def _with_key(obj, key):
+    return {**obj, key: 1}
+
+
+GUILLEMIN = {"guillemin_of": "polytope", "scale": 1.0}
+MONOMIAL = {"exponents": [2, 0], "coeff": 0.1}
+
+
+@pytest.mark.parametrize(
+    "changes, what, key",
+    [
+        ({"polytope": _with_key(TRIANGLE, "halfspacez")}, "polytope", "halfspacez"),
+        (
+            {"polytope": {**TRIANGLE, "halfspaces": [_with_key(TRIANGLE["halfspaces"][0], "weight"),
+                                                     *TRIANGLE["halfspaces"][1:]]}},
+            "half-space", "weight",
+        ),
+        ({"potential": _with_key(GUILLEMIN, "scael")}, "potential", "scael"),
+        ({"potential": _with_key(GUILLEMIN, "log_terms")}, "potential", "log_terms"),
+        ({"potential": {"log_terms": TRIANGLE_TERMS, "scael": 1.0}}, "potential", "scael"),
+        (
+            {"potential": {"log_terms": [_with_key(TRIANGLE_TERMS[0], "wieght"), *TRIANGLE_TERMS[1:]]}},
+            "log term", "wieght",
+        ),
+        ({"potential": {**GUILLEMIN, "correction": {"monomial": []}}}, "correction", "monomial"),
+        (
+            {"potential": {**GUILLEMIN, "correction": {"monomials": [_with_key(MONOMIAL, "coef")]}}},
+            "monomial", "coef",
+        ),
+    ],
+    ids=["polytope", "half-space", "guillemin", "guillemin-log-terms", "explicit", "log-term",
+         "correction", "monomial"],
+)
+def test_a_key_that_nothing_reads_exits_2(tmp_path, capsys, changes, what, key):
+    assert main(["verify-all", write(tmp_path, "in.json", small_scenario(**changes))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {what} key {key!r} is unknown; known: ")
+
+
+def test_a_correction_next_to_guillemin_of_is_applied(tmp_path, capsys):
+    # it was dropped, NaN coefficients included; now it is read as in the explicit form
+    nan = {"monomials": [{**MONOMIAL, "coeff": math.nan}]}
+    sc = small_scenario(potential={**GUILLEMIN, "correction": nan})
+    assert main(["verify-all", write(tmp_path, "nan.json", sc)]) == 2
+    assert "coefficient nan of (2, 0) is not finite" in capsys.readouterr().err
+    correction = {"monomials": [MONOMIAL]}
+    phi = parse_potential({**GUILLEMIN, "correction": correction}, parse_polytope(TRIANGLE))
+    assert phi == parse_potential({"scale": 1.0, "log_terms": TRIANGLE_TERMS, "correction": correction})
+
+
 def test_pythagoras_command(tri_input, tmp_path, capsys):
     triple = write(
         tmp_path,
@@ -350,13 +411,63 @@ def test_torify_trapezoid_fails(tmp_path, capsys):
 
 
 def test_torify_refuses_a_polyhedron_that_contains_a_line(tmp_path, capsys):
-    # the strip 0 <= x2 <= 1 has zero-sum normals and no vertex to fail the
-    # Delzant check, but its closure is not compact, as from_mixture also finds
+    # the strip 0 <= x2 <= 1 has zero-sum normals but no vertex, so it is
+    # refused when read, as from_mixture refuses its family
     strip = {"dim": 2, "halfspaces": [{"normal": [0, 1], "offset": 0}, {"normal": [0, -1], "offset": 1}]}
-    assert main(["torify", write(tmp_path, "strip.json", strip)]) == 1
-    out = json.loads(capsys.readouterr().out)
-    assert out["zero_sum"] and out["delzant"]["valid"] and not out["pass"]
-    assert "mixture" not in out
+    assert main(["torify", write(tmp_path, "strip.json", strip)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "no vertex or no interior point" in captured.err
+
+
+def _region(*halfspaces):
+    """A plane region from (normal, offset) pairs, in the polytope schema."""
+    return {"dim": 2, "halfspaces": [{"normal": list(v), "offset": c} for v, c in halfspaces]}
+
+
+def _run_on_region(tmp_path, command, region):
+    """The exit code of a subcommand on the small triangle scenario with this region."""
+    path = write(tmp_path, "in.json", small_scenario(polytope=region))
+    points = write(tmp_path, "pairs.json", {"pairs": [[[0.2, 0.3], [0.5, 0.1]]]})
+    return main([command, path] + (["--points", points] if command == "divergence" else []))
+
+
+TRIANGLE_HALFSPACES = (((1, 0), 0), ((0, 1), 0), ((-1, -1), 1))
+NO_VERTEX = "no vertex or no interior point"
+NOT_A_FACET = "half-space 4 is not a facet of the region"
+
+
+@pytest.mark.parametrize("command", ["validate", "torify", "divergence", "verify-all"])
+@pytest.mark.parametrize(
+    "region, message",
+    [
+        (_region(((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)), NO_VERTEX),
+        (_region(((0, 1), 0), ((0, -1), 1)), NO_VERTEX),
+        (_region(((1, 0), 0)), NO_VERTEX),
+        (_region(((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)), NO_VERTEX),
+        (_region(((1, 0), 0), ((-1, 0), -1)), NO_VERTEX),
+        (_region(*TRIANGLE_HALFSPACES, ((1, 1), 5)), NOT_A_FACET),
+        (_region(*TRIANGLE_HALFSPACES, ((-1, -1), 2)), NOT_A_FACET),
+    ],
+    ids=["segment", "strip", "half-plane", "empty-bounded", "empty-unbounded", "cut-far",
+         "parallel-cut"],
+)
+def test_a_region_that_is_not_named_by_its_facets_exits_2(tmp_path, capsys, command, region, message):
+    # each subcommand reads the polytope through one rule, so each refuses a
+    # region with no vertex or no interior point, and a half-space that is
+    # not a facet, naming it
+    assert _run_on_region(tmp_path, command, region) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, code", [("validate", 0), ("torify", 1), ("divergence", 0), ("verify-all", 0)]
+)
+def test_the_quadrant_is_accepted(tmp_path, command, code):
+    # a pointed unbounded region is named by its facets: it validates, and
+    # only torify, which needs a compact closure, fails it
+    assert _run_on_region(tmp_path, command, _region(((1, 0), 0), ((0, 1), 0))) == code
 
 
 @pytest.mark.parametrize(
@@ -419,6 +530,25 @@ def test_verify_all_scenario_list(tmp_path, capsys):
     assert main(["verify-all", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["pass"] and len(out["scenarios"]) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_verify_all_sweeps_an_unbounded_polyhedron(tmp_path, capsys, seed):
+    # the triangle times [0, inf): points are drawn along its rays as well as
+    # from its vertices, so every facet, the two half-line edges [1, 4] and
+    # [3, 4] and the bounded edges [1, 2] and [2, 3] are swept
+    faces = [[1], [2], [3], [4], [1, 4], [3, 4], [1, 2], [2, 3]]
+    polytope = {"dim": 3, "halfspaces": [
+        {"normal": [1, 0, 0], "offset": 0}, {"normal": [0, 1, 0], "offset": 0},
+        {"normal": [-1, -1, 0], "offset": 1}, {"normal": [0, 0, 1], "offset": 0},
+    ]}
+    scenario = small_scenario(polytope=polytope, faces=faces)
+    scenario["samples"] = {"continuity_pairs": 3, "boundary_feet": 10, "interior_triples": 50}
+    assert main(["verify-all", write(tmp_path, "ray.json", scenario), "--seed", str(seed)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 35 and all(c["pass"] for c in checks)
+    swept = {tuple(c["inputs"]["face"]) for c in checks if "face" in c["inputs"]}
+    assert swept == {tuple(f) for f in faces}
 
 
 def test_verify_all_tolerance_override(capsys):

@@ -14,13 +14,13 @@ from helpers import (
     random_unimodular,
     reference_reduced_polytope,
     simplex,
+    square_pyramid,
     transform_polytope,
 )
 from polyflat import intlattice, jsonio
 from polyflat.errors import (
     DegenerateError,
     EmptyFaceError,
-    InconsistencyError,
     InvalidInputError,
 )
 from polyflat.polytope import (
@@ -136,7 +136,7 @@ def test_vertices_inconsistent_bounded_flag():
         jsonio.parse_polytope(data)
     # the normals bound an empty region: bounded, yet without vertices
     empty = Polytope(dim=1, halfspaces=(halfspace((1,), -1), halfspace((-1,), 0)))
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(DegenerateError, match="no vertex or no interior point"):
         vertices(empty)
 
 
@@ -244,8 +244,9 @@ def test_face_chart_errors(triangle, square):
         halfspaces=(halfspace((1, 0), 0), halfspace((0, 1), 0), halfspace((-1, -1), 1),
                     halfspace((1, 1), 1)),
     )
-    with pytest.raises(EmptyFaceError, match="meet at no vertex"):
-        face_chart(shifted, [3, 4])  # parallel facets cannot both be active
+    # a parallel half-space that is not a facet is refused before any face is read
+    with pytest.raises(InvalidInputError, match="half-space 4 is not a facet of the region"):
+        face_chart(shifted, [3, 4])
 
 
 def test_restrict_polytope_triangle_edge(triangle):
@@ -283,14 +284,14 @@ def test_restrict_polytope_simplex_facet(simplex3):
     assert validate_delzant(tri).valid
 
 
-def test_restrict_polytope_drops_redundant(triangle):
-    padded = Polytope(
-        dim=2,
-        halfspaces=triangle.halfspaces + (halfspace((-1, 0), 5),),
-    )
-    chart = face_chart(padded, [3])
-    interval = restrict_polytope(padded, chart)
-    assert interval.n_facets == 2
+def test_restrict_polytope_drops_redundant():
+    # four facets pull back to the side triangle 2 of the pyramid, and the
+    # opposite one, facet 4, touches it only at the apex
+    P = square_pyramid()
+    chart = face_chart(P, [2])
+    assert len(pulled_back(chart)) == 4
+    triangle = restrict_polytope(P, chart)
+    assert triangle.n_facets == 3 and len(vertices(triangle)) == 3
 
 
 def test_restricted_faces_stay_delzant(triangle, square, simplex3, trapezoid, scaled_triangle):
@@ -451,9 +452,10 @@ def test_interior_point_is_the_vertex_mean_plus_the_rays(triangle, half_line):
 
 def test_a_polyhedron_that_contains_a_line_has_no_chart():
     strip = Polytope(dim=2, halfspaces=(halfspace((0, 1), 0), halfspace((0, -1), 1)))
-    assert not strip.bounded and validate_delzant(strip).valid
-    for read in (lambda: strip.interior_point, lambda: face_chart(strip, (1,))):
-        with pytest.raises(InconsistencyError, match=r"contains the line along \[1, 0\]"):
+    assert not strip.bounded
+    reads = (lambda: strip.interior_point, lambda: face_chart(strip, (1,)), lambda: validate_delzant(strip))
+    for read in reads:
+        with pytest.raises(DegenerateError, match="no vertex or no interior point"):
             read()
 
 
@@ -473,14 +475,19 @@ def test_a_face_is_read_from_the_vertices_on_it():
 
 
 def test_vanishing_holds_a_facet_that_is_not_active():
-    # the unit cube cut by x1 + x2 >= 0, which touches it only along the edge x1 = x2 = 0
+    # the unit cube cut by x1 + x2 >= 0, which touches it only along the edge
+    # x1 = x2 = 0, is refused: the cut is not a facet
     normals = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 0)]
     offsets = [0, 1, 0, 1, 0, 1, 0]
     P = Polytope(dim=3, halfspaces=tuple(halfspace(v, c) for v, c in zip(normals, offsets)))
-    chart = face_chart(P, (1, 3))
-    assert chart.vanishing == {1, 3, 7}
-    assert chart.vanishing_mask.tolist() == [True, False, True, False, False, False, True]
-    # the edge, as the unit interval about the chart origin (0, 0, 1/2)
+    with pytest.raises(InvalidInputError, match="half-space 7 is not a facet of the region"):
+        face_chart(P, (1, 3))
+    # facets 2 and 4 of the pyramid times [0, 1] meet only along the apex
+    # edge, on which facets 3 and 5 vanish too
+    chart = face_chart(pyramid_prism(), (2, 4))
+    assert chart.vanishing == {2, 3, 4, 5}
+    assert chart.vanishing_mask.tolist() == [False, True, True, True, True, False, False]
+    # the edge, as the unit interval about the chart origin (1, 1, 1, 1/2)
     F = chart.face_polytope
     assert [v.coords for v in vertices(F)] == [(Fraction(-1, 2),), (Fraction(1, 2),)]
     assert F.n_facets == 2

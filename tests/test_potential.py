@@ -277,7 +277,14 @@ def test_validity_scan_convex_correction(triangle):
 
 
 def test_validity_scan_negative_scale_fails(triangle):
-    phi = guillemin(triangle, -1.0)
+    # a negative scale is refused where it is read; a potential made concave by
+    # its correction instead still fails the scan
+    with pytest.raises(InvalidInputError, match="scale -1.0 is not a finite number > 0"):
+        guillemin(triangle, -1.0)
+    f = Polynomial.from_monomials(2, [((2, 0), -50.0)])
+    phi = SymplecticPotential(
+        dim=2, scale=1.0, log_terms=guillemin(triangle, 1.0).log_terms, correction=f
+    )
     assert not validity_scan(phi, triangle, samples=50, seed=5).passed
 
 
