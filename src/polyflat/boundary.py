@@ -398,7 +398,7 @@ def _draw_clearing(rng, vertices, rays, size, values, margin):
 
     Draws a block of size rows (one row for size None): flat Dirichlet
     weights on the vertices plus, only when there are rays, exponential
-    weights on the rays, so a bounded region draws what it drew before.
+    weights on the rays, so a bounded region draws from its vertices alone.
     Then redraws the rows at or below the margin, in row order, for at most
     200 rounds in all; None when some row never clears.  values gets the
     positions in the block of the rows drawn last, and those rows.

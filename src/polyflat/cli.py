@@ -54,6 +54,13 @@ SCENARIO_KEYS = (
     "name", "polytope", "potential", "faces", "samples", "tolerances", "product_check",
     "negative_control",
 )
+# the keys a geodesic spec, a points file and a pythagoras triple of each kind may hold
+SPEC_KEYS = ("kind", "start", "direction", "t_grid")
+POINTS_KEYS = ("pairs",)
+TRIPLE_KEYS = {
+    "boundary_foot": ("kind", "face", "eta", "eta_prime", "xi"),
+    "interior_foot": ("kind", "face", "eta", "xi", "xi_prime"),
+}
 # the one tolerance each pythagoras kind is judged by
 KIND_TOLERANCE = {"boundary_foot": "boundary_foot", "interior_foot": "interior_identity"}
 
@@ -179,8 +186,9 @@ def cmd_validate(args):
     return 0 if report.valid else 1
 
 
-def _point_pairs(pairs, dim):
-    """The first and the second points of a list of pairs, as two (m, dim) arrays."""
+def _point_pairs(path, dim):
+    """The first and the second points of a points file's pairs, as two (m, dim) arrays."""
+    pairs = jsonio.known_keys(_load_json(path), POINTS_KEYS, "points file")["pairs"]
     points = np.array(pairs, dtype=float)
     if pairs and points.shape[1:] != (2, dim):
         raise InvalidInputError(f"each pair must hold two points of dimension {dim}")
@@ -193,7 +201,7 @@ def _columns(name, n):
 
 def cmd_divergence(args):
     P, phi = _load_problem(args.file)
-    xi, xi2 = _point_pairs(_load_json(args.points)["pairs"], P.dim)
+    xi, xi2 = _point_pairs(args.points, P.dim)
     rows = list(zip(xi.tolist(), xi2.tolist(), bregman(phi, xi, xi2).tolist()))
     payload = {"rows": [{"xi": a, "xi2": b, "divergence": d} for a, b, d in rows]}
     header = _columns("xi", P.dim) + _columns("xi2", P.dim) + ["divergence"]
@@ -203,7 +211,7 @@ def cmd_divergence(args):
 
 def cmd_geodesic(args):
     P, phi = _load_problem(args.file)
-    spec_data = _load_json(args.spec)
+    spec_data = jsonio.known_keys(_load_json(args.spec), SPEC_KEYS, "geodesic spec")
     spec = GeodesicSpec(
         kind=spec_data["kind"],
         start=tuple(float(v) for v in spec_data["start"]),
@@ -249,7 +257,7 @@ def _parse_face(text):
 def cmd_boundary(args):
     P, phi = _load_problem(args.file)
     chart = face_chart(P, _parse_face(args.face))
-    a, b = _point_pairs(_load_json(args.points)["pairs"], P.dim)
+    a, b = _point_pairs(args.points, P.dim)
     points = boundary_point(chart, ambient=np.concatenate([a, b]))
     etas, etas2 = points[: len(a)], points[len(a) :]
     divergences = boundary_divergence(phi, etas, etas2)
@@ -270,6 +278,7 @@ def cmd_pythagoras(args):
     kind = triple.get("kind", "boundary_foot")
     if kind not in KIND_TOLERANCE:
         raise PolyflatError(f"unknown pythagoras kind {kind!r}")
+    jsonio.known_keys(triple, TRIPLE_KEYS[kind], f"{kind} triple")
     overrides = _parse_tols(args.tol)
     tolerance = merge_tolerances(overrides)[KIND_TOLERANCE[kind]]
     others = sorted(overrides.keys() - {KIND_TOLERANCE[kind]})

@@ -17,7 +17,7 @@ from .errors import InvalidInputError
 from .mixture import MixtureFamily
 from .polynomial import Polynomial
 from .polytope import Polytope, as_fraction, halfspace
-from .potential import AffineLogTerm, SymplecticPotential, guillemin
+from .potential import AffineLogTerm, SymplecticPotential, guillemin, validity_scan
 
 
 # the keys each object of the schema may hold
@@ -86,7 +86,10 @@ def parse_potential(data, polytope: Polytope | None = None) -> SymplecticPotenti
 
     guillemin_of may be an inline polytope or the string "polytope", which
     refers to the polytope passed alongside (the one in the same input file).
-    Either form takes a scale and a correction.
+    Either form takes a scale and a correction.  Read against a bounded
+    polytope, a potential whose correction has degree >= 2 must pass the
+    sampled convexity check (``validity_scan``), or InvalidInputError names
+    the first sample point that fails it.
     """
     try:
         if "guillemin_of" in data:
@@ -127,7 +130,16 @@ def parse_potential(data, polytope: Polytope | None = None) -> SymplecticPotenti
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed potential: {exc}") from exc
     scale = data.get("scale", 0.5)
-    return SymplecticPotential(dim=dim, scale=scale, log_terms=terms, correction=correction)
+    phi = SymplecticPotential(dim=dim, scale=scale, log_terms=terms, correction=correction)
+    curved = any(sum(exps) >= 2 for exps, _ in correction.terms)
+    if curved and polytope is not None and polytope.bounded:
+        report = validity_scan(phi, polytope)
+        if not report.passed:
+            point = ", ".join(f"{c:.6g}" for c in report.failures[0]["point"])
+            raise InvalidInputError(
+                f"potential is not convex: the sampled convexity check fails at ({point})"
+            )
+    return phi
 
 
 def parse_mixture(data) -> MixtureFamily:

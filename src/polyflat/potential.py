@@ -27,6 +27,8 @@ from .polytope import FaceChart, Polytope, flat_exit_time
 # facet values inside [-EXTENDED_TOL, 0] are treated as exact zeros of the
 # continuous extension; anything more negative is outside the closed domain
 EXTENDED_TOL = 1e-12
+# a positive definite Hessian's pivots exceed this share of its largest diagonal entry
+PIVOT_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -168,12 +170,16 @@ def guillemin(P: Polytope, scale: float = 0.5) -> SymplecticPotential:
 def restrict_potential(phi: SymplecticPotential, chart: FaceChart) -> SymplecticPotential:
     """Pull the potential back to a face through its chart.
 
-    Terms that vanish identically on the face contribute 0 log 0 = 0 and are
-    dropped; the remaining terms and the correction are composed with the
-    affine chart map u -> origin + basis @ u.  Every kept term must be
-    nonnegative at the face's vertices and nondecreasing along its rays,
-    which proves it nonnegative on the whole face, the hull of those
-    vertices plus the cone of those rays.  The result is memoized on the
+    The face is read from its generators, by the rule of
+    ``FaceChart.vanishing``: a term within 1e-12 of 0 at every vertex of the
+    face, with a slope within 1e-12 of 0 along every ray of it, vanishes
+    identically on the face, contributes 0 log 0 = 0 and is dropped, whatever
+    the chart's origin and basis.  Every kept term must be at least -1e-9 at
+    the vertices and in slope along the rays, which proves it nonnegative on
+    the whole face, the hull of those vertices plus the cone of those rays;
+    the first vertex, then ray, and in it the first term that fails raises
+    DomainError.  The kept terms and the correction are composed with the
+    affine chart map u -> origin + basis @ u.  The result is memoized on the
     chart, per potential object: the memo is keyed by id(phi) and its entry
     holds phi, so no other object takes that id.
     """
@@ -186,38 +192,27 @@ def restrict_potential(phi: SymplecticPotential, chart: FaceChart) -> Symplectic
 def _restrict(phi, chart):
     B = chart.basis_array
     origin = chart.origin_array
-    kept, terms = [], []
-    for idx, term in enumerate(phi.log_terms):
-        nu = np.array(term.normal)
-        pulled_normal = B.T @ nu
-        pulled_offset = float(nu @ origin) + term.offset
-        if np.max(np.abs(pulled_normal), initial=0.0) <= 1e-12:
-            if abs(pulled_offset) <= 1e-12:
-                continue  # identically zero on the face: extended term vanishes
-            if pulled_offset < 0:
-                raise DomainError(f"log term {idx + 1} is negative on the face")
-        kept.append(idx)
-        terms.append(
-            AffineLogTerm(
-                normal=tuple(pulled_normal), offset=pulled_offset, weight=term.weight
-            )
-        )
-    # a pulled-back term at u is the term at origin + B u, so the terms are
-    # tested at the face's vertices in ambient coordinates; (vertex, term)
-    # pairs in vertex order, then term order
-    negative = np.argwhere(phi.term_values(chart.vertex_array)[:, kept] < -1e-9)
+    rays = np.array(chart.rays, dtype=float).reshape(-1, phi.dim)
+    # each term at the face's vertices, then its slope along the face's rays:
+    # rows in vertex order, then ray order; a column is zero on the face
+    # exactly when it is zero in every row (``_vanishing``, in floats)
+    on_face = np.vstack([phi.term_values(chart.vertex_array), rays @ phi._normals.T])
+    kept = np.flatnonzero(np.any(np.abs(on_face) > 1e-12, axis=0))
+    negative = np.argwhere(on_face[:, kept] < -1e-9)
     if len(negative):
-        raise DomainError(
-            f"log term {kept[negative[0][1]] + 1} is negative at a vertex of the face"
-        )
-    if chart.rays:  # (ray, term) pairs in ray order, then term order
-        falling = np.argwhere(np.array(chart.rays, dtype=float) @ phi._normals[kept].T < -1e-9)
-        if len(falling):
-            raise DomainError(f"log term {kept[falling[0][1]] + 1} falls along a ray of the face")
+        row, col = negative[0]
+        at = "is negative at a vertex" if row < len(chart.vertices) else "falls along a ray"
+        raise DomainError(f"log term {kept[col] + 1} {at} of the face")
+    normals = phi._normals[kept]
+    offsets = rowwise.times(normals, origin) + phi._offsets[kept]
+    terms = tuple(
+        AffineLogTerm(normal=tuple(nu), offset=c, weight=w)
+        for nu, c, w in zip(normals @ B, offsets, phi._weights[kept])
+    )
     return SymplecticPotential(
         dim=chart.dim_face,
         scale=phi.scale,
-        log_terms=tuple(terms),
+        log_terms=terms,
         correction=phi.correction.compose_affine(origin, B),
     )
 
@@ -232,11 +227,11 @@ class ValidityReport:
     failures: tuple[dict, ...] = field(default=())
 
 
-def _is_positive_definite(H, rel_tol=1e-12):
-    """Symmetric factorization with pivots required to exceed rel_tol * max diagonal."""
+def _is_positive_definite(H):
+    """Symmetric factorization with pivots required to exceed PIVOT_REL_TOL * max diagonal."""
     H = np.array(H, dtype=float)
     n = H.shape[0]
-    tol = rel_tol * max(np.max(np.abs(np.diag(H))), 1.0)
+    tol = PIVOT_REL_TOL * max(np.max(np.abs(np.diag(H))), 1.0)
     for i in range(n):
         pivot = H[i, i]
         if pivot <= tol:
@@ -251,8 +246,8 @@ def validity_scan(
     """Sample-based check of positive definiteness and of det(G) * prod l_r > 0.
 
     Draws interior points stratified toward each facet (distances down to
-    1e-6 of the inradius scale).  A heuristic, not a proof: it certifies the
-    sampled points only.
+    1e-6 of the inradius scale); only those also in phi's domain are tested.
+    A heuristic, not a proof: it certifies the sampled points only.
     """
     if not P.bounded:
         raise InvalidInputError("validity scan requires a bounded polytope")
@@ -275,7 +270,8 @@ def validity_scan(
         points.append(z + (1.0 - delta) * t_exit * d)
     points = np.array(points)
     vals = P.facet_values(points)
-    inside = np.all(vals > 0, axis=1)
+    # in P and in phi's domain, which its log terms may cut smaller
+    inside = np.all(vals > 0, axis=1) & np.all(phi.term_values(points) > 0, axis=1)
     H = phi.hessian(points[inside])
     eigs = np.linalg.eigvalsh(H).min(axis=1, initial=np.inf)
     det_prods = np.linalg.det(H) * np.prod(vals[inside], axis=1)

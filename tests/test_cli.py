@@ -369,6 +369,73 @@ def test_a_key_that_nothing_reads_exits_2(tmp_path, capsys, changes, what, key):
     assert capsys.readouterr().err.startswith(f"error: {what} key {key!r} is unknown; known: ")
 
 
+INTERIOR_TRIPLE = {**TRIPLE, "kind": "interior_foot", "xi_prime": [0.2, 0.3]}
+NO_PAIRS = {"pairs": []}
+
+
+@pytest.mark.parametrize(
+    "command, payload, what, key",
+    [
+        ("geodesic", {**DUAL_SPEC, "tgrid": [0.0, 1.0]}, "geodesic spec", "tgrid"),
+        ("pythagoras", {**TRIPLE, "etaprime": [0.5, 0.5]}, "boundary_foot triple", "etaprime"),
+        ("pythagoras", {**INTERIOR_TRIPLE, "eta_prime": [0.5, 0.5]}, "interior_foot triple",
+         "eta_prime"),
+        ("divergence", {**NO_PAIRS, "pairz": []}, "points file", "pairz"),
+        ("boundary", {**NO_PAIRS, "pairz": []}, "points file", "pairz"),
+    ],
+    ids=["spec", "boundary-foot", "interior-foot", "divergence-points", "boundary-points"],
+)
+def test_a_key_that_nothing_reads_in_an_input_file_exits_2(
+    tri_input, tmp_path, capsys, command, payload, what, key
+):
+    flag = {"geodesic": "--spec", "pythagoras": "--triple"}.get(command, "--points")
+    argv = [command, tri_input, flag, write(tmp_path, "in.json", payload)]
+    assert main(argv + (["--face", "3"] if command == "boundary" else [])) == 2
+    assert capsys.readouterr().err.startswith(f"error: {what} key {key!r} is unknown; known: ")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify-all", small_scenario(), "--tol", "abc"], "--tol expects NAME=VALUE, got 'abc'"),
+        (["divergence", TRIANGLE, "--points", NO_PAIRS], "input file must carry a potential"),
+        (
+            ["pythagoras", "tri", "--triple", {**TRIPLE, "kind": "orthogonal"}],
+            "unknown pythagoras kind 'orthogonal'",
+        ),
+        (["boundary", "tri", "--face", "9", "--points", NO_PAIRS], "facet index 9 out of range 1..3"),
+        (
+            ["geodesic", "tri", "--spec", {**DUAL_SPEC, "kind": "straight"}],
+            "geodesic kind 'straight' must be 'flat' or 'dual'",
+        ),
+    ],
+    ids=["tol-without-value", "no-potential", "pythagoras-kind", "face-index", "geodesic-kind"],
+)
+def test_a_refused_input_exits_2_naming_it(tri_input, tmp_path, capsys, args, message):
+    # "tri" is the triangle problem file; an object is written to a file of its own
+    argv = [
+        tri_input if a == "tri" else write(tmp_path, f"{i}.json", a) if isinstance(a, dict) else a
+        for i, a in enumerate(args)
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["divergence", "verify-all"])
+def test_a_concave_potential_exits_2_naming_convexity(tmp_path, capsys, command):
+    # -50 x1^2 outweighs the Hessian 1/x1 + 1/x3 of the log terms where x1 > 1/100
+    concave = {**GUILLEMIN, "correction": {"monomials": [{"exponents": [2, 0], "coeff": -50.0}]}}
+    if command == "verify-all":
+        argv = [command, write(tmp_path, "sc.json", small_scenario(potential=concave))]
+    else:
+        problem = write(tmp_path, "in.json", {"polytope": TRIANGLE, "potential": concave})
+        argv = [command, problem, "--points", write(tmp_path, "pts.json", NO_PAIRS)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: potential is not convex: the sampled convexity check fails at ("
+    )
+
+
 def test_a_correction_next_to_guillemin_of_is_applied(tmp_path, capsys):
     # it was dropped, NaN coefficients included; now it is read as in the explicit form
     nan = {"monomials": [{**MONOMIAL, "coeff": math.nan}]}

@@ -109,6 +109,17 @@ def test_singular_hessian_leaves_other_rows_solving(triangle):
     np.testing.assert_allclose(batch.x[1], [0.25, 0.25], atol=1e-10)
 
 
+def test_line_search_keeps_steps_in_the_domain_of_phi(triangle):
+    # phi's log terms cut out the inner triangle x1, x2 >= 0.2, x1 + x2 <= 0.9 of
+    # P; near its side x1 = 0.2 a full step leaves phi's domain though not P
+    inner = ((1.0, 0.0), -0.2), ((0.0, 1.0), -0.2), ((-1.0, -1.0), 0.9)
+    phi = SymplecticPotential(
+        dim=2, scale=1.0, log_terms=tuple(AffineLogTerm(nu, c) for nu, c in inner)
+    )
+    x = (0.2001, 0.35)
+    np.testing.assert_allclose(from_dual(phi, triangle, phi.gradient(x)).x, x, atol=1e-9)
+
+
 def test_dual_potential(triangle, half_line):
     phi = guillemin(triangle, 1.0)
     assert dual_potential(phi, (1 / 3, 1 / 3)) == pytest.approx(math.log(3), abs=1e-12)

@@ -205,6 +205,9 @@ def test_restrict_potential_paper_chart(triangle):
     assert phi_f.value((0.3,)) == pytest.approx(
         0.3 * math.log(0.3) + 0.7 * math.log(0.7), abs=1e-14
     )
+    # this origin and basis keep the terms face_chart's do: x1 and x2, not term 3
+    assert [(t.normal, t.offset) for t in phi_f.log_terms] == [((1.0,), 0.0), ((-1.0,), 1.0)]
+    assert len(restrict_potential(phi, face_chart(triangle, [3])).log_terms) == 2
 
 
 def test_restrict_potential_identity_chart(triangle, rng):
@@ -300,12 +303,14 @@ def test_restrict_potential_rejects_negative_terms(triangle):
 
 
 def test_restrict_potential_names_the_term_at_fault(triangle):
-    # term 1 (x1) vanishes on facet 1 and is dropped; term 4 (x2 - 1/2) is
-    # negative at the face's vertex (0, 0)
-    terms = guillemin(triangle, 1.0).log_terms + (AffineLogTerm(normal=(0.0, 1.0), offset=-0.5),)
-    bad = SymplecticPotential(dim=2, scale=1.0, log_terms=terms)
-    with pytest.raises(DomainError, match="^log term 4 is negative at a vertex of the face$"):
-        restrict_potential(bad, face_chart(triangle, [1]))
+    # term 1 (x1) vanishes on facet 1 and is dropped; term 4 is negative at
+    # the face's vertex (0, 0): x2 - 1/2 there, and x1 - 1/4, constant on the
+    # face, everywhere on it
+    for normal, offset in [((0.0, 1.0), -0.5), ((1.0, 0.0), -0.25)]:
+        terms = guillemin(triangle, 1.0).log_terms + (AffineLogTerm(normal, offset),)
+        bad = SymplecticPotential(dim=2, scale=1.0, log_terms=terms)
+        with pytest.raises(DomainError, match="^log term 4 is negative at a vertex of the face$"):
+            restrict_potential(bad, face_chart(triangle, [1]))
 
 
 def test_restrict_potential_tests_terms_at_the_ambient_vertices(triangle):
