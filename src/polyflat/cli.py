@@ -148,7 +148,8 @@ def _load_problem(path, require_potential=True):
 def _write(args, payload, header, rows, notes=()):
     """Write payload as JSON, or header, rows and notes as CSV, to --out or stdout.
 
-    rows are read only for CSV; their floats are written as in the JSON.
+    rows are read only for CSV.  Their floats are rounded as in the JSON but
+    written as the "%.12g" text, so 1.0 is 1.0 in the JSON and 1 in the CSV.
     """
     if args.format == "json":
         text = jsonio.dumps(payload)

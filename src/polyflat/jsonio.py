@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -152,31 +153,77 @@ def parse_mixture(data) -> MixtureFamily:
         raise InvalidInputError(f"malformed mixture family: {exc}") from exc
 
 
-def canonical(value):
-    """Round floats to 12 significant digits, recursively; map inf to strings."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return float(f"{value:.12g}")
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, dict):
-        return {k: canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [canonical(v) for v in value]
-    if isinstance(value, Fraction):
-        return fraction_str(value)
-    return value
+# the one rounding rule: 12 significant digits, as "%g" text
+_ROUND = "%.12g"
+
+
+def _float(v: float) -> str:
+    """The JSON text of v rounded by _ROUND: the repr of the rounded float; inf and nan as strings."""
+    if 1e-307 <= abs(v) < 1e11:
+        # here the rounded text is the repr of the rounded float but for a
+        # missing ".0": 12 digits round-trip, and "%g" and repr pick the same
+        # notation.  Below, subnormals hold fewer than 12 digits; above,
+        # "%g" writes exponents 12-15 where repr writes none.
+        text = _ROUND % v
+        return text if "." in text or "e" in text else text + ".0"
+    if math.isfinite(v):
+        return repr(float(_ROUND % v))
+    return '"nan"' if v != v else '"inf"' if v > 0 else '"-inf"'
+
+
+def _append(value, out: list, newline: str) -> None:
+    """Append the JSON text of value to out; newline starts a line at value's indent."""
+    if isinstance(value, float):
+        out.append(_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _append(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _append(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, (bool, np.bool_)):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, np.floating):
+        out.append(_float(float(value)))
+    elif isinstance(value, np.ndarray):
+        _append(value.tolist(), out, newline)
+    elif isinstance(value, Fraction):
+        out.append(encode_basestring_ascii(fraction_str(value)))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
-    return json.dumps(canonical(obj), indent=2, sort_keys=True) + "\n"
+    """obj as JSON text: sorted keys, 2-space indent, each float as the repr of
+    its value rounded to 12 significant digits, inf and nan as strings, and a
+    Fraction as "p/q"; numpy scalars and arrays as their Python values."""
+    out = []
+    _append(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def format_float(x: float) -> str:
-    return f"{x:.12g}"
+    return _ROUND % x

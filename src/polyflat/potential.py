@@ -246,7 +246,8 @@ def validity_scan(
     """Sample-based check of positive definiteness and of det(G) * prod l_r > 0.
 
     Draws interior points stratified toward each facet (distances down to
-    1e-6 of the inradius scale); only those also in phi's domain are tested.
+    1e-6 of the inradius scale); only those also in phi's domain are tested,
+    and the report's samples counts those.
     A heuristic, not a proof: it certifies the sampled points only.
     """
     if not P.bounded:
@@ -285,7 +286,7 @@ def validity_scan(
     prod_max = float(np.max(det_prods, initial=-np.inf))
     return ValidityReport(
         passed=not failures,
-        samples=len(points),
+        samples=int(inside.sum()),
         min_eigenvalue=min_eig,
         det_product_min=prod_min,
         det_product_max=prod_max,

@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference oracles, lattice transforms and
 random Delzant polytopes with potentials."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from polyflat.errors import InvalidInputError
 from polyflat.intlattice import integer_kernel, primitivize, solve_integer
+from polyflat.jsonio import fraction_str
 from polyflat.polynomial import Polynomial
 from polyflat.polytope import HalfSpace, Polytope, halfspace, product
 from polyflat.potential import SymplecticPotential, guillemin
@@ -240,3 +242,33 @@ def pointed_unbounded():
         "triangle x ray x ray": product(product(simplex(2), ray), ray),
         "pyramid x ray": product(square_pyramid(), ray),
     }
+
+
+def reference_canonical(value):
+    """value with floats rounded to 12 significant digits, recursively, and inf and nan as strings."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return float(f"{value:.12g}")
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, dict):
+        return {k: reference_canonical(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        # a 0-D array cannot be iterated; it stands for its scalar
+        return reference_canonical(value.item())
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [reference_canonical(v) for v in value]
+    if isinstance(value, Fraction):
+        return fraction_str(value)
+    return value
+
+
+def reference_dumps(obj):
+    """The reference JSON writer: the standard library's encoder on ``reference_canonical(obj)``."""
+    return json.dumps(reference_canonical(obj), indent=2, sort_keys=True) + "\n"

@@ -1,10 +1,14 @@
 import json
 import math
+from fractions import Fraction
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import fd_gradient
+from helpers import fd_gradient, reference_dumps
 from polyflat import jsonio
 from polyflat.errors import InvalidInputError
 from polyflat.polynomial import Polynomial
@@ -74,13 +78,138 @@ def test_fraction_parsing():
         as_fraction(0.3)
 
 
-def test_canonical_floats():
-    out = jsonio.canonical({"a": 1 / 3, "b": [math.inf, -math.inf], "n": np.float64(0.1)})
+GOLDEN_PAYLOAD = {
+    "a": 1 / 3,
+    "b": [math.inf, -math.inf],
+    "n": np.float64(0.1),
+    "x": np.bool_(True),
+    "k": np.int64(3),
+    "nan": math.nan,
+    "ints": (0, -7, 2**70),
+    "floats": [1.0, -0.0, 0.1 + 0.2, 1e-05, 1e12, 9999999999995.0, 1e16, 2.5e-300, 5e-324],
+    "float32": np.float32(0.1),
+    "flags": [True, False, None],
+    "fractions": [Fraction(3, 4), Fraction(-2)],
+    "arrays": [np.array(2.5), np.array([True, False]), np.array([[1, 2], [3, 4]]), np.array([])],
+    "text": "\u00e9 \"q\"\t\n\x01",
+    "empty": {"dict": {}, "list": []},
+}
+
+GOLDEN_TEXT = r"""{
+  "a": 0.333333333333,
+  "arrays": [
+    2.5,
+    [
+      true,
+      false
+    ],
+    [
+      [
+        1,
+        2
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    []
+  ],
+  "b": [
+    "inf",
+    "-inf"
+  ],
+  "empty": {
+    "dict": {},
+    "list": []
+  },
+  "flags": [
+    true,
+    false,
+    null
+  ],
+  "float32": 0.10000000149,
+  "floats": [
+    1.0,
+    -0.0,
+    0.3,
+    1e-05,
+    1000000000000.0,
+    10000000000000.0,
+    1e+16,
+    2.5e-300,
+    5e-324
+  ],
+  "fractions": [
+    "3/4",
+    "-2"
+  ],
+  "ints": [
+    0,
+    -7,
+    1180591620717411303424
+  ],
+  "k": 3,
+  "n": 0.1,
+  "nan": "nan",
+  "text": "\u00e9 \"q\"\t\n\u0001",
+  "x": true
+}
+"""
+
+
+def test_dumps_golden_bytes():
+    assert jsonio.dumps(GOLDEN_PAYLOAD) == GOLDEN_TEXT
+    out = json.loads(jsonio.dumps({"a": 1 / 3, "b": [math.inf, -math.inf], "n": np.float64(0.1)}))
     assert out["a"] == float(f"{1/3:.12g}")
     assert out["b"] == ["inf", "-inf"]
     assert isinstance(out["n"], float)
     text = jsonio.dumps({"x": np.bool_(True), "k": np.int64(3)})
     assert json.loads(text) == {"x": True, "k": 3}
+
+
+# every value kind the writer takes, nested in lists, tuples and string-keyed dicts
+JSON_LEAVES = st.one_of(
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.fractions(),
+    st.text(),
+    hnp.arrays(
+        st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+    ),
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_PAYLOADS)
+@example(5e-324)
+@example(-0.0)
+@example(1e12)
+@example(123456789012.0)
+@example(1e15)
+@example(9999999999995.0)
+@example(1e16)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example({})
+@example([])
+@example(np.array([]))
+def test_dumps_matches_the_reference_writer(obj):
+    assert jsonio.dumps(obj) == reference_dumps(obj)
 
 
 def test_polytope_roundtrip_through_json(triangle):

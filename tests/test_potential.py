@@ -291,6 +291,25 @@ def test_validity_scan_negative_scale_fails(triangle):
     assert not validity_scan(phi, triangle, samples=50, seed=5).passed
 
 
+def test_validity_scan_reports_the_points_it_tested(triangle, monkeypatch):
+    # the log terms of the inner triangle {x1, x2 >= 0.2, x1 + x2 <= 0.9}: most
+    # draws in the outer triangle lie outside phi's domain and are not tested
+    inner = (((1.0, 0.0), -0.2), ((0.0, 1.0), -0.2), ((-1.0, -1.0), 0.9))
+    phi = SymplecticPotential(
+        dim=2, scale=1.0, log_terms=tuple(AffineLogTerm(normal=n, offset=o) for n, o in inner)
+    )
+    rows = []
+    hessian = SymplecticPotential.hessian
+
+    def counted(self, x):
+        rows.append(len(x))
+        return hessian(self, x)
+
+    monkeypatch.setattr(SymplecticPotential, "hessian", counted)
+    report = validity_scan(phi, triangle)
+    assert report.samples == sum(rows) < 200
+
+
 def test_restrict_potential_rejects_negative_terms(triangle):
     chart = face_chart(triangle, [3])
     bad = SymplecticPotential(
