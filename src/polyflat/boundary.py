@@ -130,6 +130,26 @@ def _shared_chart(*points) -> FaceChart:
     return chart
 
 
+def _face_rows(eta):
+    """The polytope of face points eta and their ambient coordinates.
+
+    eta is a BoundaryPoint, or a list of BoundaryPoint batches on faces of
+    one polytope, whose rows are stacked in list order.
+    """
+    if isinstance(eta, BoundaryPoint):
+        return eta.chart.polytope, eta.ambient
+    if not (
+        isinstance(eta, list)
+        and eta
+        and all(isinstance(p, BoundaryPoint) and p.ambient.ndim == 2 for p in eta)
+        and all(p.chart.polytope == eta[0].chart.polytope for p in eta)
+    ):
+        raise InvalidInputError(
+            "face points must be a BoundaryPoint or a list of batches on faces of one polytope"
+        )
+    return eta[0].chart.polytope, np.concatenate([p.ambient for p in eta])
+
+
 def boundary_divergence(phi: SymplecticPotential, eta, eta2):
     """Face divergence D_F: Bregman divergence of the restricted potential.
 
@@ -161,14 +181,15 @@ def limit_divergence(phi: SymplecticPotential, eta, xi2):
     """Limit divergence D'_F(eta || xi2) of a face point against an interior point.
 
     A single BoundaryPoint against a point (n,), or a batch of m against the
-    rows of xi2 (m, n).
+    rows of xi2 (m, n).  The batch may also be a list of BoundaryPoint
+    batches on faces of one polytope, m rows in all, stacked in list order.
     """
-    chart = _shared_chart(eta)
+    P, ambient = _face_rows(eta)
     xi2 = np.asarray(xi2, dtype=float)
-    values = chart.polytope.facet_values(xi2)
+    values = P.facet_values(xi2)
     if not np.all(values > 0):
         raise DomainError("second argument must be interior")
-    return extended_divergence(phi, eta.ambient, xi2)
+    return extended_divergence(phi, ambient, xi2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,14 +349,17 @@ def pythagoras_interior_foot(phi: SymplecticPotential, eta, xi, xi2):
     metric orthogonality at xi of the straight segment toward eta and the dual
     geodesic toward xi2; the residual equals it identically, so the additivity
     holds exactly when the two directions are perpendicular.  Shapes are as in
-    ``pythagoras_boundary_foot``.
+    ``pythagoras_boundary_foot``; eta may also be a list of BoundaryPoint
+    batches on faces of one polytope, stacked in list order as in
+    ``limit_divergence``, so a sweep evaluates many faces in one call.  Every
+    row gets the floats of the call on that row alone.
     """
     xi = np.asarray(xi, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
     a = limit_divergence(phi, eta, xi)
     b = bregman(phi, xi, xi2)
     c = limit_divergence(phi, eta, xi2)
-    pairing = rowwise.dot(eta.ambient - xi, phi.gradient(xi2) - phi.gradient(xi))
+    pairing = rowwise.dot(_face_rows(eta)[1] - xi, phi.gradient(xi2) - phi.gradient(xi))
     return PythagorasReport(
         residual=a + b - c,
         perp_value=float(pairing) if np.ndim(pairing) == 0 else pairing,

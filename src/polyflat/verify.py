@@ -116,6 +116,15 @@ def run_scenario(
     runs when the facet normals sum to zero and the correction is affine.
     faces lists faces of dimension >= 1, each by its non-empty facet indices,
     by default every facet when P.dim >= 2; samples and tolerances override the defaults by name.
+
+    Every face is validated before the first draw.  The sweep then makes
+    each face's draws, in face order, and evaluates after them: the ambient
+    identities of all faces in one batch (the orthogonal rebuild's Newton
+    solve and the interior-foot identity on the drawn and on the rebuilt
+    points), each face reading its own block of rows, and the chart work
+    (continuity, projection, boundary foot) face by face.  No draw reads a
+    result and every batch row gets the floats of a one-row call, so
+    batching changes no float: the results are those of a face-by-face sweep.
     """
     tol = merge_tolerances(tolerances)
     counts = _merge(
@@ -126,6 +135,9 @@ def run_scenario(
         if not isinstance(flag, bool):
             raise InvalidInputError(f"scenario key {name!r} must be true or false: {flag!r}")
     require_facet_potential(phi, P)
+    if faces is None:
+        faces = [(r,) for r in range(1, P.n_facets + 1)] if P.dim > 1 else []
+    sweep = [(list(active), _sweep_chart(P, tuple(active))) for active in faces]
     rng = np.random.default_rng(seed)
     results = []
 
@@ -167,35 +179,59 @@ def run_scenario(
             tol["kl_relation"],
         )
 
-    if faces is None:
-        faces = [(r,) for r in range(1, P.n_facets + 1)] if P.dim > 1 else []
-    for active in faces:
-        active = tuple(active)
-        if not active:
-            raise InvalidInputError("face [] lists no facet; name a face by its vanishing facets")
-        chart = face_chart(P, active)
-        if chart.dim_face < 1:
-            raise InvalidInputError(f"face {list(active)} is a vertex; faces need dimension >= 1")
-        pairs = counts["continuity_pairs"]
-        etas = random_face_point(chart, rng, size=2 * pairs)
-        gaps = continuity_check(phi, etas[:pairs], etas[pairs:]).gaps
+    # each face's draws, in face order; no draw reads a solve, so the
+    # generator gives each face the samples of a face-by-face sweep
+    pairs, triples = counts["continuity_pairs"], counts["interior_triples"]
+    chart_draws, ambient_draws = [], []
+    for active, chart in sweep:
+        continuity = random_face_point(chart, rng, size=2 * pairs)
+        xi_feet = random_interior(P, rng, size=counts["boundary_feet"])
+        eta_feet = random_face_point(chart, rng, size=counts["boundary_feet"])
+        steps = 0.05 * _face_steps(chart, rng, len(xi_feet)) if negative_control else None
+        chart_draws.append((continuity, xi_feet, eta_feet, steps))
+        xi, xi2 = random_interior(P, rng, size=2 * triples).reshape(2, triples, P.dim)
+        etas = random_face_point(chart, rng, size=triples)
+        # dual velocities orthogonal to the flat segments toward eta
+        w = _orthogonal_directions(etas.ambient - xi, rng)
+        ambient_draws.append((etas, xi, xi2, w))
+
+    if sweep:
+        # the interior-foot identities of all faces in one batch, a block of
+        # triples rows per face; every row gets the floats of a one-row call
+        etas, xi, xi2, w = zip(*ambient_draws)
+        etas, xi, xi2, w = list(etas), np.concatenate(xi), np.concatenate(xi2), np.concatenate(w)
+        reps = pythagoras_interior_foot(phi, etas, xi, xi2)
+        identity = np.abs(reps.residual - reps.perp_value).reshape(-1, triples)
+        # rebuild xi2 so the dual velocity is orthogonal; a row Newton does not
+        # solve is left out of the residual and fails its face's check
+        x_orth, _, status, _ = newton_solve(phi, P, phi.gradient(xi) + 0.3 * w)
+        ok = status == "converged"
+        solved = ok.reshape(-1, triples)
+        solved_etas = [e[mask] for e, mask in zip(etas, solved)]
+        reps = pythagoras_interior_foot(phi, solved_etas, xi[ok], x_orth[ok])
+        orthogonal = np.zeros(len(ok))
+        orthogonal[ok] = np.abs(reps.residual)
+        orthogonal = orthogonal.reshape(-1, triples)
+
+    for j, ((active, chart), (continuity, xi_feet, eta_feet, steps)) in enumerate(
+        zip(sweep, chart_draws)
+    ):
+        gaps = continuity_check(phi, continuity[:pairs], continuity[pairs:]).gaps
         # each pair's last gap is within tolerance, and its last four gaps decrease
         tail = gaps[:, -4:]
         verdict(
             "boundary-continuity",
-            {"face": list(active), "pairs": pairs},
+            {"face": active, "pairs": pairs},
             _worst(gaps[:, -1]),
             tol["continuity_gap"],
             holds=np.all(tail[:, :-1] > tail[:, 1:]),
         )
 
-        xi2 = random_interior(P, rng, size=counts["boundary_feet"])
-        etas = random_face_point(chart, rng, size=counts["boundary_feet"])
-        feet = project_to_face(phi, chart, xi2)
+        feet = project_to_face(phi, chart, xi_feet)
         if negative_control:
             # move each foot off the projection, by a step either way that stays on the face
             U = feet.chart_coords.copy()
-            for i, step in enumerate(0.05 * _face_steps(chart, rng, len(U))):
+            for i, step in enumerate(steps):
                 for cand in (U[i] + step, U[i] - step):
                     try:
                         boundary_point(chart, chart_coords=cand)
@@ -206,30 +242,20 @@ def run_scenario(
             feet = boundary_point(chart, chart_coords=U)
         verdict(
             "pythagoras-boundary-foot",
-            {"face": list(active), "draws": counts["boundary_feet"]},
-            _worst(np.abs(pythagoras_boundary_foot(phi, etas, feet, xi2).residual)),
+            {"face": active, "draws": counts["boundary_feet"]},
+            _worst(np.abs(pythagoras_boundary_foot(phi, eta_feet, feet, xi_feet).residual)),
             tol["boundary_foot"],
         )
 
-        triples = counts["interior_triples"]
-        xi, xi2 = random_interior(P, rng, size=2 * triples).reshape(2, triples, P.dim)
-        etas = random_face_point(chart, rng, size=triples)
-        # dual velocities orthogonal to the flat segments toward eta
-        w = _orthogonal_directions(etas.ambient - xi, rng)
-        reps = pythagoras_interior_foot(phi, etas, xi, xi2)
-        worst_id = _worst(np.abs(reps.residual - reps.perp_value))
-        # rebuild xi2 so the dual velocity is orthogonal; a row Newton does not
-        # solve is left out of the residual and fails the check
-        x_orth, _, status, _ = newton_solve(phi, P, phi.gradient(xi) + 0.3 * w)
-        ok = status == "converged"
-        reps = pythagoras_interior_foot(phi, etas[ok], xi[ok], x_orth[ok])
-        inputs = {"face": list(active), "triples": triples}
-        verdict("pythagoras-interior-identity", inputs, worst_id, tol["interior_identity"])
-        unsolved = int(np.sum(~ok))
+        inputs = {"face": active, "triples": triples}
+        verdict(
+            "pythagoras-interior-identity", inputs, _worst(identity[j]), tol["interior_identity"]
+        )
+        unsolved = int(np.sum(~solved[j]))
         verdict(
             "pythagoras-interior-orthogonal",
             {**inputs, "unconverged": unsolved} if unsolved else inputs,
-            _worst(np.abs(reps.residual)),
+            _worst(orthogonal[j]),
             tol["interior_orthogonal"],
             holds=not unsolved,
         )
@@ -248,6 +274,16 @@ def run_scenario(
         )
 
     return results, all(r.passed for r in results)
+
+
+def _sweep_chart(P, active):
+    """The chart of the face on the facets active; a vertex or an empty name raises."""
+    if not active:
+        raise InvalidInputError("face [] lists no facet; name a face by its vanishing facets")
+    chart = face_chart(P, active)
+    if chart.dim_face < 1:
+        raise InvalidInputError(f"face {list(active)} is a vertex; faces need dimension >= 1")
+    return chart
 
 
 def _draw_pairs(count, P, rng):

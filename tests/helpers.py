@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference oracles, lattice transforms and
 random Delzant polytopes with potentials."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -9,13 +10,29 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from polyflat.errors import InvalidInputError
+from polyflat.boundary import (
+    boundary_point,
+    continuity_check,
+    project_to_face,
+    pythagoras_boundary_foot,
+    pythagoras_interior_foot,
+    random_face_point,
+    random_interior,
+)
+from polyflat.dually_flat import newton_solve
+from polyflat.errors import InvalidInputError, PolyflatError
 from polyflat.intlattice import integer_kernel, primitivize, solve_integer
 from polyflat.jsonio import fraction_str
 from polyflat.polynomial import Polynomial
-from polyflat.polytope import HalfSpace, Polytope, halfspace, product
+from polyflat.polytope import HalfSpace, Polytope, face_chart, halfspace, product
 from polyflat.potential import SymplecticPotential, guillemin
-from polyflat.verify import DEFAULT_TOLERANCES
+from polyflat.verify import (
+    DEFAULT_SAMPLES,
+    DEFAULT_TOLERANCES,
+    CheckResult,
+    merge_tolerances,
+    run_scenario,
+)
 
 
 def continuity_passes(gaps, tolerance=DEFAULT_TOLERANCES["continuity_gap"]):
@@ -272,3 +289,135 @@ def reference_canonical(value):
 def reference_dumps(obj):
     """The reference JSON writer: the standard library's encoder on ``reference_canonical(obj)``."""
     return json.dumps(reference_canonical(obj), indent=2, sort_keys=True) + "\n"
+
+
+def reference_run_scenario(
+    P, phi, faces=None, samples=None, tolerances=None, seed=0,
+    product_check=True, negative_control=False,
+):
+    """run_scenario with its faces swept one at a time, the reference for the batched sweep.
+
+    The checks before and after the faces are run_scenario's with no faces;
+    the generator is replayed through their draws.  Then each face in turn
+    makes its draws, runs its own orthogonal rebuild and its own
+    interior-foot evaluations, and records its four checks.
+    """
+    results, _ = run_scenario(P, phi, [], samples, tolerances, seed, product_check, negative_control)
+    tail = [r for r in results if r.check.startswith("product-")]
+    results = results[: len(results) - len(tail)]
+    counts = {**DEFAULT_SAMPLES, **(samples or {})}
+    tol = merge_tolerances(tolerances)
+    rng = np.random.default_rng(seed)
+    random_interior(P, rng, size=counts["legendre_points"])
+    for _ in range(sum(r.check in ("divergence-expansion", "kl-relation") for r in results)):
+        random_interior(P, rng, size=2 * counts["divergence_pairs"])
+
+    def worst(errors):
+        return float(np.max(errors, initial=0.0))
+
+    def verdict(check, inputs, residual, tolerance, holds=True):
+        residual = float(residual)
+        passed = residual <= tolerance and holds
+        results.append(CheckResult(check, inputs, residual, tolerance, bool(passed)))
+
+    if faces is None:
+        faces = [(r,) for r in range(1, P.n_facets + 1)] if P.dim > 1 else []
+    for active in faces:
+        active = tuple(active)
+        chart = face_chart(P, active)
+        pairs = counts["continuity_pairs"]
+        etas = random_face_point(chart, rng, size=2 * pairs)
+        gaps = continuity_check(phi, etas[:pairs], etas[pairs:]).gaps
+        tail_gaps = gaps[:, -4:]
+        verdict(
+            "boundary-continuity",
+            {"face": list(active), "pairs": pairs},
+            worst(gaps[:, -1]),
+            tol["continuity_gap"],
+            holds=np.all(tail_gaps[:, :-1] > tail_gaps[:, 1:]),
+        )
+
+        xi2 = random_interior(P, rng, size=counts["boundary_feet"])
+        etas = random_face_point(chart, rng, size=counts["boundary_feet"])
+        feet = project_to_face(phi, chart, xi2)
+        if negative_control:
+            U = feet.chart_coords.copy()
+            for i, step in enumerate(0.05 * reference_face_steps(chart, rng, len(U))):
+                for cand in (U[i] + step, U[i] - step):
+                    try:
+                        boundary_point(chart, chart_coords=cand)
+                    except PolyflatError:
+                        continue
+                    U[i] = cand
+                    break
+            feet = boundary_point(chart, chart_coords=U)
+        verdict(
+            "pythagoras-boundary-foot",
+            {"face": list(active), "draws": counts["boundary_feet"]},
+            worst(np.abs(pythagoras_boundary_foot(phi, etas, feet, xi2).residual)),
+            tol["boundary_foot"],
+        )
+
+        triples = counts["interior_triples"]
+        xi, xi2 = random_interior(P, rng, size=2 * triples).reshape(2, triples, P.dim)
+        etas = random_face_point(chart, rng, size=triples)
+        w = reference_orthogonal_directions(etas.ambient - xi, rng)
+        reps = pythagoras_interior_foot(phi, etas, xi, xi2)
+        worst_id = worst(np.abs(reps.residual - reps.perp_value))
+        x_orth, _, status, _ = newton_solve(phi, P, phi.gradient(xi) + 0.3 * w)
+        ok = status == "converged"
+        reps = pythagoras_interior_foot(phi, etas[ok], xi[ok], x_orth[ok])
+        inputs = {"face": list(active), "triples": triples}
+        verdict("pythagoras-interior-identity", inputs, worst_id, tol["interior_identity"])
+        unsolved = int(np.sum(~ok))
+        verdict(
+            "pythagoras-interior-orthogonal",
+            {**inputs, "unconverged": unsolved} if unsolved else inputs,
+            worst(np.abs(reps.residual)),
+            tol["interior_orthogonal"],
+            holds=not unsolved,
+        )
+    results += tail
+    return results, all(r.passed for r in results)
+
+
+def reference_face_steps(chart, rng, count):
+    """count random unit steps in chart coordinates, drawn as run_scenario draws them."""
+    u = rng.normal(size=(count, chart.dim_face))
+    norm = np.linalg.norm(u, axis=1, keepdims=True)
+    return np.divide(u, norm, out=np.ones_like(u), where=norm > 0)
+
+
+def reference_orthogonal_directions(seg, rng):
+    """Unit rows orthogonal to the rows of seg, drawn as run_scenario draws them."""
+    seg = seg / np.linalg.norm(seg, axis=1, keepdims=True)
+    out = np.empty_like(seg)
+    rows = np.arange(len(seg))
+    for _ in range(50):
+        w = rng.normal(size=(len(rows), seg.shape[1]))
+        w -= (w * seg[rows]).sum(axis=1, keepdims=True) * seg[rows]
+        norm = np.linalg.norm(w, axis=1, keepdims=True)
+        out[rows] = w / np.where(norm > 1e-9, norm, 1.0)
+        rows = rows[~(norm[:, 0] > 1e-9)]
+        if not rows.size:
+            return out
+    raise PolyflatError("could not build an orthogonal direction")
+
+
+def cube(n):
+    """The unit n-cube; facet 2i + 1 is x_i >= 0 and facet 2i + 2 is x_i <= 1."""
+    halfspaces = []
+    for i in range(n):
+        e = tuple(int(j == i) for j in range(n))
+        halfspaces += [halfspace(e, 0), halfspace(tuple(-v for v in e), 1)]
+    return Polytope(dim=n, halfspaces=tuple(halfspaces))
+
+
+def cube_faces(n):
+    """Every face of the unit n-cube of dimension 1 to n - 1, by its facets."""
+    faces = []
+    for fixed in itertools.product((None, 0, 1), repeat=n):
+        active = [2 * i + 1 + side for i, side in enumerate(fixed) if side is not None]
+        if 0 < len(active) < n:
+            faces.append(active)
+    return faces

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import delzant_products, potential
+from helpers import delzant_products, potential, simplex
 from polyflat.boundary import (
     boundary_divergence,
     boundary_point,
@@ -25,7 +25,7 @@ from polyflat.boundary import (
     random_interior,
 )
 from polyflat.dually_flat import bregman, newton_solve
-from polyflat.errors import DomainError
+from polyflat.errors import DomainError, InvalidInputError
 from polyflat.mixture import kl, to_mixture
 from polyflat.polytope import Polytope, face_chart, halfspace, product
 from polyflat.potential import guillemin
@@ -144,6 +144,33 @@ def test_boundary_reports_batches_equal_rows(case, m):
         assert_rows(batch.residual, [r.residual for r in rows])
         assert_rows(batch.perp_value, [r.perp_value for r in rows])
         assert_rows(np.array(batch.terms).T, [r.terms for r in rows])
+
+
+@PROPERTY
+@given(delzant_products(), st.integers(1, 8), st.integers(0, 8))
+def test_interior_foot_stacks_batches_of_several_faces(case, m, m2):
+    # a list of batches on faces of one polytope gives the stacked rows of
+    # the calls on each batch; an empty batch adds no row
+    P, rng = case
+    phi = potential(P, rng)
+    eta = [random_face_point(random_face(P, rng), rng, size=k) for k in (m, m2)]
+    xi, xi2 = interior(P, rng, m + m2), interior(P, rng, m + m2)
+    stacked = pythagoras_interior_foot(phi, eta, xi, xi2)
+    rows = [
+        pythagoras_interior_foot(phi, eta[0], xi[:m], xi2[:m]),
+        pythagoras_interior_foot(phi, eta[1], xi[m:], xi2[m:]),
+    ]
+    for field in ("residual", "perp_value"):
+        np.testing.assert_array_equal(
+            getattr(stacked, field), np.concatenate([getattr(r, field) for r in rows])
+        )
+    # a face of another polytope: the simplex of side 7 is no lattice image of a product
+    halfspaces = simplex(P.dim).halfspaces[:-1] + (halfspace((-1,) * P.dim, 7),)
+    wide = Polytope(dim=P.dim, halfspaces=halfspaces)
+    other = random_face_point(face_chart(wide, [1]), rng, size=m)
+    for bad in ([], [eta[0], other], [eta[0][0]]):
+        with pytest.raises(InvalidInputError):
+            pythagoras_interior_foot(phi, bad, xi[:m], xi2[:m])
 
 
 @PROPERTY

@@ -717,6 +717,41 @@ def test_unsolved_orthogonal_rebuild_fails_its_check(tmp_path, capsys, monkeypat
     assert all(c["inputs"]["unconverged"] == 1 for c in failing)
 
 
+def test_unsolved_rebuild_row_fails_only_its_own_face(tmp_path, capsys, monkeypatch):
+    # the rebuild of every face is one solve, a block of interior_triples rows
+    # per face; a row left unsolved in the second block fails the second face
+    triples = small_scenario()["samples"]["interior_triples"]
+    calls = []
+
+    def second_face_stalls(*args, **kwargs):
+        x, residual, status, iterations = newton_solve(*args, **kwargs)
+        calls.append(len(status))
+        status = status.copy()
+        status[triples] = "stalled"
+        return x, residual, status, iterations
+
+    monkeypatch.setattr("polyflat.verify.newton_solve", second_face_stalls)
+    assert main(["verify-all", write(tmp_path, "in.json", small_scenario())]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert calls == [3 * triples]  # the triangle's three edges
+    failing = [c for c in checks if not c["pass"]]
+    assert [(c["check"], c["inputs"]) for c in failing] == [
+        ("pythagoras-interior-orthogonal", {"face": [2], "triples": triples, "unconverged": 1})
+    ]
+
+
+def test_verify_all_refuses_a_vertex_face_before_any_draw(tmp_path, capsys, monkeypatch):
+    # the faces before the vertex [1, 2] were sampled and solved before it was refused
+    draws = []
+    for name in ("random_interior", "random_face_point"):
+        monkeypatch.setattr(f"polyflat.verify.{name}", lambda *args, **kwargs: draws.append(1))
+    scenario = small_scenario(faces=[[1], [2], [1, 2]])
+    assert main(["verify-all", write(tmp_path, "in.json", scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: face [1, 2] is a vertex; faces need dimension >= 1\n"
+    assert draws == []
+
+
 def test_verify_all_sweeps_a_face_of_a_non_simple_polytope(tmp_path, capsys):
     # the apex edge of the pyramid prism, named by two opposite triangles or
     # by all four facets through it; each scenario draws the same samples
