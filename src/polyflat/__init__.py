@@ -25,10 +25,8 @@ from .dually_flat import (
     bregman,
     bregman_expanded,
     cosine_residual,
-    dual_potential,
     from_dual,
     geodesic_point,
-    metric_pair,
     newton_solve,
     to_dual,
 )

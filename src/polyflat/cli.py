@@ -127,14 +127,16 @@ def _parse_tols(pairs):
     return out
 
 
-def _load_problem(path, require_potential=True):
-    """A polytope and the potential the file carries, None when it carries none.
+def _load_problem(data, require_potential=True):
+    """The polytope and the potential of a problem file's JSON, None when it carries none.
 
+    The file is a polytope, or an object with a polytope and a potential
+    that holds only a scenario's keys, so a scenario file is a problem file.
     With require_potential, a file without a potential is malformed input.
     """
-    data = _load_json(path)
     phi = None
     if "polytope" in data:
+        jsonio.known_keys(data, SCENARIO_KEYS, "problem file")
         P = jsonio.parse_polytope(data["polytope"])
         if "potential" in data:
             phi = jsonio.parse_potential(data["potential"], P)
@@ -172,7 +174,7 @@ def _write(args, payload, header, rows, notes=()):
 
 
 def cmd_validate(args):
-    P, _ = _load_problem(args.file, require_potential=False)
+    P, _ = _load_problem(_load_json(args.file), require_potential=False)
     report = validate_delzant(P)
     payload = {"delzant": report.as_dict(), "zero_sum": zero_sum_check(P)}
     rows = (
@@ -201,7 +203,7 @@ def _columns(name, n):
 
 
 def cmd_divergence(args):
-    P, phi = _load_problem(args.file)
+    P, phi = _load_problem(_load_json(args.file))
     xi, xi2 = _point_pairs(args.points, P.dim)
     rows = list(zip(xi.tolist(), xi2.tolist(), bregman(phi, xi, xi2).tolist()))
     payload = {"rows": [{"xi": a, "xi2": b, "divergence": d} for a, b, d in rows]}
@@ -211,7 +213,7 @@ def cmd_divergence(args):
 
 
 def cmd_geodesic(args):
-    P, phi = _load_problem(args.file)
+    P, phi = _load_problem(_load_json(args.file))
     spec_data = jsonio.known_keys(_load_json(args.spec), SPEC_KEYS, "geodesic spec")
     spec = GeodesicSpec(
         kind=spec_data["kind"],
@@ -256,7 +258,7 @@ def _parse_face(text):
 
 
 def cmd_boundary(args):
-    P, phi = _load_problem(args.file)
+    P, phi = _load_problem(_load_json(args.file))
     chart = face_chart(P, _parse_face(args.face))
     a, b = _point_pairs(args.points, P.dim)
     points = boundary_point(chart, ambient=np.concatenate([a, b]))
@@ -273,7 +275,7 @@ def cmd_boundary(args):
 
 
 def cmd_pythagoras(args):
-    P, phi = _load_problem(args.file)
+    P, phi = _load_problem(_load_json(args.file))
     triple = _load_json(args.triple)
     chart = face_chart(P, triple["face"])
     kind = triple.get("kind", "boundary_foot")
@@ -315,7 +317,7 @@ def cmd_torify(args):
         payload = report.as_dict()
         ok = report.torifiable
     else:
-        P = jsonio.parse_polytope(data.get("polytope", data))
+        P, _ = _load_problem(data, require_potential=False)
         payload = {"zero_sum": zero_sum_check(P), "delzant": validate_delzant(P).as_dict()}
         # as in from_mixture, only a bounded polytope has a compact torification
         ok = payload["zero_sum"] and payload["delzant"]["valid"] and P.bounded

@@ -2,8 +2,7 @@
 
 The polytope coordinate x and its image y = grad phi(x) form a pair of dual
 affine coordinates.  Divergences are computed in the cancellation-safe
-three-term form D(xi||xi') = phi(xi) - phi(xi') - (xi - xi') . grad phi(xi');
-the dual potential exists for identity testing.
+three-term form D(xi||xi') = phi(xi) - phi(xi') - (xi - xi') . grad phi(xi').
 """
 
 from __future__ import annotations
@@ -260,13 +259,6 @@ def from_dual(phi: SymplecticPotential, P: Polytope, y, x0=None):
     return tuple(DualPair(x=tuple(a), y=tuple(b)) for a, b in zip(x, y))
 
 
-def dual_potential(phi: SymplecticPotential, xi) -> float:
-    """Legendre dual psi at y(xi): -phi(xi) + xi . grad phi(xi); a float or an (m,) array."""
-    xi = np.asarray(xi, dtype=float)
-    psi = -phi.value(xi) + rowwise.dot(xi, phi.gradient(xi))
-    return float(psi) if np.ndim(psi) == 0 else psi
-
-
 def bregman(phi: SymplecticPotential, xi, xi2):
     """Bregman divergence D(xi || xi2) of the potential; nonnegative.
 
@@ -343,19 +335,6 @@ def cosine_residual(phi: SymplecticPotential, p, q, r) -> float:
             residual=abs(pairing - combo),
         )
     return pairing
-
-
-def metric_pair(phi: SymplecticPotential, xi):
-    """The Hesse metric block G = Hess phi and its inverse at an interior point."""
-    G = phi.hessian(xi)
-    try:
-        G_inv = np.linalg.inv(G)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hessian is singular at {np.asarray(xi).tolist()}") from exc
-    defect = float(np.max(np.abs(G @ G_inv - np.eye(G.shape[0]))))
-    if defect > 1e-10:
-        raise NumericalError(f"Hessian inversion defect {defect:.3e} exceeds 1e-10")
-    return G, G_inv
 
 
 def geodesic_point(phi: SymplecticPotential, P: Polytope, spec: GeodesicSpec, t: float):

@@ -29,6 +29,7 @@ POTENTIAL_KEYS = ("dim", "scale", "log_terms", "correction")
 LOG_TERM_KEYS = ("normal", "offset", "weight")
 CORRECTION_KEYS = ("monomials",)
 MONOMIAL_KEYS = ("exponents", "coeff")
+MIXTURE_KEYS = ("alphas", "betas")
 
 
 def fraction_str(value: Fraction) -> str:
@@ -126,7 +127,7 @@ def parse_potential(data, polytope: Polytope | None = None) -> SymplecticPotenti
         correction = known_keys(data.get("correction", {}), CORRECTION_KEYS, "correction")
         monomials = [known_keys(m, MONOMIAL_KEYS, "monomial") for m in correction.get("monomials", [])]
         correction = Polynomial.from_monomials(
-            dim, [(tuple(m["exponents"]), float(m["coeff"])) for m in monomials]
+            dim, [(tuple(m["exponents"]), m["coeff"]) for m in monomials]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed potential: {exc}") from exc
@@ -145,6 +146,7 @@ def parse_potential(data, polytope: Polytope | None = None) -> SymplecticPotenti
 
 def parse_mixture(data) -> MixtureFamily:
     try:
+        known_keys(data, MIXTURE_KEYS, "mixture family")
         return MixtureFamily(
             alphas=tuple(tuple(as_fraction(a) for a in row) for row in data["alphas"]),
             betas=tuple(as_fraction(b) for b in data["betas"]),

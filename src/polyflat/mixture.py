@@ -61,6 +61,30 @@ class MixtureFamily:
     def _beta_array(self):
         return rowwise.read_only(np.array([float(b) for b in self.betas]))
 
+    @cached_property
+    def _polytope(self):
+        """The closure of the parameter domain, in irredundant primitive form.
+
+        Clears the common denominator of the alpha entries, re-primitivizes
+        each normal and drops redundant constraints (``reduced_polytope``).
+        A family whose parameter domain is empty or not open, or whose
+        closure contains a line, is not a mixture family: its region has no
+        vertex or no interior point, and DegenerateError is raised.
+        ``to_mixture`` records it from the polytope the family is read from.
+        """
+        _, lcm = common_denominator([a for row in self.alphas for a in row])
+        constraints = []
+        for row, beta in zip(self.alphas, self.betas):
+            scaled = tuple(int(a * lcm) for a in row)
+            if all(v == 0 for v in scaled):
+                if beta <= 0:
+                    raise DegenerateError("constant outcome weight is nonpositive")
+                continue
+            constraints.append((scaled, beta * lcm))
+        if not constraints:
+            raise DegenerateError("mixture family has no defining constraints")
+        return reduced_polytope(constraints, self.dim)
+
     def probabilities(self, xi):
         """Weights p(r | xi): (N,) at a point, (m, N) for a batch (m, n)."""
         xi = np.asarray(xi, dtype=float)
@@ -81,7 +105,14 @@ def zero_sum_check(P: Polytope) -> bool:
 
 
 def to_mixture(P: Polytope) -> MixtureFamily:
-    """The mixture family p(r | xi) = l_r(xi) / sum(lambda) carried by P."""
+    """The mixture family p(r | xi) = l_r(xi) / sum(lambda) carried by P.
+
+    P is read first (``vertex_list``), so a half-space that is not a facet,
+    or a region with no vertex or no interior point, raises here.  The
+    family's polytope is P's half-spaces sorted by normal, as
+    ``reduced_polytope`` orders them; it takes its region from P's.
+    """
+    P.vertex_list
     if not zero_sum_check(P):
         raise NotTorifiableError(
             "facet normals do not sum to zero; the polytope carries no mixture family"
@@ -91,7 +122,9 @@ def to_mixture(P: Polytope) -> MixtureFamily:
         raise DegenerateError(f"offset sum {total} must be positive")
     alphas = tuple(tuple(Fraction(v) / total for v in hs.normal) for hs in P.halfspaces)
     betas = tuple(hs.offset / total for hs in P.halfspaces)
-    return MixtureFamily(alphas=alphas, betas=betas)
+    theta = MixtureFamily(alphas=alphas, betas=betas)
+    theta.__dict__["_polytope"] = P._sorted_by_normal()  # fill the cached property
+    return theta
 
 
 def kl(theta: MixtureFamily, xi, xi2):
@@ -148,23 +181,9 @@ class TorificationReport:
 def from_mixture(theta: MixtureFamily) -> TorificationReport:
     """Candidate polytope of a mixture family and its Delzant verdict.
 
-    Clears the common denominator of the alpha entries, re-primitivizes each
-    normal, drops redundant constraints (``reduced_polytope``), and validates.
-    A compact torification exists exactly when the closure is a bounded
-    Delzant polytope.  A family whose parameter domain is empty or not open,
-    or whose closure contains a line, is not a mixture family: its region has
-    no vertex or no interior point, and DegenerateError is raised.
+    The polytope is the family's (``MixtureFamily._polytope``).  A compact
+    torification exists exactly when the closure is a bounded Delzant
+    polytope.
     """
-    _, lcm = common_denominator([a for row in theta.alphas for a in row])
-    constraints = []
-    for row, beta in zip(theta.alphas, theta.betas):
-        scaled = tuple(int(a * lcm) for a in row)
-        if all(v == 0 for v in scaled):
-            if beta <= 0:
-                raise DegenerateError("constant outcome weight is nonpositive")
-            continue
-        constraints.append((scaled, beta * lcm))
-    if not constraints:
-        raise DegenerateError("mixture family has no defining constraints")
-    P = reduced_polytope(constraints, theta.dim)
+    P = theta._polytope
     return TorificationReport(polytope=P, delzant=validate_delzant(P))

@@ -24,7 +24,9 @@ from .errors import InvalidInputError
 
 
 def _exponent(e):
-    """e as a nonnegative int; non-integral and non-numeric exponents are rejected."""
+    """e as a nonnegative int; non-integral, boolean and non-numeric exponents are rejected."""
+    if isinstance(e, bool):
+        raise InvalidInputError(f"exponent {e!r} is not an integer")
     try:
         k = int(e)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -40,6 +42,8 @@ def _normalized(nvars, terms):
         exps = tuple(_exponent(e) for e in exps)
         if len(exps) != nvars or any(e < 0 for e in exps):
             raise InvalidInputError(f"bad exponent tuple {exps} for {nvars} variables")
+        if isinstance(coeff, bool):
+            raise InvalidInputError(f"coefficient {coeff!r} of {exps} is not a number")
         c = out.get(exps, 0.0) + float(coeff)
         if not math.isfinite(c):
             raise InvalidInputError(f"coefficient {coeff!r} of {exps} is not finite")

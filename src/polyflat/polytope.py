@@ -25,9 +25,11 @@ from .errors import DegenerateError, EmptyFaceError, InvalidInputError
 
 
 def as_fraction(value):
-    """Coerce ints, strings like '3/4', integral floats and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', integral floats and Fractions to Fraction; not bools."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise InvalidInputError(f"{value!r} is a boolean, not an exact rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -47,7 +49,7 @@ class HalfSpace:
     def __post_init__(self):
         if not self.normal or all(v == 0 for v in self.normal):
             raise InvalidInputError("half-space normal must be nonzero")
-        if any(not isinstance(v, int) for v in self.normal):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in self.normal):
             raise InvalidInputError("half-space normal must be integral")
         g = 0
         for v in self.normal:
@@ -59,7 +61,8 @@ class HalfSpace:
 
 
 def halfspace(normal, offset):
-    if any(isinstance(v, float) and not v.is_integer() for v in normal):
+    """The half-space of an integral normal, given as ints or integral floats, and an offset."""
+    if any(isinstance(v, bool) or isinstance(v, float) and not v.is_integer() for v in normal):
         raise InvalidInputError(f"normal {list(normal)} is not integral")
     return HalfSpace(tuple(int(v) for v in normal), as_fraction(offset))
 
@@ -125,11 +128,11 @@ class Polytope:
 
     @cached_property
     def rays(self):
-        """P's extreme rays, primitive and exact, computed once; none when P is bounded.
+        """P's extreme rays, primitive, exact and sorted, computed once; none when P is bounded.
 
         When P contains a line these generate its lineality space, in opposite pairs.
         """
-        return tuple(intlattice.cone_rays([hs.normal for hs in self.halfspaces], self.dim))
+        return tuple(sorted(intlattice.cone_rays([hs.normal for hs in self.halfspaces], self.dim)))
 
     @cached_property
     def bounded(self):
@@ -144,6 +147,21 @@ class Polytope:
     def _region(self):
         """The vertices and the facet positions, read once (``_read_region``)."""
         return _read_region(self)
+
+    def _sorted_by_normal(self):
+        """P with its half-spaces sorted by normal, its region recorded from P's.
+
+        For a read P this is the polytope ``reduced_polytope`` makes of P's
+        own half-spaces, so the torification round trip reads no region again.
+        """
+        order = sorted(range(self.n_facets), key=lambda r: self.halfspaces[r].normal)
+        position = {r + 1: i + 1 for i, r in enumerate(order)}
+        verts = tuple(
+            Vertex(coords=v.coords, active=tuple(sorted(position[r] for r in v.active)))
+            for v in self.vertex_list
+        )
+        Q = Polytope(dim=self.dim, halfspaces=tuple(self.halfspaces[r] for r in order))
+        return _proven(Q, self.rays, verts)
 
     @cached_property
     def vertex_array(self):
@@ -414,7 +432,7 @@ class FaceChart:
         points = [v.coords for v in self.vertices]
         kept = _facets_from_incidence(merged, points, tight, k, self.rays, along)
         F = _polytope(kept, k)
-        return F if self.rays else _proven_bounded(F)
+        return F if self.rays else _proven(F, ())
 
     def to_ambient(self, u):
         """Ambient point of chart coordinates u (k,), or the rows of a batch (m, k)."""
@@ -603,9 +621,16 @@ def _polytope(pairs, dim):
     return Polytope(dim=dim, halfspaces=halfspaces)
 
 
-def _proven_bounded(P):
-    """P, with the boundedness its caller has proven filled into its ``rays`` and ``bounded``."""
-    P.__dict__.update(rays=(), bounded=True)
+def _proven(P, rays, vertices=None):
+    """P, with the facts its builder has proven filled into its cached properties.
+
+    ``rays`` are P's sorted extreme rays, from which ``bounded`` follows;
+    ``vertices``, when the builder has them, are P's vertices sorted by
+    coordinates, every half-space of P being a facet.
+    """
+    P.__dict__["rays"] = rays
+    if vertices is not None:
+        P.__dict__["_region"] = (vertices, list(range(P.n_facets)))
     return P
 
 
@@ -635,9 +660,25 @@ def restrict_polytope(P: Polytope, chart: FaceChart) -> Polytope:
 
 
 def product(P1: Polytope, P2: Polytope) -> Polytope:
-    """Cartesian product; normals are block-padded with zeros."""
+    """Cartesian product; normals are block-padded with zeros.
+
+    The factors are read (``vertex_list``), so a factor with a half-space
+    that is not a facet, or with no vertex or no interior point, raises here.
+    The product's region is then recorded from theirs, not read again: its
+    vertices are the pairs of vertices in factor order, which is sorted, its
+    rays are each factor's rays padded with zeros, and every half-space is a
+    facet.
+    """
     n1, n2 = P1.dim, P2.dim
+    V1, V2 = P1.vertex_list, P2.vertex_list
     halfspaces = [
         HalfSpace(normal=hs.normal + (0,) * n2, offset=hs.offset) for hs in P1.halfspaces
     ] + [HalfSpace(normal=(0,) * n1 + hs.normal, offset=hs.offset) for hs in P2.halfspaces]
-    return Polytope(dim=n1 + n2, halfspaces=tuple(halfspaces))
+    shift = P1.n_facets
+    verts = tuple(
+        Vertex(coords=a.coords + b.coords, active=a.active + tuple(r + shift for r in b.active))
+        for a in V1
+        for b in V2
+    )
+    rays = [g + (0,) * n2 for g in P1.rays] + [(0,) * n1 + g for g in P2.rays]
+    return _proven(Polytope(dim=n1 + n2, halfspaces=tuple(halfspaces)), tuple(sorted(rays)), verts)

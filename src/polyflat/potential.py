@@ -159,7 +159,12 @@ class SymplecticPotential:
 
 
 def guillemin(P: Polytope, scale: float = 0.5) -> SymplecticPotential:
-    """The canonical potential scale * sum_r l_r log l_r over the facets of P."""
+    """The canonical potential scale * sum_r l_r log l_r over the facets of P.
+
+    P is read first (``vertex_list``), so a half-space that is not a facet,
+    or a region with no vertex or no interior point, raises here.
+    """
+    P.vertex_list
     terms = tuple(
         AffineLogTerm(normal=tuple(float(v) for v in hs.normal), offset=float(hs.offset))
         for hs in P.halfspaces

@@ -152,6 +152,15 @@ def test_limit_divergence_golden(tri_setup):
         assert limit_divergence(phi, bp, (a, b)) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("xi2", [(0.0, 0.5), (0.7, 0.7), (math.nan, 0.2)], ids=["facet", "outside", "nan"])
+def test_a_second_point_that_is_not_interior_is_refused(tri_setup, xi2):
+    _, phi, chart = tri_setup
+    with pytest.raises(DomainError, match="second argument must be interior"):
+        limit_divergence(phi, boundary_point(chart, ambient=(0.5, 0.5)), xi2)
+    with pytest.raises(DomainError, match="projection argument must be interior"):
+        project_to_face(phi, chart, xi2)
+
+
 def test_limit_divergence_matches_numeric_limit(tri_setup, rng):
     # sequence oracle along a facet-normal approach path
     _, phi, chart = tri_setup

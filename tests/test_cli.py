@@ -60,6 +60,17 @@ def test_validate_triangle(tri_input, tmp_path, capsys):
     assert out["delzant"]["valid"] and out["zero_sum"]
 
 
+def test_validate_names_the_vertex_that_is_not_smooth(tmp_path, capsys):
+    # x >= 0, y >= 0, 2 - x - 2y >= 0: at (0, 1) the normals (1, 0) and (-1, -2)
+    # span a sublattice of index 2
+    halfspaces = [((1, 0), 0), ((0, 1), 0), ((-1, -2), 2)]
+    P = {"dim": 2, "halfspaces": [{"normal": list(v), "offset": c} for v, c in halfspaces]}
+    assert main(["validate", write(tmp_path, "p.json", P)]) == 1
+    delzant = json.loads(capsys.readouterr().out)["delzant"]
+    assert not delzant["smooth"] and not delzant["valid"]
+    assert delzant["failures"] == [{"vertex": ["0", "1"], "active": [1, 3], "determinant": -2}]
+
+
 def test_validate_trapezoid(tmp_path, capsys):
     path = write(tmp_path, "trap.json", TRAPEZOID)
     assert main(["validate", path]) == 0
@@ -270,6 +281,20 @@ def small_scenario(**changes):
 
 DUAL_SPEC = {"kind": "dual", "start": [0.2, 0.2], "direction": [1.0, 0.0]}
 TRIPLE = {"kind": "boundary_foot", "face": [3], "eta": [0.3, 0.7], "xi": [0.25, 0.25]}
+# the triangle's mixture family, p(r | x) = l_r(x)
+TRIANGLE_MIXTURE = {"alphas": [[1, 0], [0, 1], [-1, -1]], "betas": [0, 0, 1]}
+
+
+def _triangle_with(first):
+    """The triangle with its first half-space replaced."""
+    return {**TRIANGLE, "halfspaces": [first, *TRIANGLE["halfspaces"][1:]]}
+
+
+def _corrected(monomial):
+    """The small triangle scenario with a one-monomial correction."""
+    return small_scenario(
+        potential={"guillemin_of": "polytope", "correction": {"monomials": [monomial]}}
+    )
 
 
 @pytest.mark.parametrize(
@@ -296,6 +321,13 @@ TRIPLE = {"kind": "boundary_foot", "face": [3], "eta": [0.3, 0.7], "xi": [0.25, 
         ("verify-all", small_scenario(faces=[[1.5]])),
         ("verify-all", small_scenario(faces=[[True]])),
         ("verify-all", small_scenario(faces=[["1"]])),
+        # a boolean is not a number: each of these read as 1 or 0 before
+        ("validate", _triangle_with({"normal": [True, 0], "offset": 0})),
+        ("validate", _triangle_with({"normal": [1, 0], "offset": False})),
+        ("torify", {**TRIANGLE_MIXTURE, "alphas": [[True, 0], [0, 1], [-1, -1]]}),
+        ("torify", {**TRIANGLE_MIXTURE, "betas": [False, 0, 1]}),
+        ("verify-all", _corrected({"exponents": [True, 0], "coeff": 0.1})),
+        ("verify-all", _corrected({"exponents": [1, 0], "coeff": True})),
     ],
     ids=[
         "divergence-pairs-dict", "boundary-pairs-dict", "points-list", "t-grid-number",
@@ -303,12 +335,13 @@ TRIPLE = {"kind": "boundary_foot", "face": [3], "eta": [0.3, 0.7], "xi": [0.25, 
         "faces-number", "tolerance-string", "tolerance-bool", "tolerance-negative",
         "tolerance-unknown", "samples-float", "samples-string",
         "samples-bool", "samples-negative", "samples-zero", "face-index-float",
-        "face-index-bool", "face-index-string",
+        "face-index-bool", "face-index-string", "normal-bool", "offset-bool", "alpha-bool",
+        "beta-bool", "exponent-bool", "coefficient-bool",
     ],
 )
 def test_hostile_input_exits_2(tri_input, tmp_path, capsys, command, payload):
     path = write(tmp_path, "in.json", payload)
-    if command == "verify-all":
+    if command in ("verify-all", "validate", "torify"):
         argv = [command, path]
     else:
         flag = {"divergence": "--points", "boundary": "--points", "geodesic": "--spec"}
@@ -382,14 +415,19 @@ NO_PAIRS = {"pairs": []}
          "eta_prime"),
         ("divergence", {**NO_PAIRS, "pairz": []}, "points file", "pairz"),
         ("boundary", {**NO_PAIRS, "pairz": []}, "points file", "pairz"),
+        ("torify", {**TRIANGLE_MIXTURE, "gama": 1}, "mixture family", "gama"),
+        ("validate", {"polytope": TRIANGLE, "potentail": GUILLEMIN}, "problem file", "potentail"),
+        ("torify", {"polytope": TRIANGLE, "potentail": GUILLEMIN}, "problem file", "potentail"),
     ],
-    ids=["spec", "boundary-foot", "interior-foot", "divergence-points", "boundary-points"],
+    ids=["spec", "boundary-foot", "interior-foot", "divergence-points", "boundary-points",
+         "mixture", "validate-problem", "torify-problem"],
 )
 def test_a_key_that_nothing_reads_in_an_input_file_exits_2(
     tri_input, tmp_path, capsys, command, payload, what, key
 ):
     flag = {"geodesic": "--spec", "pythagoras": "--triple"}.get(command, "--points")
-    argv = [command, tri_input, flag, write(tmp_path, "in.json", payload)]
+    path = write(tmp_path, "in.json", payload)
+    argv = [command, path] if command in ("validate", "torify") else [command, tri_input, flag, path]
     assert main(argv + (["--face", "3"] if command == "boundary" else [])) == 2
     assert capsys.readouterr().err.startswith(f"error: {what} key {key!r} is unknown; known: ")
 

@@ -9,11 +9,9 @@ from polyflat.dually_flat import (
     bregman,
     bregman_expanded,
     cosine_residual,
-    dual_potential,
     flat_exit_time,
     from_dual,
     geodesic_point,
-    metric_pair,
     newton_solve,
     to_dual,
 )
@@ -118,22 +116,6 @@ def test_line_search_keeps_steps_in_the_domain_of_phi(triangle):
     )
     x = (0.2001, 0.35)
     np.testing.assert_allclose(from_dual(phi, triangle, phi.gradient(x)).x, x, atol=1e-9)
-
-
-def test_dual_potential(triangle, half_line):
-    phi = guillemin(triangle, 1.0)
-    assert dual_potential(phi, (1 / 3, 1 / 3)) == pytest.approx(math.log(3), abs=1e-12)
-    phi_h = guillemin(half_line, 1.0)
-    # conjugate of x log x is e^(y-1); at xi=1, y=1 and psi = 1
-    assert dual_potential(phi_h, (1.0,)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_legendre_identity(triangle, rng):
-    phi = guillemin(triangle, 1.0)
-    for _ in range(100):
-        x = random_interior(triangle, rng)
-        y = phi.gradient(x)
-        assert abs(phi.value(x) + dual_potential(phi, x) - x @ y) <= 1e-10
 
 
 def test_legendre_involution(triangle, square, rng):
@@ -271,22 +253,6 @@ def test_cosine_orthogonal_gives_pythagoras(triangle, rng):
         assert total == pytest.approx(bregman(phi, p, r), abs=1e-9)
 
 
-def test_metric_pair(triangle, half_line, rng):
-    phi = guillemin(triangle, 1.0)
-    G, G_inv = metric_pair(phi, (0.25, 0.25))
-    np.testing.assert_allclose(G, [[6, 2], [2, 6]], atol=1e-12)
-    np.testing.assert_allclose(G_inv, [[3 / 16, -1 / 16], [-1 / 16, 3 / 16]], atol=1e-12)
-    phi_h = guillemin(half_line, 1.0)
-    G, G_inv = metric_pair(phi_h, (0.7,))
-    assert G[0, 0] == pytest.approx(1 / 0.7)
-    assert G_inv[0, 0] == pytest.approx(0.7)
-    for _ in range(100):
-        x = random_interior(triangle, rng)
-        G, G_inv = metric_pair(phi, x)
-        assert np.all(np.linalg.eigvalsh(G) > 0)
-        np.testing.assert_allclose(G, G.T, atol=0)
-
-
 def test_geodesic_point_flat(triangle):
     phi = guillemin(triangle, 1.0)
     spec = GeodesicSpec(kind="flat", start=(1 / 3, 1 / 3), direction=(1.0, 0.0))
@@ -404,6 +370,13 @@ def test_dual_geodesic_limit_requires_bounded(half_line):
     spec = GeodesicSpec(kind="dual", start=(1.0,), direction=(1.0,))
     with pytest.raises(InvalidInputError):
         dual_geodesic_limit(phi, half_line, spec)
+
+
+def test_dual_geodesic_limit_refuses_a_flat_spec(triangle):
+    phi = guillemin(triangle, 1.0)
+    spec = GeodesicSpec(kind="flat", start=(0.2, 0.2), direction=(1.0, 0.0))
+    with pytest.raises(InvalidInputError, match="limits are defined for dual geodesics"):
+        dual_geodesic_limit(phi, triangle, spec)
 
 
 @pytest.mark.parametrize("start", [(0.0, 0.5), (0.7, 0.7)])

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import random_unimodular, transform_polytope
+from helpers import delzant_products, random_unimodular, transform_polytope
 from polyflat.boundary import random_interior
 from polyflat.dually_flat import bregman
 from polyflat.errors import DegenerateError, DomainError, InvalidInputError, NotTorifiableError
@@ -73,6 +74,35 @@ def test_mixture_invariants():
         MixtureFamily(alphas=((1, 0), (0, 1)), betas=(Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(InvalidInputError):
         MixtureFamily(alphas=((1, 0), (-1, 0)), betas=(Fraction(1, 2), Fraction(1, 4)))
+    with pytest.raises(InvalidInputError, match="equal, positive length"):
+        MixtureFamily(alphas=((1,), (-1,)), betas=(1,))
+    with pytest.raises(InvalidInputError, match="common length"):
+        MixtureFamily(alphas=((1, 0), (-1,)), betas=(Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(InvalidInputError, match="boolean"):
+        MixtureFamily(alphas=((True,), (-1,)), betas=(Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_to_mixture_refuses_a_half_space_that_is_not_a_facet(square):
+    cut = Polytope(dim=2, halfspaces=square.halfspaces + (halfspace((1, 1), 5), halfspace((-1, -1), 5)))
+    with pytest.raises(InvalidInputError, match="half-space 5 is not a facet of the region"):
+        to_mixture(cut)
+
+
+@settings(max_examples=30, deadline=None)
+@given(delzant_products())
+def test_the_round_trip_records_the_region_a_fresh_read_finds(case):
+    # from_mixture of to_mixture(P) takes its polytope's region from P's; it
+    # is the one a family with the same weights reads afresh
+    P, _ = case
+    if not zero_sum_check(P):
+        return
+    theta = to_mixture(P)
+    got = from_mixture(theta).polytope
+    fresh = from_mixture(MixtureFamily(alphas=theta.alphas, betas=theta.betas)).polytope
+    assert got.halfspaces == fresh.halfspaces and set(got.halfspaces) == set(P.halfspaces)
+    assert got.vertex_list == fresh.vertex_list
+    assert got.rays == fresh.rays and got.bounded == fresh.bounded
+    assert got._region[1] == fresh._region[1]
 
 
 def test_kl_basic(triangle, rng):

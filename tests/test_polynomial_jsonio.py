@@ -44,15 +44,36 @@ def test_polynomial_batches_match_rows():
     assert zero.gradient(pts).shape == (3, 2) and zero.hessian(pts).shape == (3, 2, 2)
 
 
-@pytest.mark.parametrize("exponents", [(1.5, 0), (0, "2"), (math.nan, 1)])
+@pytest.mark.parametrize("exponents", [(1.5, 0), (0, "2"), (math.nan, 1), (True, 0), (1, False)])
 def test_polynomial_rejects_non_integral_exponents(exponents):
     with pytest.raises(InvalidInputError):
         Polynomial.from_monomials(2, [(exponents, 1.0)])
 
 
+@pytest.mark.parametrize("coeff", [True, False])
+def test_polynomial_rejects_a_boolean_coefficient(coeff):
+    with pytest.raises(InvalidInputError, match="is not a number"):
+        Polynomial.from_monomials(2, [((1, 0), coeff)])
+
+
+def test_polynomial_partial():
+    f = Polynomial.from_monomials(2, [((2, 1), 2.0), ((0, 1), 3.0), ((0, 0), 5.0)])
+    assert f.partial(0).terms == (((1, 1), 4.0),)
+    assert f.partial(1).terms == (((0, 0), 3.0), ((2, 0), 2.0))
+    pts = np.array([[0.3, -1.2], [2.0, 0.5]])
+    for i in range(2):
+        np.testing.assert_allclose(f.partial(i)(pts), f.gradient(pts)[:, i], rtol=0, atol=1e-14)
+    assert f.partial(0).partial(0).partial(0).terms == ()
+
+
 def test_polynomial_accepts_integral_float_exponents():
     f = Polynomial.from_monomials(2, [((2.0, 0), 1.0)])
     assert f.terms == (((2, 0), 1.0),)
+
+
+def test_a_guillemin_potential_of_the_polytope_needs_one():
+    with pytest.raises(InvalidInputError, match='"guillemin_of": "polytope" needs a polytope'):
+        jsonio.parse_potential({"guillemin_of": "polytope"})
 
 
 def test_potential_schema_rejects_non_integral_exponents():

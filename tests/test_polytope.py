@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -17,7 +18,7 @@ from helpers import (
     square_pyramid,
     transform_polytope,
 )
-from polyflat import intlattice, jsonio
+from polyflat import intlattice, jsonio, polytope
 from polyflat.errors import (
     DegenerateError,
     EmptyFaceError,
@@ -25,6 +26,7 @@ from polyflat.errors import (
 )
 from polyflat.polytope import (
     FaceChart,
+    HalfSpace,
     Polytope,
     as_fraction,
     face_chart,
@@ -36,6 +38,7 @@ from polyflat.polytope import (
     validate_delzant,
     vertices,
 )
+from polyflat.potential import guillemin
 
 
 def test_facet_value_triangle(triangle):
@@ -68,12 +71,38 @@ def test_halfspace_validation():
         Polytope(dim=2, halfspaces=(halfspace((1, 0), 0), halfspace((1, 0), 0)))
     with pytest.raises(InvalidInputError):
         halfspace((1.5, 0), 1)  # never truncated to an integer normal
+    # a boolean is not a number, in a normal or an offset
+    with pytest.raises(InvalidInputError, match="not integral"):
+        halfspace((True, 0), 0)
+    with pytest.raises(InvalidInputError, match="must be integral"):
+        HalfSpace(normal=(1, False), offset=0)
+    with pytest.raises(InvalidInputError, match="boolean"):
+        halfspace((1, 0), False)
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True, False])
 def test_as_fraction_rejects_non_finite(value):
     with pytest.raises(InvalidInputError):
         as_fraction(value)
+
+
+@pytest.mark.parametrize(
+    "dim, normals, message",
+    [
+        (-1, [], "dimension must be nonnegative"),
+        (0, [(1,)], "a 0-dimensional polytope has no half-spaces"),
+        (2, [(1, 0), (1,)], r"normal \(1,\) does not match dimension 2"),
+    ],
+    ids=["negative-dim", "point-with-half-space", "normal-length"],
+)
+def test_polytope_refuses_a_malformed_shape(dim, normals, message):
+    with pytest.raises(InvalidInputError, match=message):
+        Polytope(dim=dim, halfspaces=tuple(halfspace(v, 0) for v in normals))
+
+
+def test_restrict_polytope_refuses_a_chart_of_another_polytope(triangle, square):
+    with pytest.raises(InvalidInputError, match="chart does not belong to this polytope"):
+        restrict_polytope(square, face_chart(triangle, (1,)))
 
 
 def test_face_chart_is_memoized_on_the_polytope(triangle):
@@ -340,6 +369,67 @@ def test_product_unbounded(triangle, half_line):
     prod = product(triangle, half_line)
     assert prod.dim == 3 and prod.n_facets == 4 and not prod.bounded
     assert not is_bounded(prod)
+
+
+def _products():
+    """Products by name: those of ``pointed_unbounded``, and bounded ones with and without a point factor."""
+    point = Polytope(dim=0, halfspaces=())
+    interval = Polytope(dim=1, halfspaces=(halfspace((1,), 0), halfspace((-1,), 1)))
+    named = {name: P for name, P in pointed_unbounded().items() if name != "cut quadrant"}
+    named.update({
+        "pyramid prism": pyramid_prism(),
+        "triangle x triangle": product(simplex(2), simplex(2)),
+        "5-cube": functools.reduce(product, [interval] * 5),
+        "point x triangle": product(point, simplex(2)),
+        "ray x point": product(Polytope(dim=1, halfspaces=(halfspace((1,), 0),)), point),
+        "point x point": product(point, point),
+    })
+    return named
+
+
+PRODUCTS = _products()
+
+
+@pytest.mark.parametrize("P", list(PRODUCTS.values()), ids=list(PRODUCTS))
+def test_a_product_records_the_region_a_fresh_read_finds(P):
+    fresh = Polytope(dim=P.dim, halfspaces=P.halfspaces)
+    assert P.vertex_list == fresh.vertex_list
+    assert P.rays == fresh.rays == tuple(sorted(fresh.rays))
+    assert P.bounded == fresh.bounded
+    assert P._region[1] == fresh._region[1] == list(range(P.n_facets))
+
+
+def test_a_product_of_read_factors_reads_no_region(monkeypatch, triangle, half_line):
+    # the product's vertices, rays and facets come from its factors: no
+    # subset loop and no cone_rays, for the product or for its faces
+    vertices(triangle), vertices(half_line)
+
+    def no_read(*args):
+        raise AssertionError("a product of read factors read its region")
+
+    monkeypatch.setattr(polytope, "_feasible_solutions", no_read)
+    monkeypatch.setattr(intlattice, "cone_rays", no_read)
+    P = product(triangle, half_line)
+    assert len(vertices(P)) == 3 and P.rays == ((0, 0, 1),) and not P.bounded
+    assert validate_delzant(P).valid
+    for r in range(1, P.n_facets + 1):
+        face_chart(P, (r,))
+    guillemin(P)
+
+
+def test_a_product_reads_its_factors(triangle, interval):
+    cut = Polytope(dim=2, halfspaces=triangle.halfspaces + (halfspace((1, 1), 5),))
+    strip = Polytope(dim=2, halfspaces=(halfspace((0, 1), 0), halfspace((0, -1), 1)))
+    with pytest.raises(InvalidInputError, match="half-space 4 is not a facet of the region"):
+        product(interval, cut)
+    with pytest.raises(DegenerateError, match="no vertex or no interior point"):
+        product(strip, interval)
+
+
+def test_guillemin_refuses_a_half_space_that_is_not_a_facet(triangle):
+    cut = Polytope(dim=2, halfspaces=triangle.halfspaces + (halfspace((1, 1), 5),))
+    with pytest.raises(InvalidInputError, match="half-space 4 is not a facet of the region"):
+        guillemin(cut, 1.0)
 
 
 def test_chart_deterministic(triangle):

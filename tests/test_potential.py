@@ -145,6 +145,8 @@ def test_hessian_against_finite_differences(triangle, square, rng):
             H = phi.hessian(x)
             fd = fd_jacobian(phi.gradient, x)
             assert np.max(np.abs(H - fd)) <= 1e-4 * (1 + np.max(np.abs(H)))
+            np.testing.assert_array_equal(H, H.T)
+            assert np.all(np.linalg.eigvalsh(H) > 0)
 
 
 def test_hessian_triangle_golden(triangle):
@@ -260,6 +262,18 @@ def test_restriction_decomposes_as_guillemin_plus_smooth(
             grads = [fd_gradient(remainder, u, h=1e-9) for u in samples]
             assert np.max(np.abs(values)) < 1e3
             assert np.max(np.abs(grads)) < 1e3
+
+
+def test_potential_refuses_a_term_or_correction_of_another_dimension():
+    with pytest.raises(InvalidInputError, match="correction polynomial has wrong variable count"):
+        SymplecticPotential(dim=2, correction=Polynomial.from_monomials(3, [((1, 0, 0), 1.0)]))
+    with pytest.raises(InvalidInputError, match="log term normal has wrong length"):
+        SymplecticPotential(dim=2, log_terms=(AffineLogTerm((1.0,), 0.0),))
+
+
+def test_validity_scan_refuses_an_unbounded_polyhedron(half_line):
+    with pytest.raises(InvalidInputError, match="validity scan requires a bounded polytope"):
+        validity_scan(guillemin(half_line, 1.0), half_line)
 
 
 def test_validity_scan_guillemin(triangle):
