@@ -138,16 +138,130 @@ def _face_rows(eta):
     """
     if isinstance(eta, BoundaryPoint):
         return eta.chart.polytope, eta.ambient
+    (points,), _ = _paired(eta)
+    return points[0].chart.polytope, np.concatenate([p.ambient for p in points])
+
+
+def _paired(eta, *others):
+    """Face points as lists of batches, one batch per face, and whether eta is a single point.
+
+    eta and the others are BoundaryPoints on one chart, or lists of
+    BoundaryPoint batches on faces of one polytope, whose i-th batches
+    share a chart.
+    """
+    if isinstance(eta, BoundaryPoint):
+        _shared_chart(eta, *others)
+        return [[_as_batch(p)] for p in (eta, *others)], eta.ambient.ndim == 1
+    lists = [eta, *others]
     if not (
-        isinstance(eta, list)
+        all(isinstance(points, list) and len(points) == len(eta) for points in lists)
         and eta
-        and all(isinstance(p, BoundaryPoint) and p.ambient.ndim == 2 for p in eta)
+        and all(isinstance(p, BoundaryPoint) and p.ambient.ndim == 2 for ps in lists for p in ps)
         and all(p.chart.polytope == eta[0].chart.polytope for p in eta)
+        and all(p.chart == e.chart for points in others for p, e in zip(points, eta))
     ):
         raise InvalidInputError(
-            "face points must be a BoundaryPoint or a list of batches on faces of one polytope"
+            "face points must be BoundaryPoints on one chart, or lists of batches "
+            "on faces of one polytope, the i-th batches of each on one chart"
         )
-    return eta[0].chart.polytope, np.concatenate([p.ambient for p in eta])
+    return lists, False
+
+
+def _as_batch(point):
+    """A BoundaryPoint as a batch: a single point as a batch of one row."""
+    if point.ambient.ndim == 2:
+        return point
+    return BoundaryPoint(point.chart, point.ambient[None], point.chart_coords[None])
+
+
+class _FaceRows:
+    """The restricted potentials and face polytopes of faces of one shape, one face per row.
+
+    Row i holds its face's kept log terms, as normals (m, R, k) and offsets
+    and weights (m, R), and its face polytope's facets, as normals (m, N, k)
+    and offsets (m, N); the scale and the correction are the faces' common
+    ones.  It evaluates through SymplecticPotential's and Polytope's own
+    code, whose products ``rowwise.times`` makes with row i's matrices for
+    row i, so every row gets the floats of its own face's potential and
+    polytope.  ``newton_solve`` carries its ``take`` of rows with the iterates.
+    """
+
+    _points = SymplecticPotential._points
+    _checked = SymplecticPotential._checked
+
+    # the public methods look the classes' own up at each call, so that a
+    # wrapper put on those (perfbench's tracer) counts these calls as well
+    def value(self, xi):
+        return SymplecticPotential.value(self, xi)
+
+    def gradient(self, xi):
+        return SymplecticPotential.gradient(self, xi)
+
+    def hessian(self, xi):
+        return SymplecticPotential.hessian(self, xi)
+
+    def term_values(self, xi):
+        return SymplecticPotential.term_values(self, xi)
+
+    def facet_values(self, point):
+        return Polytope.facet_values(self, point)
+
+    def __init__(self, face, arrays):
+        self._face = face
+        self.dim, self.scale = face.dim, face.scale
+        self.correction, self.log_terms = face.correction, face.log_terms
+        self._arrays = arrays
+        self._normals, self._offsets, self._weights, self.normal_matrix, self.offset_array = arrays
+        # transposed views, laid out as a single potential's and polytope's are
+        self._normal_columns = self._normals.swapaxes(-1, -2)
+        self._facet_columns = self.normal_matrix.swapaxes(-1, -2)
+
+    def take(self, mask):
+        """The rows a bool mask keeps."""
+        index = np.flatnonzero(mask)
+        return _FaceRows(self._face, [a.take(index, axis=0) for a in self._arrays])
+
+
+def _by_shape(phi, charts, counts):
+    """The faces of charts in groups of one shape, each group's rows in one _FaceRows.
+
+    Face i owns counts[i] consecutive rows of a batch stacked in chart
+    order.  A face's shape is its dimension, the kept-term count and the
+    correction of its restricted potential and the facet count of its face
+    polytope.  Returns, per group in order of its first face, the group's
+    rows, their positions in the batch, each row's chart basis (m, n, k)
+    and the group's faces.
+    """
+    starts = np.cumsum([0, *counts])
+    members = {}
+    for i, chart in enumerate(charts):
+        phi_f = restrict_potential(phi, chart)
+        F = restrict_polytope(chart.polytope, chart)
+        shape = (chart.dim_face, len(phi_f.log_terms), F.n_facets, phi_f.correction)
+        arrays = (phi_f._normals, phi_f._offsets, phi_f._weights, F.normal_matrix, F.offset_array)
+        members.setdefault(shape, []).append((i, phi_f, arrays + (chart.basis_array,)))
+    groups = []
+    for group in members.values():
+        faces = [i for i, _, _ in group]
+        # each row's face, by its place in the group
+        of_face = np.repeat(np.arange(len(faces)), [counts[i] for i in faces])
+        *arrays, basis = [np.array(a).take(of_face, axis=0) for a in zip(*(a for *_, a in group))]
+        at = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in faces])
+        groups.append((_FaceRows(group[0][1], arrays), at, basis, faces))
+    return groups
+
+
+def _face_divergence(groups, points, points2):
+    """D_F of each row of the lists of batches points against points2, stacked in list order."""
+    out = np.empty(sum(len(p) for p in points))
+    for rows, at, _, faces in groups:
+        out[at] = bregman(rows, _chart_rows(points, faces), _chart_rows(points2, faces))
+    return out
+
+
+def _chart_rows(points, faces):
+    """The chart coordinates of the batches points[i], i in faces, stacked."""
+    return np.concatenate([points[i].chart_coords for i in faces])
 
 
 def boundary_divergence(phi: SymplecticPotential, eta, eta2):
@@ -212,32 +326,38 @@ def continuity_check(phi: SymplecticPotential, eta, eta2) -> ContinuityReport:
     inner (first-limit) point two decades closer to the face than the outer
     one; reports the gap to D_F at facet distances 10^-1 .. 10^-K_MAX.  The
     caller judges the gaps.  eta and eta2 are single BoundaryPoints on one
-    chart or batches of equal length, whose rows get the floats of the call
-    on that pair alone.
+    chart or batches of equal length, or lists of batches on faces of one
+    polytope whose i-th batches pair on one chart, stacked in list order;
+    every row gets the floats of the call on that pair alone.
     """
-    target = boundary_divergence(phi, eta, eta2)
-    P = eta.chart.polytope
+    (points, points2), single = _paired(eta, eta2)
+    charts = [p.chart for p in points]
+    target = _face_divergence(_by_shape(phi, charts, [len(p) for p in points]), points, points2)
+    P = charts[0].polytope
     anchor = np.array([float(c) for c in P.interior_point])
-    active_normals = P.normal_matrix[eta.chart.vanishing_mask]
 
-    def approach(points, deltas):
+    def approach(points, active_normals, deltas):
         """Points (m, K_MAX, n) along each row -> anchor, smallest active facet value delta."""
         w = anchor - points
         s = np.array(deltas) / rowwise.times(w, active_normals.T).min(axis=1, keepdims=True)
         return points[:, None, :] + s[:, :, None] * w[:, None, :]
 
     ks = range(1, K_MAX + 1)
-    inner = approach(np.atleast_2d(eta.ambient), [10.0 ** (-(k + 2)) for k in ks])
-    outer = approach(np.atleast_2d(eta2.ambient), [10.0**-k for k in ks])
+    inner, outer = [], []
+    for p, p2 in zip(points, points2):
+        active_normals = P.normal_matrix[p.chart.vanishing_mask]
+        inner.append(approach(p.ambient, active_normals, [10.0 ** (-(k + 2)) for k in ks]))
+        outer.append(approach(p2.ambient, active_normals, [10.0**-k for k in ks]))
+    inner, outer = np.concatenate(inner), np.concatenate(outer)
     estimates = bregman(phi, inner.reshape(-1, P.dim), outer.reshape(-1, P.dim))
     estimates = estimates.reshape(len(inner), K_MAX)
-    gaps = np.abs(estimates - np.reshape(target, (-1, 1)))
-    if np.ndim(target) == 0:
-        return ContinuityReport(target, estimates[0], gaps[0])
+    gaps = np.abs(estimates - target[:, None])
+    if single:
+        return ContinuityReport(float(target[0]), estimates[0], gaps[0])
     return ContinuityReport(target, estimates, gaps)
 
 
-def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2):
+def project_to_face(phi: SymplecticPotential, chart, xi2):
     """The face point minimizing the limit divergence against xi2.
 
     Solved by Newton on the chart: the first-order condition equates the
@@ -246,32 +366,65 @@ def project_to_face(phi: SymplecticPotential, chart: FaceChart, xi2):
     affine hull of the face, or at the chart origin (u = 0) where that
     projection falls outside the face.  A point xi2 of shape (n,) gives a
     single BoundaryPoint; a batch (m, n) gives a batch of m, solved
-    together, and the first row that does not converge raises.
+    together, and the first row that does not converge raises.  chart may
+    also be a list of charts of one polytope, with xi2 a list of batches,
+    one per chart: then the feet are a list of batches, one per chart, the
+    faces of one shape solved in one Newton solve, and every row gets the
+    floats of the call on its face alone.
     """
+    if isinstance(chart, list):
+        if not (
+            isinstance(xi2, list)
+            and chart
+            and len(xi2) == len(chart)
+            and all(isinstance(c, FaceChart) and c.polytope == chart[0].polytope for c in chart)
+        ):
+            raise InvalidInputError(
+                "project a list of charts of one polytope with a list of batches, one per chart"
+            )
+        return _project(phi, chart, [np.asarray(x, dtype=float) for x in xi2])
     xi2 = np.asarray(xi2, dtype=float)
-    P = chart.polytope
-    if not np.all(P.facet_values(xi2) > 0):
+    feet = _project(phi, [chart], [np.atleast_2d(xi2)])[0]
+    return feet if xi2.ndim == 2 else feet[0]
+
+
+def _project(phi, charts, X2):
+    """``project_to_face`` of the rows X2[i] (m_i, n) onto each face charts[i]: a list of batches.
+
+    The faces are checked in list order, each on its first row that does not
+    converge and then on its feet, so the first face that fails raises what
+    a face-by-face call raises.
+    """
+    P = charts[0].polytope
+    X = np.concatenate(X2)
+    if not np.all(P.facet_values(X) > 0):
         raise DomainError("projection argument must be interior")
-    X2 = xi2.reshape(-1, P.dim)
-    phi_f = restrict_potential(phi, chart)
-    face_poly = restrict_polytope(P, chart)
-    if chart.dim_face == 0:
-        u = np.zeros((len(X2), 0))
-    else:
-        target = rowwise.times(phi.gradient(X2), chart.basis_array)
-        u0 = chart.to_chart(X2)
+    U = [np.zeros((len(x), c.dim_face)) for x, c in zip(X2, charts)]
+    residual, status = np.zeros(len(X)), np.full(len(X), "converged")
+    iterations = np.zeros(len(X), dtype=int)
+    for rows, at, basis, faces in _by_shape(phi, charts, [len(x) for x in X2]):
+        if rows.dim == 0:
+            continue
+        target = rowwise.times(phi.gradient(X[at]), basis)
+        u0 = np.concatenate([charts[i].to_chart(X2[i]) for i in faces])
         # where the Euclidean projection is outside the face, start at the chart
         # origin, a relative-interior point of the face
-        outside = np.min(face_poly.facet_values(u0), axis=1, initial=np.inf) <= 1e-9
+        outside = np.min(rows.facet_values(u0), axis=1, initial=np.inf) <= 1e-9
         u0[outside] = 0.0
-        u, residual, status, iterations = newton_solve(phi_f, face_poly, target, X0=u0)
-        for i in np.flatnonzero(status != "converged")[:1]:
+        u, residual[at], status[at], iterations[at] = newton_solve(rows, rows, target, X0=u0)
+        start = 0
+        for i in faces:
+            U[i], start = u[start : start + len(X2[i])], start + len(X2[i])
+    feet, start = [], 0
+    for chart, u in zip(charts, U):
+        for i in start + np.flatnonzero(status[start : start + len(u)] != "converged")[:1]:
             raise FaceBoundaryError(
                 f"projection minimizer lies on the face boundary or did not converge "
                 f"({status[i]} after {iterations[i]} iterations, residual {residual[i]:.3e})"
             )
-    feet = boundary_point(chart, chart_coords=u)
-    return feet if xi2.ndim == 2 else feet[0]
+        feet.append(boundary_point(chart, chart_coords=u))
+        start += len(u)
+    return feet
 
 
 @dataclass(frozen=True)
@@ -326,20 +479,27 @@ def pythagoras_boundary_foot(phi: SymplecticPotential, eta, eta2, xi2):
     gradient mismatch at eta2, which vanishes exactly when eta2 is the
     projection of xi2 onto the face.  Single BoundaryPoints on one chart and
     a point xi2 (n,) give a report of floats; batches of m BoundaryPoints and
-    xi2 (m, n) give one report of (m,) arrays.
+    xi2 (m, n) give one report of (m,) arrays.  eta and eta2 may also be
+    lists of batches on faces of one polytope whose i-th batches pair on one
+    chart, m rows in all, stacked in list order; every row gets the floats
+    of the call on that row alone.
     """
-    xi2 = np.asarray(xi2, dtype=float)
-    a = boundary_divergence(phi, eta, eta2)
-    b = limit_divergence(phi, eta2, xi2)
-    c = limit_divergence(phi, eta, xi2)
-    face_gradient = restrict_potential(phi, eta.chart).gradient(eta2.chart_coords)
-    mismatch = face_gradient - rowwise.times(phi.gradient(xi2), eta.chart.basis_array)
-    perp_defect = np.max(np.abs(mismatch), axis=-1, initial=0.0)
-    return PythagorasReport(
-        residual=a + b - c,
-        perp_value=float(perp_defect) if np.ndim(perp_defect) == 0 else perp_defect,
-        terms=(a, b, c),
-    )
+    (points, points2), single = _paired(eta, eta2)
+    charts = [p.chart for p in points]
+    X2 = np.atleast_2d(np.asarray(xi2, dtype=float))
+    groups = _by_shape(phi, charts, [len(p) for p in points])
+    a = _face_divergence(groups, points, points2)
+    b = limit_divergence(phi, points2, X2)
+    c = limit_divergence(phi, points, X2)
+    pulled = phi.gradient(X2)
+    perp_defect = np.empty(len(X2))
+    for rows, at, basis, faces in groups:
+        face_gradient = rows.gradient(_chart_rows(points2, faces))
+        mismatch = face_gradient - rowwise.times(pulled[at], basis)
+        perp_defect[at] = np.max(np.abs(mismatch), axis=-1, initial=0.0)
+    if single:
+        a, b, c, perp_defect = float(a[0]), float(b[0]), float(c[0]), float(perp_defect[0])
+    return PythagorasReport(residual=a + b - c, perp_value=perp_defect, terms=(a, b, c))
 
 
 def pythagoras_interior_foot(phi: SymplecticPotential, eta, xi, xi2):

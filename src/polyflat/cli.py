@@ -193,6 +193,8 @@ def _point_pairs(path, dim):
     """The first and the second points of a points file's pairs, as two (m, dim) arrays."""
     pairs = jsonio.known_keys(_load_json(path), POINTS_KEYS, "points file")["pairs"]
     points = np.array(pairs, dtype=float)
+    if np.any((points == 0.0) | (points == 1.0)):  # the floats a boolean reads as
+        jsonio.numbers(pairs, "points file pairs")
     if pairs and points.shape[1:] != (2, dim):
         raise InvalidInputError(f"each pair must hold two points of dimension {dim}")
     return points.reshape(len(pairs), 2, dim).transpose(1, 0, 2)
@@ -217,10 +219,11 @@ def cmd_geodesic(args):
     spec_data = jsonio.known_keys(_load_json(args.spec), SPEC_KEYS, "geodesic spec")
     spec = GeodesicSpec(
         kind=spec_data["kind"],
-        start=tuple(float(v) for v in spec_data["start"]),
-        direction=tuple(float(v) for v in spec_data["direction"]),
+        start=tuple(jsonio.numbers(spec_data["start"], "geodesic start")),
+        direction=tuple(jsonio.numbers(spec_data["direction"], "geodesic direction")),
     )
-    t_grid = [float(t) for t in spec_data.get("t_grid", [0.0, 0.5, 1.0, 2.0, 5.0])]
+    t_grid = jsonio.numbers(spec_data.get("t_grid", [0.0, 0.5, 1.0, 2.0, 5.0]), "t_grid")
+    t_grid = [float(t) for t in t_grid]
     rows = []
     notes = []
     for t in t_grid:
@@ -288,17 +291,18 @@ def cmd_pythagoras(args):
     if others:
         raise InvalidInputError(f"tolerance {others[0]!r} does not judge a {kind} triple")
     if kind == "boundary_foot":
-        given = [triple["eta"]]
+        given = [jsonio.numbers(triple["eta"], "eta")]
         if triple.get("eta_prime") is not None:
-            given.append(triple["eta_prime"])
+            given.append(jsonio.numbers(triple["eta_prime"], "eta_prime"))
         points = boundary_point(chart, ambient=given)
-        xi2 = np.asarray(triple["xi"], dtype=float)
+        xi2 = np.asarray(jsonio.numbers(triple["xi"], "xi"), dtype=float)
         foot = points[1] if len(points) > 1 else project_to_face(phi, chart, xi2)
         report = pythagoras_boundary_foot(phi, points[0], foot, xi2)
         extra = {"eta_prime": foot.ambient.tolist()}
     else:
-        eta = boundary_point(chart, ambient=triple["eta"])
-        report = pythagoras_interior_foot(phi, eta, triple["xi"], triple["xi_prime"])
+        eta = boundary_point(chart, ambient=jsonio.numbers(triple["eta"], "eta"))
+        xi, xi2 = jsonio.numbers(triple["xi"], "xi"), jsonio.numbers(triple["xi_prime"], "xi_prime")
+        report = pythagoras_interior_foot(phi, eta, xi, xi2)
         extra = {}
     passed = abs(report.residual) <= tolerance
     payload = {"kind": kind, "check": "pythagoras", "residual": report.residual,
@@ -339,6 +343,9 @@ def cmd_verify_all(args):
         jsonio.known_keys(sc, SCENARIO_KEYS, "scenario")
         P = jsonio.parse_polytope(sc["polytope"])
         phi = jsonio.parse_potential(sc.get("potential", {"guillemin_of": "polytope"}), P)
+        product_check = sc.get("product_check", P.bounded)
+        if product_check is None:  # run_scenario would read a null as its default
+            raise InvalidInputError("scenario key 'product_check' must be true or false: None")
         results, ok = run_scenario(
             P,
             phi,
@@ -346,7 +353,7 @@ def cmd_verify_all(args):
             samples=sc.get("samples"),
             tolerances={**sc.get("tolerances", {}), **tols},
             seed=args.seed,
-            product_check=sc.get("product_check", True),
+            product_check=product_check,
             negative_control=sc.get("negative_control", False),
         )
         all_payload.append(

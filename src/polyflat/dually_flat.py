@@ -96,6 +96,10 @@ def newton_solve(phi: SymplecticPotential, P: Polytope, Y, X0=None) -> NewtonSol
     diverges when an iterate leaves the box |x| <= 1e12, and stops after
     200 Newton steps otherwise.  A target of shape (n,) gives one x, float,
     str and int; a batch (m, n) gives arrays of m rows.
+
+    phi and P are shared by every row, or are a problem given one per row of
+    a batch, which has a ``take`` of its rows; such a problem is carried
+    along with the iterates, and X0 must be given.
     """
     Y = np.asarray(Y, dtype=float)
     single = Y.ndim == 1
@@ -107,13 +111,13 @@ def newton_solve(phi: SymplecticPotential, P: Polytope, Y, X0=None) -> NewtonSol
     status = np.empty(m, dtype="<U9")
     iterations = np.empty(m, dtype=int)
     # the rows still iterating, compacted: their row numbers, iterates, targets,
-    # residual vectors and residual norms
+    # residual vectors and residual norms, and the potential and polytope of each
     rows, x, y = np.arange(m), X.copy(), Y
     r = phi.gradient(x) - y
     r_norm = _max_abs(r)
 
     def finish(leaving, why, steps_taken):
-        nonlocal rows, x, y, r, r_norm
+        nonlocal rows, x, y, r, r_norm, phi, P
         out = rows[leaving]
         if len(out) == m:  # the whole batch at once, still in row order
             X[...], res[...], status[...], iterations[...] = x, r_norm, why, steps_taken
@@ -124,6 +128,7 @@ def newton_solve(phi: SymplecticPotential, P: Polytope, Y, X0=None) -> NewtonSol
             )
             stay = ~leaving
             rows, x, y, r, r_norm = rows[stay], x[stay], y[stay], r[stay], r_norm[stay]
+            phi, P = _take(phi, P, stay)
 
     # a one-row solve runs this loop a few times on arrays of one row, so its
     # time is mostly per-call overhead: each mask is tested with
@@ -159,6 +164,17 @@ def newton_solve(phi: SymplecticPotential, P: Polytope, Y, X0=None) -> NewtonSol
     return NewtonSolve(X, res, status, iterations)
 
 
+def _take(phi, P, index):
+    """phi and P at the rows index: one given per row is taken, a shared one kept as it is.
+
+    phi and P may be one problem, which is then taken once.
+    """
+    taken = phi if isinstance(phi, SymplecticPotential) else phi.take(index)
+    if P is phi:
+        return taken, taken
+    return taken, P if isinstance(P, Polytope) else P.take(index)
+
+
 def _max_abs(a):
     """Infinity norm of each row."""
     return np.maximum.reduce(np.abs(a), axis=1, initial=0.0)
@@ -182,7 +198,8 @@ def _line_search(phi, P, x, y, r, r_norm, steps):
     Returns which rows accepted a step.
     """
     accepted = np.zeros(len(x), dtype=bool)
-    # the rows still halving, compacted; they all share the step length alpha
+    # the rows still halving, compacted, with their potential and polytope;
+    # they all share the step length alpha
     todo, xs, ss, ys, ns = np.arange(len(x)), x, steps, y, r_norm
     alpha = 1.0
     for _ in range(60):
@@ -191,13 +208,14 @@ def _line_search(phi, P, x, y, r, r_norm, steps):
         inside = np.count_nonzero(ok)
         if inside:
             # the rows inside P: a whole slice, which copies nothing, when that is all of them
-            sel = slice(None) if inside == len(ok) else ok
+            whole = inside == len(ok)
+            sel = slice(None) if whole else ok
             try:
-                cand_r = phi.gradient(cand[sel])
+                cand_r = (phi if whole else _take(phi, P, ok)[0]).gradient(cand[sel])
             except DomainError:  # phi has log terms other than P's facets
                 ok &= np.minimum.reduce(phi.term_values(cand), axis=1, initial=np.inf) > 0
                 sel = ok
-                cand_r = phi.gradient(cand[ok])
+                cand_r = _take(phi, P, ok)[0].gradient(cand[ok])
             cand_r -= ys[sel]
             cand_norm = _max_abs(cand_r)
             better = cand_norm < ns[sel]
@@ -212,6 +230,7 @@ def _line_search(phi, P, x, y, r, r_norm, steps):
                 accepted[moved] = True
                 keep = ~won
                 todo, xs, ss, ys, ns = todo[keep], xs[keep], ss[keep], ys[keep], ns[keep]
+                phi, P = _take(phi, P, keep)
                 if not todo.size:
                     break
         alpha *= 0.5

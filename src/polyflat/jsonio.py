@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -41,6 +42,25 @@ def _dim(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise InvalidInputError(f"dim {value!r} is not an integer")
     return int(value)
+
+
+def numbers(value, what):
+    """value, a JSON number or lists of them nested to any depth, once no boolean is in it.
+
+    JSON's true and false are not numbers, so a boolean anywhere in value
+    raises InvalidInputError, naming what; the caller converts the rest.
+    The lists are scanned a level at a time, by type.
+    """
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        if bool in kinds:
+            flag = next(v for v in level if type(v) is bool)
+            raise InvalidInputError(f"{what} holds {json.dumps(flag)}, which is not a number")
+        if kinds != {list}:
+            level = [v for v in level if type(v) is list]
+        level = list(chain.from_iterable(level))
+    return value
 
 
 def known_keys(data, keys, what):
@@ -109,9 +129,9 @@ def parse_potential(data, polytope: Polytope | None = None) -> SymplecticPotenti
             log_terms = [known_keys(t, LOG_TERM_KEYS, "log term") for t in data.get("log_terms", [])]
             terms = tuple(
                 AffineLogTerm(
-                    normal=tuple(float(v) for v in t["normal"]),
-                    offset=float(t["offset"]),
-                    weight=float(t.get("weight", 1.0)),
+                    normal=tuple(float(v) for v in numbers(t["normal"], "log term normal")),
+                    offset=float(numbers(t["offset"], "log term offset")),
+                    weight=float(numbers(t.get("weight", 1.0), "log term weight")),
                 )
                 for t in log_terms
             )

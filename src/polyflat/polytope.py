@@ -116,6 +116,11 @@ class Polytope:
         return rowwise.read_only(a.reshape(self.n_facets, self.dim))
 
     @cached_property
+    def _facet_columns(self):
+        """The facet normals as columns (n, N), a transposed view, for ``rowwise.times``."""
+        return self.normal_matrix.T
+
+    @cached_property
     def offset_array(self):
         return rowwise.read_only(np.array([float(hs.offset) for hs in self.halfspaces]))
 
@@ -124,7 +129,7 @@ class Polytope:
         point = np.asarray(point, dtype=float)
         if point.ndim not in (1, 2) or point.shape[-1] != self.dim:
             raise InvalidInputError(f"point of shape {point.shape} in dimension {self.dim}")
-        return rowwise.times(point, self.normal_matrix.T) + self.offset_array
+        return rowwise.times(point, self._facet_columns) + self.offset_array
 
     @cached_property
     def rays(self):

@@ -72,6 +72,11 @@ class SymplecticPotential:
         return rowwise.read_only(a.reshape(len(self.log_terms), self.dim))
 
     @cached_property
+    def _normal_columns(self):
+        """The normals as columns (n, R), a transposed view, for ``rowwise.times``."""
+        return self._normals.T
+
+    @cached_property
     def _offsets(self):
         return rowwise.read_only(np.array([t.offset for t in self.log_terms]))
 
@@ -90,7 +95,7 @@ class SymplecticPotential:
 
     def term_values(self, xi):
         """Log-term arguments L_r, of shape (R,) for a point and (m, R) for a batch."""
-        return rowwise.times(self._points(xi), self._normals.T) + self._offsets
+        return rowwise.times(self._points(xi), self._normal_columns) + self._offsets
 
     def _checked(self, xi, extended=False):
         """xi as an (n,) or (m, n) float array, and its log-term arguments.
@@ -99,7 +104,7 @@ class SymplecticPotential:
         is positive (at least -EXTENDED_TOL when extended).
         """
         xi = self._points(xi)
-        z = rowwise.times(xi, self._normals.T) + self._offsets
+        z = rowwise.times(xi, self._normal_columns) + self._offsets
         inside = z >= -EXTENDED_TOL if extended else z > 0  # false for nan
         finite = np.isfinite(xi)
         # count_nonzero is the cheapest full test on the small arrays of a solve
@@ -119,7 +124,7 @@ class SymplecticPotential:
         A float for a point of shape (n,), an (m,) array for a batch (m, n).
         """
         xi, z = self._checked(xi)
-        out = self.scale * rowwise.times(z * np.log(z), self._weights) + self.correction(xi)
+        out = self.scale * rowwise.dot(z * np.log(z), self._weights) + self.correction(xi)
         return out if xi.ndim == 2 else float(out)
 
     def value_extended(self, xi):
@@ -127,7 +132,7 @@ class SymplecticPotential:
         xi, z = self._checked(xi, extended=True)
         z = np.maximum(z, 0.0)
         zlogz = np.where(z > 0.0, z * np.log(np.where(z > 0.0, z, 1.0)), 0.0)
-        out = self.scale * rowwise.times(zlogz, self._weights) + self.correction(xi)
+        out = self.scale * rowwise.dot(zlogz, self._weights) + self.correction(xi)
         return out if xi.ndim == 2 else float(out)
 
     def gradient(self, xi) -> np.ndarray:

@@ -107,33 +107,42 @@ def run_scenario(
     samples=None,
     tolerances=None,
     seed: int = 0,
-    product_check: bool = True,
+    product_check: bool | None = None,
     negative_control: bool = False,
 ):
     """Run all verification sweeps; returns (results, all_passed).
 
     phi must be P's facet potential (``require_facet_potential``); kl-relation
     runs when the facet normals sum to zero and the correction is affine.
+    The product checks run on a bounded P: product_check defaults to
+    P.bounded, and True on an unbounded P raises InvalidInputError.
     faces lists faces of dimension >= 1, each by its non-empty facet indices,
     by default every facet when P.dim >= 2; samples and tolerances override the defaults by name.
 
     Every face is validated before the first draw.  The sweep then makes
-    each face's draws, in face order, and evaluates after them: the ambient
-    identities of all faces in one batch (the orthogonal rebuild's Newton
-    solve and the interior-foot identity on the drawn and on the rebuilt
-    points), each face reading its own block of rows, and the chart work
-    (continuity, projection, boundary foot) face by face.  No draw reads a
-    result and every batch row gets the floats of a one-row call, so
-    batching changes no float: the results are those of a face-by-face sweep.
+    each face's draws, in face order, and evaluates after them, each face
+    reading its own block of rows: the ambient identities of all faces in
+    one batch (the orthogonal rebuild's Newton solve and the interior-foot
+    identity on the drawn and on the rebuilt points), and the chart work in
+    one call each of ``continuity_check``, ``project_to_face`` and
+    ``pythagoras_boundary_foot``, which solve and evaluate the faces of one
+    shape together.  No draw reads a result and every batch row gets the
+    floats of a one-row call, so batching changes no float: the results are
+    those of a face-by-face sweep.
     """
     tol = merge_tolerances(tolerances)
     counts = _merge(
         DEFAULT_SAMPLES, samples, "sample count", lambda v: isinstance(v, int) and v >= 1,
         "sample count {name} must be a positive integer, not {value!r}",
     )
+    product_check = P.bounded if product_check is None else product_check
     for name, flag in (("product_check", product_check), ("negative_control", negative_control)):
         if not isinstance(flag, bool):
             raise InvalidInputError(f"scenario key {name!r} must be true or false: {flag!r}")
+    if product_check and not P.bounded:
+        raise InvalidInputError(
+            "scenario key 'product_check' is true, but the product checks need a bounded polytope"
+        )
     require_facet_potential(phi, P)
     if faces is None:
         faces = [(r,) for r in range(1, P.n_facets + 1)] if P.dim > 1 else []
@@ -213,37 +222,33 @@ def run_scenario(
         orthogonal[ok] = np.abs(reps.residual)
         orthogonal = orthogonal.reshape(-1, triples)
 
-    for j, ((active, chart), (continuity, xi_feet, eta_feet, steps)) in enumerate(
-        zip(sweep, chart_draws)
-    ):
-        gaps = continuity_check(phi, continuity[:pairs], continuity[pairs:]).gaps
+        # the chart work of all faces in one call each, the faces of one shape
+        # in one batch (``project_to_face``); every row gets its one-face floats
+        continuity, xi_feet, eta_feet, steps = zip(*chart_draws)
+        gaps = continuity_check(
+            phi, [c[:pairs] for c in continuity], [c[pairs:] for c in continuity]
+        ).gaps.reshape(len(sweep), pairs, -1)
+        feet = project_to_face(phi, [chart for _, chart in sweep], list(xi_feet))
+        if negative_control:
+            feet = [_moved(f, s) for f, s in zip(feet, steps)]
+        foot_residuals = pythagoras_boundary_foot(
+            phi, list(eta_feet), feet, np.concatenate(xi_feet)
+        ).residual.reshape(len(sweep), -1)
+
+    for j, (active, _) in enumerate(sweep):
         # each pair's last gap is within tolerance, and its last four gaps decrease
-        tail = gaps[:, -4:]
+        tail = gaps[j][:, -4:]
         verdict(
             "boundary-continuity",
             {"face": active, "pairs": pairs},
-            _worst(gaps[:, -1]),
+            _worst(gaps[j][:, -1]),
             tol["continuity_gap"],
             holds=np.all(tail[:, :-1] > tail[:, 1:]),
         )
-
-        feet = project_to_face(phi, chart, xi_feet)
-        if negative_control:
-            # move each foot off the projection, by a step either way that stays on the face
-            U = feet.chart_coords.copy()
-            for i, step in enumerate(steps):
-                for cand in (U[i] + step, U[i] - step):
-                    try:
-                        boundary_point(chart, chart_coords=cand)
-                    except PolyflatError:
-                        continue
-                    U[i] = cand
-                    break
-            feet = boundary_point(chart, chart_coords=U)
         verdict(
             "pythagoras-boundary-foot",
             {"face": active, "draws": counts["boundary_feet"]},
-            _worst(np.abs(pythagoras_boundary_foot(phi, eta_feet, feet, xi_feet).residual)),
+            _worst(np.abs(foot_residuals[j])),
             tol["boundary_foot"],
         )
 
@@ -260,7 +265,7 @@ def run_scenario(
             holds=not unsolved,
         )
 
-    if product_check and P.bounded:
+    if product_check:
         rep = product_boundary_check(
             P, scale=phi.scale, samples=counts["product_samples"], seed=seed
         )
@@ -284,6 +289,20 @@ def _sweep_chart(P, active):
     if chart.dim_face < 1:
         raise InvalidInputError(f"face {list(active)} is a vertex; faces need dimension >= 1")
     return chart
+
+
+def _moved(feet, steps):
+    """The feet, each moved off the projection by its step either way that stays on the face."""
+    U = feet.chart_coords.copy()
+    for i, step in enumerate(steps):
+        for cand in (U[i] + step, U[i] - step):
+            try:
+                boundary_point(feet.chart, chart_coords=cand)
+            except PolyflatError:
+                continue
+            U[i] = cand
+            break
+    return boundary_point(feet.chart, chart_coords=U)
 
 
 def _draw_pairs(count, P, rng):

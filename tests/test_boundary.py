@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import continuity_passes, delzant_products, potential
+from helpers import (
+    continuity_passes,
+    cube,
+    cube_faces,
+    delzant_products,
+    potential,
+    pyramid_prism,
+    simplex,
+)
 from polyflat.boundary import (
     ContinuityReport,
     PythagorasReport,
@@ -558,3 +566,92 @@ def test_product_boundary_check_square(square):
     assert report.additivity_max <= DEFAULT_TOLERANCES["product_additivity"]
     pythagoras_max = max(report.side_face_max, report.bottom_face_max)
     assert pythagoras_max <= DEFAULT_TOLERANCES["product_pythagoras"]
+
+
+def _cut_simplex():
+    """The 3-simplex of side 2 cut by x1 <= 1, with the faces its bundled scenario sweeps."""
+    normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (-1, 0, 0)]
+    P = Polytope(dim=3, halfspaces=tuple(
+        halfspace(nu, c) for nu, c in zip(normals, (0, 0, 0, 2, 1))
+    ))
+    faces = [[1], [2], [3], [4], [5], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [2, 5], [3, 4],
+             [3, 5], [4, 5]]
+    return P, faces
+
+
+def _triangle_x_ray():
+    """The triangle times [0, inf): bounded edges, half-line edges and facets with rays."""
+    P = product(simplex(2), Polytope(dim=1, halfspaces=(halfspace((1,), 0),)))
+    return P, [[1, 4], [3, 4], [1, 2], [2, 3], [1], [4]]
+
+
+LIST_FORM_CASES = {
+    "4-cube": lambda: (cube(4), cube_faces(4)),
+    "cut-simplex": _cut_simplex,
+    "triangle-x-ray": _triangle_x_ray,
+    "apex-edge": lambda: (pyramid_prism(), [[2, 4], [2, 3, 4, 5], [1]]),
+}
+
+
+@pytest.mark.parametrize("case", list(LIST_FORM_CASES))
+def test_list_forms_equal_the_per_face_calls(case):
+    # faces of several shapes, one list-form call each, against the calls
+    # on one face at a time: equal floats, row by row; an empty batch adds no row
+    P, faces = LIST_FORM_CASES[case]()
+    phi = guillemin(P)
+    rng = np.random.default_rng(3)
+    charts = [face_chart(P, face) for face in faces]
+    sizes = [int(rng.integers(0 if i == 1 else 1, 4)) for i in range(len(charts))]
+    eta = [random_face_point(c, rng, size=m) for c, m in zip(charts, sizes)]
+    eta2 = [random_face_point(c, rng, size=m) for c, m in zip(charts, sizes)]
+    xi2 = [random_interior(P, rng, size=m) for m in sizes]
+
+    feet = project_to_face(phi, charts, xi2)
+    for foot, chart, x in zip(feet, charts, xi2):
+        one = project_to_face(phi, chart, x)
+        assert foot.chart == chart
+        np.testing.assert_array_equal(foot.chart_coords, one.chart_coords)
+        np.testing.assert_array_equal(foot.ambient, one.ambient)
+        for i in range(len(x)):
+            alone = project_to_face(phi, chart, x[i])
+            np.testing.assert_array_equal(foot.ambient[i], alone.ambient)
+
+    def assert_stacked(report, reports, fields):
+        for field in fields:
+            np.testing.assert_array_equal(
+                getattr(report, field), np.concatenate([getattr(r, field) for r in reports])
+            )
+
+    assert_stacked(
+        continuity_check(phi, eta, eta2),
+        [continuity_check(phi, a, b) for a, b in zip(eta, eta2)],
+        ("target", "estimates", "gaps"),
+    )
+    report = pythagoras_boundary_foot(phi, eta, feet, np.concatenate(xi2))
+    reports = [pythagoras_boundary_foot(phi, a, f, x) for a, f, x in zip(eta, feet, xi2)]
+    assert_stacked(report, reports, ("residual", "perp_value"))
+    for term, terms in zip(report.terms, zip(*(r.terms for r in reports))):
+        np.testing.assert_array_equal(term, np.concatenate(terms))
+
+
+def test_list_forms_refuse_lists_that_do_not_pair(tri_setup, square):
+    triangle, phi, chart = tri_setup
+    rng = np.random.default_rng(0)
+    other = face_chart(triangle, [1])
+    eta, eta2 = random_face_point(chart, rng, size=2), random_face_point(other, rng, size=2)
+    xi2 = random_interior(triangle, rng, size=2)
+    on_square = face_chart(square, [1])
+    for call in (
+        lambda: continuity_check(phi, [eta], [eta2]),
+        lambda: continuity_check(phi, [eta, eta2], [eta]),
+        lambda: continuity_check(phi, [], []),
+        lambda: continuity_check(phi, [eta[0]], [eta[1]]),
+        lambda: pythagoras_boundary_foot(phi, [eta], [eta2], xi2),
+        lambda: pythagoras_boundary_foot(phi, eta, [eta], xi2),
+        lambda: project_to_face(phi, [chart], xi2),
+        lambda: project_to_face(phi, [chart, other], [xi2]),
+        lambda: project_to_face(phi, [chart, on_square], [xi2, xi2]),
+        lambda: project_to_face(phi, [], []),
+    ):
+        with pytest.raises(InvalidInputError):
+            call()

@@ -281,8 +281,33 @@ def small_scenario(**changes):
 
 DUAL_SPEC = {"kind": "dual", "start": [0.2, 0.2], "direction": [1.0, 0.0]}
 TRIPLE = {"kind": "boundary_foot", "face": [3], "eta": [0.3, 0.7], "xi": [0.25, 0.25]}
+INTERIOR_TRIPLE = {**TRIPLE, "kind": "interior_foot", "xi_prime": [0.2, 0.3]}
 # the triangle's mixture family, p(r | x) = l_r(x)
 TRIANGLE_MIXTURE = {"alphas": [[1, 0], [0, 1], [-1, -1]], "betas": [0, 0, 1]}
+
+
+# the triangle x1, x2 >= -1, x1 + x2 <= 2, whose interior holds points with coordinates 0 and 1
+WIDE_TRIANGLE = {
+    "dim": 2,
+    "halfspaces": [
+        {"normal": [1, 0], "offset": 1},
+        {"normal": [0, 1], "offset": 1},
+        {"normal": [-1, -1], "offset": 2},
+    ],
+}
+# the triangle times [0, inf), an unbounded polyhedron
+TRIANGLE_X_RAY = {"dim": 3, "halfspaces": [
+    {"normal": [1, 0, 0], "offset": 0}, {"normal": [0, 1, 0], "offset": 0},
+    {"normal": [-1, -1, 0], "offset": 1}, {"normal": [0, 0, 1], "offset": 0},
+]}
+
+
+TRIANGLE_TERMS = [{"normal": hs["normal"], "offset": hs["offset"]} for hs in TRIANGLE["halfspaces"]]
+
+
+def _log_terms_with(first):
+    """The small triangle scenario with its facet potential written out, the first term replaced."""
+    return small_scenario(potential={"log_terms": [first, *TRIANGLE_TERMS[1:]]})
 
 
 def _triangle_with(first):
@@ -328,6 +353,19 @@ def _corrected(monomial):
         ("torify", {**TRIANGLE_MIXTURE, "betas": [False, 0, 1]}),
         ("verify-all", _corrected({"exponents": [True, 0], "coeff": 0.1})),
         ("verify-all", _corrected({"exponents": [1, 0], "coeff": True})),
+        ("verify-all", _log_terms_with({"normal": [True, 0], "offset": 0})),
+        ("verify-all", _log_terms_with({"normal": [1, 0], "offset": False})),
+        ("verify-all", _log_terms_with({"normal": [1, 0], "offset": 0, "weight": True})),
+        ("divergence", {"pairs": [[[True, False], [0.5, 0.5]]]}),
+        ("geodesic", {**DUAL_SPEC, "start": [True, 0.2]}),
+        ("geodesic", {**DUAL_SPEC, "direction": [True, 0]}),
+        ("geodesic", {**DUAL_SPEC, "t_grid": [False, 0.1]}),
+        ("pythagoras", {**TRIPLE, "eta": [True, 1.0], "xi": [0.5, 0.5]}),
+        ("pythagoras", {**TRIPLE, "eta": [0.5, 1.5], "eta_prime": [True, 1.0], "xi": [0.5, 0.5]}),
+        ("pythagoras", {**TRIPLE, "eta": [0.5, 1.5], "xi": [False, 0.5]}),
+        ("pythagoras", {**INTERIOR_TRIPLE, "eta": [True, 1.0], "xi": [0.2, 0.2]}),
+        ("pythagoras", {**INTERIOR_TRIPLE, "eta": [0.5, 1.5], "xi": [True, 0.2]}),
+        ("pythagoras", {**INTERIOR_TRIPLE, "eta": [0.5, 1.5], "xi_prime": [0.2, False]}),
     ],
     ids=[
         "divergence-pairs-dict", "boundary-pairs-dict", "points-list", "t-grid-number",
@@ -336,23 +374,27 @@ def _corrected(monomial):
         "tolerance-unknown", "samples-float", "samples-string",
         "samples-bool", "samples-negative", "samples-zero", "face-index-float",
         "face-index-bool", "face-index-string", "normal-bool", "offset-bool", "alpha-bool",
-        "beta-bool", "exponent-bool", "coefficient-bool",
+        "beta-bool", "exponent-bool", "coefficient-bool", "log-normal-bool", "log-offset-bool",
+        "log-weight-bool", "points-bool", "start-bool", "direction-bool", "t-grid-bool",
+        "eta-bool", "eta-prime-bool", "xi-bool", "interior-eta-bool", "interior-xi-bool",
+        "interior-xi-prime-bool",
     ],
 )
-def test_hostile_input_exits_2(tri_input, tmp_path, capsys, command, payload):
+def test_hostile_input_exits_2(tmp_path, capsys, command, payload):
     path = write(tmp_path, "in.json", payload)
     if command in ("verify-all", "validate", "torify"):
         argv = [command, path]
     else:
+        # points are read in the wide triangle, where a boolean read as 0 or 1
+        # makes a point of its interior or of its face 3
         flag = {"divergence": "--points", "boundary": "--points", "geodesic": "--spec"}
-        argv = [command, tri_input, flag.get(command, "--triple"), path]
+        potential = {"guillemin_of": "polytope", "scale": 1.0}
+        problem = write(tmp_path, "wide.json", {"polytope": WIDE_TRIANGLE, "potential": potential})
+        argv = [command, problem, flag.get(command, "--triple"), path]
         if command == "boundary":
             argv += ["--face", "3"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
-
-
-TRIANGLE_TERMS = [{"normal": hs["normal"], "offset": hs["offset"]} for hs in TRIANGLE["halfspaces"]]
 
 
 @pytest.mark.parametrize("form", ["guillemin", "explicit"])
@@ -402,7 +444,6 @@ def test_a_key_that_nothing_reads_exits_2(tmp_path, capsys, changes, what, key):
     assert capsys.readouterr().err.startswith(f"error: {what} key {key!r} is unknown; known: ")
 
 
-INTERIOR_TRIPLE = {**TRIPLE, "kind": "interior_foot", "xi_prime": [0.2, 0.3]}
 NO_PAIRS = {"pairs": []}
 
 
@@ -656,6 +697,15 @@ def test_verify_all_sweeps_an_unbounded_polyhedron(tmp_path, capsys, seed):
     assert swept == {tuple(f) for f in faces}
 
 
+@pytest.mark.parametrize("polytope, product", [(TRIANGLE, True), (TRIANGLE_X_RAY, False)])
+def test_product_check_defaults_to_bounded(tmp_path, capsys, polytope, product):
+    scenario = small_scenario(polytope=polytope)
+    del scenario["product_check"]
+    assert main(["verify-all", write(tmp_path, "in.json", scenario)]) == 0
+    checks = [c["check"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert ("product-additivity" in checks) == ("product-pythagoras" in checks) == product
+
+
 def test_verify_all_tolerance_override(capsys):
     # an absurdly tight tolerance forces a failure
     assert (
@@ -715,9 +765,12 @@ def test_pythagoras_takes_only_the_tolerance_of_its_kind(tri_input, tmp_path, ca
         ({"tolerance": {"continuity_gap": 1e-300}}, "'tolerance'"),
         ({"negative_controll": True}, "'negative_controll'"),
         ({"product_check": "false"}, "'product_check'"),
+        ({"product_check": None}, "'product_check'"),
         ({"negative_control": 1}, "'negative_control'"),
         ({"faces": [[3], [1, 2]]}, "[1, 2]"),
         ({"faces": [[]]}, "face []"),
+        # the product checks skipped an unbounded polytope in silence
+        ({"polytope": TRIANGLE_X_RAY, "product_check": True}, "'product_check'"),
         # a weight-2 log term failed halfway through the sweep, in bregman_expanded
         ({"potential": {"scale": 1.0, "log_terms": [
             {"normal": [1, 0], "offset": 0, "weight": 2},
@@ -727,8 +780,8 @@ def test_pythagoras_takes_only_the_tolerance_of_its_kind(tri_input, tmp_path, ca
     ],
     ids=[
         "samples-unknown", "samples-list", "key-tolerance", "key-misspelt",
-        "product-check-string", "negative-control-int", "faces-vertex", "faces-empty",
-        "potential-weighted",
+        "product-check-string", "product-check-null", "negative-control-int", "faces-vertex",
+        "faces-empty", "product-check-unbounded", "potential-weighted",
     ],
 )
 def test_verify_all_rejects_settings_it_would_ignore(tmp_path, capsys, changes, named):
