@@ -92,11 +92,28 @@ def boundary_point(chart: FaceChart, ambient=None, chart_coords=None):
     return points[0] if single else points
 
 
+def open_face_rows(chart: FaceChart, chart_coords):
+    """Which rows (m, k) of chart coordinates are points of the open face, as a bool mask (m,).
+
+    Row i is True exactly when ``boundary_point(chart, chart_coords=row i)``
+    accepts it: each row gets the floats of that one-row call.
+    """
+    U, _ = _rows(chart_coords, chart.dim_face, "chart coordinates")
+    values = chart.polytope.facet_values(chart.to_ambient(U))
+    return ~_bad_values(chart, values).any(axis=1)
+
+
+def _bad_values(chart, values):
+    """The facet values (m, N) that put their row off the open face, as a bool mask."""
+    # `not (... <= / > ...)` rather than `>` / `<=`, so that nan is bad
+    vanishing = chart.vanishing_mask
+    return np.where(vanishing, ~(np.abs(values) <= ACTIVE_TOL), ~(values > INTERIOR_TOL))
+
+
 def _check_rows(chart, values, off_hull):
     """Raise the error of the first row off the face: off_hull[i], or by its facet values[i]."""
     vanishing = chart.vanishing_mask
-    # `not (... <= / > ...)` rather than `>` / `<=`, so that nan is bad
-    bad = np.where(vanishing, ~(np.abs(values) <= ACTIVE_TOL), ~(values > INTERIOR_TOL))
+    bad = _bad_values(chart, values)
     for i in np.flatnonzero(off_hull | bad.any(axis=1))[:1]:
         if off_hull[i]:
             raise DomainError("point is not on the affine hull of the face")

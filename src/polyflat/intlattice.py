@@ -5,7 +5,8 @@ integer entries are Python ints.  Linear systems, ranks and determinants go
 through one fraction-free elimination on integers (Bareiss, Math. Comp. 22,
 1968): a row with rational entries is first scaled by the lcm of its
 denominators, and Fractions are built only for the answer.  The kernel line
-of each constraint subset in `cone_rays` comes from the same elimination.
+of each constraint subset in `cone_rays` and `rays_from_vertices` comes from
+the same elimination.
 Saturated integer kernels go through one column Hermite normal form, in the
 convention of sympy's `hermite_normal_form` (pivots from the bottom row up,
 placed in the rightmost columns, positive, with the entries to their right
@@ -250,13 +251,41 @@ def _kernel_line(rows, n):
     return g if next(v for v in reversed(g) if v) > 0 else tuple(-v for v in g)
 
 
+def rays_from_vertices(normals, tight_sets, n):
+    """The extreme rays of a pointed simple region, sorted, from its vertices' tight sets.
+
+    ``tight_sets`` holds, for each vertex of the region {x : normals @ x +
+    offsets >= 0}, the positions of the n constraints tight there, which
+    must be exactly n.  Then each (n-1)-subset of a tight set is an edge: a
+    bounded edge is seen at its two end vertices, an unbounded one at one
+    vertex only, and the unbounded edges' directions are the region's
+    extreme rays (Ziegler, Lectures on Polytopes, Lecture 2).  The direction
+    of an edge is the kernel line of its n-1 normals, oriented so that the
+    normal dropped from the tight set is positive on it.  Returns the
+    primitive rays, deduplicated and sorted; none when the region is bounded.
+    """
+    dropped = {}  # edge -> the position dropped from the tight set, None once seen twice
+    for tight in tight_sets:
+        for j in tight:
+            edge = tuple(i for i in tight if i != j)
+            dropped[edge] = j if edge not in dropped else None
+    rays = set()
+    for edge, j in dropped.items():
+        if j is not None:
+            g = _kernel_line([normals[i] for i in edge], n)
+            rays.add(g if sum(a * u for a, u in zip(normals[j], g)) > 0 else tuple(-v for v in g))
+    return sorted(rays)
+
+
 def cone_rays(normals, n):
     """Nonzero directions certifying that {u : normals @ u >= 0} != {0}.
 
     Returns a list of integer generators: a basis of the lineality space when
     the normal matrix is rank deficient, otherwise the extreme rays found by
     enumerating (n-1)-subsets of tight constraints.  Empty list means the cone
-    is trivial, i.e. the polyhedron with these facet normals is bounded.
+    is trivial, i.e. the polyhedron with these facet normals is bounded.  It
+    enumerates all (n-1)-subsets of the normals; a region whose vertices are
+    all simple takes its rays from them instead (``rays_from_vertices``).
     """
     if n == 0:
         return []

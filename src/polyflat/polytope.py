@@ -135,9 +135,18 @@ class Polytope:
     def rays(self):
         """P's extreme rays, primitive, exact and sorted, computed once; none when P is bounded.
 
-        When P contains a line these generate its lineality space, in opposite pairs.
+        When every vertex of the subset loop (``_tight_points``) has exactly n
+        tight half-spaces, the rays are read from them: P is then pointed
+        and simple, and its rays are the directions of its unbounded edges
+        (``intlattice.rays_from_vertices``).  Otherwise (no vertex, or one
+        that is not simple) they come from ``intlattice.cone_rays``; when P
+        contains a line these generate its lineality space, in opposite pairs.
         """
-        return tuple(sorted(intlattice.cone_rays([hs.normal for hs in self.halfspaces], self.dim)))
+        normals = [hs.normal for hs in self.halfspaces]
+        tight = list(self._tight_points)
+        if tight and all(len(t) == self.dim for t in tight):
+            return tuple(intlattice.rays_from_vertices(normals, tight, self.dim))
+        return tuple(sorted(intlattice.cone_rays(normals, self.dim)))
 
     @cached_property
     def bounded(self):
@@ -152,6 +161,15 @@ class Polytope:
     def _region(self):
         """The vertices and the facet positions, read once (``_read_region``)."""
         return _read_region(self)
+
+    @cached_property
+    def _tight_points(self):
+        """The subset loop's points as {0-based tight positions: point}, found once.
+
+        ``_subset_vertices`` finds them; ``rays`` and ``_read_region`` both read them.
+        """
+        offsets = [hs.offset for hs in self.halfspaces]
+        return _subset_vertices([hs.normal for hs in self.halfspaces], offsets, self.dim)
 
     def _sorted_by_normal(self):
         """P with its half-spaces sorted by normal, its region recorded from P's.
@@ -201,7 +219,11 @@ def flat_exit_time(P: Polytope, start, direction) -> float:
 
 
 def is_bounded(P: Polytope) -> bool:
-    """Exact boundedness of the feasible region: it has no ray (``P.rays``)."""
+    """Exact boundedness of the feasible region: it has no ray (``P.rays``).
+
+    On a simple pointed region this reads the vertices' tight sets and calls
+    no ``cone_rays``.
+    """
     return not P.rays
 
 
@@ -217,14 +239,15 @@ def _enumerate_vertices(P: Polytope):
 def _read_region(P: Polytope):
     """P's vertices, sorted by coordinates, and the 0-based positions of its facets.
 
-    One pass over the region: the vertices from one subset loop, the rays
-    from ``P.rays``, and the facets from vertex-facet incidence
+    One pass over the region: the vertices from one subset loop
+    (``P._tight_points``), the rays from ``P.rays``, which reads the same
+    loop, and the facets from vertex-facet incidence
     (``_facets_from_incidence``).  A region with no vertex or no interior
     point (empty, lower-dimensional or containing a line) raises
     DegenerateError.  A 0-dimensional polytope is its one point.
     """
     normals = [hs.normal for hs in P.halfspaces]
-    found = _subset_vertices(normals, [hs.offset for hs in P.halfspaces], P.dim)
+    found = P._tight_points
     along = [{j for j, v in enumerate(normals) if _dot(v, g) == 0} for g in P.rays]
     facets = _facets_from_incidence(
         range(P.n_facets), list(found.values()), list(found), P.dim, P.rays, along

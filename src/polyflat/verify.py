@@ -17,6 +17,7 @@ import numpy as np
 from .boundary import (
     boundary_point,
     continuity_check,
+    open_face_rows,
     product_boundary_check,
     project_to_face,
     pythagoras_boundary_foot,
@@ -292,17 +293,16 @@ def _sweep_chart(P, active):
 
 
 def _moved(feet, steps):
-    """The feet, each moved off the projection by its step either way that stays on the face."""
-    U = feet.chart_coords.copy()
-    for i, step in enumerate(steps):
-        for cand in (U[i] + step, U[i] - step):
-            try:
-                boundary_point(feet.chart, chart_coords=cand)
-            except PolyflatError:
-                continue
-            U[i] = cand
-            break
-    return boundary_point(feet.chart, chart_coords=U)
+    """The feet, each moved off the projection by its step either way that stays on the face.
+
+    Row by row: U + step when that is in the open face, else U - step, else U.
+    """
+    U = feet.chart_coords
+    plus, minus = U + steps, U - steps
+    in_plus = open_face_rows(feet.chart, plus)[:, None]
+    in_minus = open_face_rows(feet.chart, minus)[:, None]
+    moved = np.where(in_plus, plus, np.where(in_minus, minus, U))
+    return boundary_point(feet.chart, chart_coords=moved)
 
 
 def _draw_pairs(count, P, rng):

@@ -23,6 +23,7 @@ from polyflat.boundary import (
     dual_geodesic_limit,
     extended_divergence,
     limit_divergence,
+    open_face_rows,
     product_boundary_check,
     project_to_face,
     pythagoras_boundary_foot,
@@ -53,6 +54,25 @@ def test_boundary_point_validation(tri_setup):
         boundary_point(chart, ambient=(0.4, 0.5))  # not on the face
     with pytest.raises(DomainError):
         boundary_point(chart, ambient=(0.0, 1.0))  # on the face boundary
+
+
+def test_open_face_rows_marks_the_rows_boundary_point_accepts(rng):
+    # the 2-face of the 3-cube and an edge of the cut simplex, with rows in
+    # the open face, near and past its boundary, and nan
+    for P, active in ((cube(3), (1,)), (simplex(3), (1, 4))):
+        chart = face_chart(P, active)
+        U = chart.vertex_chart_array.mean(axis=0) + rng.uniform(-1.2, 1.2, size=(40, chart.dim_face))
+        U[0] = chart.vertex_chart_array[0]
+        U[1, 0] = np.nan
+        want = []
+        for row in U:
+            try:
+                boundary_point(chart, chart_coords=row)
+                want.append(True)
+            except DomainError:
+                want.append(False)
+        assert open_face_rows(chart, U).tolist() == want
+        assert 0 < sum(want) < len(want) - 1
 
 
 def test_boundary_point_batch_rows_and_single_point(tri_setup):

@@ -681,13 +681,16 @@ def test_verify_all_scenario_list(tmp_path, capsys):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_verify_all_sweeps_an_unbounded_polyhedron(tmp_path, capsys, seed):
     # the triangle times [0, inf): points are drawn along its rays as well as
-    # from its vertices, so every facet, the two half-line edges [1, 4] and
-    # [3, 4] and the bounded edges [1, 2] and [2, 3] are swept
+    # from its vertices, so every facet, the two half-line edges [1, 2] and
+    # [2, 3] and the bounded edges [1, 4] and [3, 4] are swept
     faces = [[1], [2], [3], [4], [1, 4], [3, 4], [1, 2], [2, 3]]
     polytope = {"dim": 3, "halfspaces": [
         {"normal": [1, 0, 0], "offset": 0}, {"normal": [0, 1, 0], "offset": 0},
         {"normal": [-1, -1, 0], "offset": 1}, {"normal": [0, 0, 1], "offset": 0},
     ]}
+    P = parse_polytope(polytope)
+    edge_rays = {tuple(f): face_chart(P, f).rays for f in faces[4:]}
+    assert edge_rays == {(1, 4): (), (3, 4): (), (1, 2): ((0, 0, 1),), (2, 3): ((0, 0, 1),)}
     scenario = small_scenario(polytope=polytope, faces=faces)
     scenario["samples"] = {"continuity_pairs": 3, "boundary_feet": 10, "interior_triples": 50}
     assert main(["verify-all", write(tmp_path, "ray.json", scenario), "--seed", str(seed)]) == 0

@@ -187,8 +187,9 @@ def test_from_mixture_categorical(triangle):
 
 
 def test_from_mixture_enumerates_vertices_once(monkeypatch):
-    # reduced_polytope proves the cube bounded and finds its vertices; the
-    # Delzant check reads them from the polytope instead of enumerating again
+    # reduced_polytope finds the cube's vertices and proves it bounded from
+    # their tight sets, with no cone_rays; the Delzant check reads the
+    # vertices from the polytope instead of enumerating again
     cube = Polytope(
         dim=3,
         halfspaces=tuple(
@@ -212,7 +213,7 @@ def test_from_mixture_enumerates_vertices_once(monkeypatch):
     counted(polytope, "_feasible_solutions")
     report = from_mixture(to_mixture(cube))
     assert report.torifiable
-    assert calls == {"cone_rays": 1, "_feasible_solutions": 1}
+    assert calls == {"cone_rays": 0, "_feasible_solutions": 1}
     P = report.polytope
     assert vertices(P) == vertices(Polytope(dim=P.dim, halfspaces=P.halfspaces))
 

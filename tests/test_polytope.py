@@ -5,9 +5,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    cube,
     delzant_products,
     pointed_unbounded,
     pulled_back,
@@ -415,6 +417,83 @@ def test_a_product_of_read_factors_reads_no_region(monkeypatch, triangle, half_l
     for r in range(1, P.n_facets + 1):
         face_chart(P, (r,))
     guillemin(P)
+
+
+def _rays_and_reference(P):
+    """The rays a fresh read of P's half-spaces finds, and those of ``cone_rays``, sorted."""
+    fresh = Polytope(dim=P.dim, halfspaces=P.halfspaces)
+    return fresh.rays, tuple(sorted(intlattice.cone_rays([hs.normal for hs in P.halfspaces], P.dim)))
+
+
+def _faces_at_vertices(P):
+    """The face polytopes of P named by the proper subsets of its vertices' tight sets."""
+    names = {s for v in vertices(P) for k in range(1, len(v.active)) for s in combinations(v.active, k)}
+    return [face_chart(P, s).face_polytope for s in sorted(names)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(delzant_products())
+def test_rays_from_vertices_equal_cone_rays_on_delzant_products(case):
+    P, _ = case
+    for Q in [P] + _faces_at_vertices(P):
+        got, want = _rays_and_reference(Q)
+        assert got == want == ()
+
+
+@pytest.mark.parametrize("name", list(pointed_unbounded()))
+def test_rays_from_vertices_equal_cone_rays_on_unbounded_polyhedra(name):
+    P = pointed_unbounded()[name]  # pyramid x ray takes the cone_rays fallback
+    for Q in [P] + _faces_at_vertices(P):
+        got, want = _rays_and_reference(Q)
+        assert got == want and Q.bounded == (not want)
+
+
+@st.composite
+def simple_polyhedra(draw):
+    """The orthant x >= 0 in dimension 2 or 3 cut by up to three integer half-spaces, if simple."""
+    n = draw(st.integers(2, 3))
+    normals = {tuple(int(i == j) for i in range(n)): 0 for j in range(n)}
+    for _ in range(draw(st.integers(0, 3))):
+        normal = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        assume(any(normal))
+        normals.setdefault(intlattice.primitivize(normal)[0], draw(st.integers(-2, 4)))
+    P = Polytope(dim=n, halfspaces=tuple(halfspace(v, c) for v, c in normals.items()))
+    tight = list(P._tight_points)
+    assume(tight and all(len(t) == n for t in tight))
+    return P
+
+
+@settings(max_examples=80, deadline=None)
+@given(simple_polyhedra())
+def test_rays_from_vertices_equal_cone_rays_on_simple_polyhedra(P):
+    got, want = _rays_and_reference(P)
+    assert got == want
+
+
+def test_a_simple_region_calls_no_cone_rays(monkeypatch, half_line, triangle):
+    calls = []
+    original = intlattice.cone_rays
+
+    def counted(normals, n):
+        calls.append(n)
+        return original(normals, n)
+
+    monkeypatch.setattr(intlattice, "cone_rays", counted)
+
+    def cone_rays_calls(P, read=vertices):
+        calls.clear()
+        fresh = Polytope(dim=P.dim, halfspaces=P.halfspaces)
+        fresh.bounded
+        read(fresh)
+        return len(calls)
+
+    point = Polytope(dim=0, halfspaces=())
+    for P in (cube(3), product(triangle, half_line), half_line, point):
+        assert cone_rays_calls(P) == 0
+    assert cone_rays_calls(pointed_unbounded()["pyramid x ray"]) == 1
+    strip = Polytope(dim=2, halfspaces=(halfspace((0, 1), 0), halfspace((0, -1), 1)))
+    assert cone_rays_calls(strip, read=lambda P: P.rays) == 1
+    assert not strip.bounded
 
 
 def test_a_product_reads_its_factors(triangle, interval):
