@@ -68,6 +68,21 @@ class BoundaryPoint:
             raise TypeError("a single BoundaryPoint has no length and no rows")
 
 
+def boundary_face(P: Polytope, active) -> FaceChart:
+    """The chart of the face named by the facet indices active, a face of dimension >= 1.
+
+    The one rule by which a face is named for the boundary layer: an empty
+    name, which would be P's interior, and a vertex raise InvalidInputError;
+    otherwise the chart is ``face_chart``'s.
+    """
+    chart = face_chart(P, active)
+    if not chart.face_active:
+        raise InvalidInputError("face [] lists no facet; name a face by its vanishing facets")
+    if chart.dim_face < 1:
+        raise InvalidInputError(f"face {list(active)} is a vertex; faces need dimension >= 1")
+    return chart
+
+
 def boundary_point(chart: FaceChart, ambient=None, chart_coords=None):
     """Build validated points of the open face from either coordinate system.
 

@@ -31,6 +31,7 @@ import numpy as np
 from . import jsonio
 from .boundary import (
     boundary_divergence,
+    boundary_face,
     boundary_point,
     dual_geodesic_limit,
     project_to_face,
@@ -45,7 +46,7 @@ from .dually_flat import (
 )
 from .errors import DomainError, InvalidInputError, PolyflatError
 from .mixture import from_mixture, to_mixture, zero_sum_check
-from .polytope import face_chart, validate_delzant
+from .polytope import validate_delzant
 from .verify import merge_tolerances, run_scenario
 
 
@@ -262,7 +263,7 @@ def _parse_face(text):
 
 def cmd_boundary(args):
     P, phi = _load_problem(_load_json(args.file))
-    chart = face_chart(P, _parse_face(args.face))
+    chart = boundary_face(P, _parse_face(args.face))
     a, b = _point_pairs(args.points, P.dim)
     points = boundary_point(chart, ambient=np.concatenate([a, b]))
     etas, etas2 = points[: len(a)], points[len(a) :]
@@ -280,7 +281,7 @@ def cmd_boundary(args):
 def cmd_pythagoras(args):
     P, phi = _load_problem(_load_json(args.file))
     triple = _load_json(args.triple)
-    chart = face_chart(P, triple["face"])
+    chart = boundary_face(P, triple["face"])
     kind = triple.get("kind", "boundary_foot")
     if kind not in KIND_TOLERANCE:
         raise PolyflatError(f"unknown pythagoras kind {kind!r}")

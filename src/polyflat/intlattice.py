@@ -5,8 +5,8 @@ integer entries are Python ints.  Linear systems, ranks and determinants go
 through one fraction-free elimination on integers (Bareiss, Math. Comp. 22,
 1968): a row with rational entries is first scaled by the lcm of its
 denominators, and Fractions are built only for the answer.  The kernel line
-of each constraint subset in `cone_rays` and `rays_from_vertices` comes from
-the same elimination.
+of each constraint subset in `rays_from_vertices`, the one rule by which a
+region's rays are read from its vertices, comes from the same elimination.
 Saturated integer kernels go through one column Hermite normal form, in the
 convention of sympy's `hermite_normal_form` (pivots from the bottom row up,
 placed in the rightmost columns, positive, with the entries to their right
@@ -16,8 +16,9 @@ reduced into [0, pivot)).  Intended for desk-scale problems (dimension up to
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 from .errors import InvalidInputError
@@ -252,56 +253,30 @@ def _kernel_line(rows, n):
 
 
 def rays_from_vertices(normals, tight_sets, n):
-    """The extreme rays of a pointed simple region, sorted, from its vertices' tight sets.
+    """The extreme rays of a pointed region, sorted, from its vertices' tight sets.
 
     ``tight_sets`` holds, for each vertex of the region {x : normals @ x +
-    offsets >= 0}, the positions of the n constraints tight there, which
-    must be exactly n.  Then each (n-1)-subset of a tight set is an edge: a
-    bounded edge is seen at its two end vertices, an unbounded one at one
-    vertex only, and the unbounded edges' directions are the region's
-    extreme rays (Ziegler, Lectures on Polytopes, Lecture 2).  The direction
-    of an edge is the kernel line of its n-1 normals, oriented so that the
-    normal dropped from the tight set is positive on it.  Returns the
-    primitive rays, deduplicated and sorted; none when the region is bounded.
-    """
-    dropped = {}  # edge -> the position dropped from the tight set, None once seen twice
-    for tight in tight_sets:
-        for j in tight:
-            edge = tuple(i for i in tight if i != j)
-            dropped[edge] = j if edge not in dropped else None
-    rays = set()
-    for edge, j in dropped.items():
-        if j is not None:
-            g = _kernel_line([normals[i] for i in edge], n)
-            rays.add(g if sum(a * u for a, u in zip(normals[j], g)) > 0 else tuple(-v for v in g))
-    return sorted(rays)
-
-
-def cone_rays(normals, n):
-    """Nonzero directions certifying that {u : normals @ u >= 0} != {0}.
-
-    Returns a list of integer generators: a basis of the lineality space when
-    the normal matrix is rank deficient, otherwise the extreme rays found by
-    enumerating (n-1)-subsets of tight constraints.  Empty list means the cone
-    is trivial, i.e. the polyhedron with these facet normals is bounded.  It
-    enumerates all (n-1)-subsets of the normals; a region whose vertices are
-    all simple takes its rays from them instead (``rays_from_vertices``).
+    offsets >= 0}, the positions of the constraints tight there.  The extreme
+    rays of a pointed region are the directions of its unbounded edges
+    (Ziegler, Lectures on Polytopes, Lecture 2; Schrijver 1986, 8.9), and an
+    edge's line is cut out by n-1 of its tight normals of rank n-1.  So the
+    rays are read from the (n-1)-subsets of the tight sets: a subset seen at
+    two vertices holds a bounded edge or no edge and is skipped; for a
+    subset seen at one vertex only whose normals have a kernel line g, each
+    of g and -g is a ray when every normal is >= 0 on it.  A region whose
+    vertices are all simple has a kernel line only at its unbounded edges.
+    Returns the primitive rays, deduplicated and sorted; none when the region
+    is bounded or a point (n = 0).
     """
     if n == 0:
         return []
-    if rank(normals) < n:
-        lineality = integer_kernel(normals, n)
-        return [s for g in lineality for s in (g, tuple(-v for v in g))]
-    rays = []
-    seen = set()
-    for sub in combinations(range(len(normals)), n - 1):
-        g = _kernel_line([normals[i] for i in sub], n)
+    seen = Counter(chain.from_iterable(combinations(tight, n - 1) for tight in tight_sets))
+    rays = set()
+    for edge in (edge for edge, count in seen.items() if count == 1):
+        g = _kernel_line([normals[i] for i in edge], n)
         if g is None:
             continue
         for cand in (g, tuple(-v for v in g)):
-            if cand in seen:
-                continue
-            seen.add(cand)
             if all(sum(a * u for a, u in zip(row, cand)) >= 0 for row in normals):
-                rays.append(cand)
-    return rays
+                rays.add(cand)
+    return sorted(rays)

@@ -108,10 +108,11 @@ def parse_potential(data, polytope: Polytope | None = None) -> SymplecticPotenti
 
     guillemin_of may be an inline polytope or the string "polytope", which
     refers to the polytope passed alongside (the one in the same input file).
-    Either form takes a scale and a correction.  Read against a bounded
-    polytope, a potential whose correction has degree >= 2 must pass the
-    sampled convexity check (``validity_scan``), or InvalidInputError names
-    the first sample point that fails it.
+    Either form takes a scale and a correction.  Read against a polytope,
+    the potential must have its dimension, or InvalidInputError is raised.
+    Read against a bounded polytope, a potential whose correction has degree
+    >= 2 must pass the sampled convexity check (``validity_scan``), or
+    InvalidInputError names the first sample point that fails it.
     """
     try:
         if "guillemin_of" in data:
@@ -151,6 +152,10 @@ def parse_potential(data, polytope: Polytope | None = None) -> SymplecticPotenti
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed potential: {exc}") from exc
+    if polytope is not None and dim != polytope.dim:
+        raise InvalidInputError(
+            f"potential of dimension {dim} does not match the polytope's dimension {polytope.dim}"
+        )
     scale = data.get("scale", 0.5)
     phi = SymplecticPotential(dim=dim, scale=scale, log_terms=terms, correction=correction)
     curved = any(sum(exps) >= 2 for exps, _ in correction.terms)

@@ -46,10 +46,6 @@ class MixtureFamily:
             raise InvalidInputError("betas must sum to one exactly")
 
     @property
-    def size(self):
-        return len(self.alphas)
-
-    @property
     def dim(self):
         return len(self.alphas[0])
 
@@ -117,9 +113,8 @@ def to_mixture(P: Polytope) -> MixtureFamily:
         raise NotTorifiableError(
             "facet normals do not sum to zero; the polytope carries no mixture family"
         )
+    # > 0: at an interior point the facet values sum to it, as the normals sum to zero
     total = sum(hs.offset for hs in P.halfspaces)
-    if total <= 0:
-        raise DegenerateError(f"offset sum {total} must be positive")
     alphas = tuple(tuple(Fraction(v) / total for v in hs.normal) for hs in P.halfspaces)
     betas = tuple(hs.offset / total for hs in P.halfspaces)
     theta = MixtureFamily(alphas=alphas, betas=betas)

@@ -24,6 +24,13 @@ from . import intlattice, rowwise
 from .errors import DegenerateError, EmptyFaceError, InvalidInputError
 
 
+# the one message for a region with no vertex or no interior point
+_DEGENERATE = (
+    "the half-spaces cut out a region with no vertex or no interior point"
+    " (empty, lower-dimensional or containing a line)"
+)
+
+
 def as_fraction(value):
     """Coerce ints, strings like '3/4', integral floats and Fractions to Fraction; not bools."""
     if isinstance(value, Fraction):
@@ -135,18 +142,14 @@ class Polytope:
     def rays(self):
         """P's extreme rays, primitive, exact and sorted, computed once; none when P is bounded.
 
-        When every vertex of the subset loop (``_tight_points``) has exactly n
-        tight half-spaces, the rays are read from them: P is then pointed
-        and simple, and its rays are the directions of its unbounded edges
-        (``intlattice.rays_from_vertices``).  Otherwise (no vertex, or one
-        that is not simple) they come from ``intlattice.cone_rays``; when P
-        contains a line these generate its lineality space, in opposite pairs.
+        One rule for every region: the rays are the directions of P's
+        unbounded edges, read from the tight sets of the subset loop's
+        vertices (``_tight_points``, ``intlattice.rays_from_vertices``), at
+        simple and non-simple vertices alike.  A region with no vertex
+        (empty, or containing a line) raises DegenerateError.
         """
         normals = [hs.normal for hs in self.halfspaces]
-        tight = list(self._tight_points)
-        if tight and all(len(t) == self.dim for t in tight):
-            return tuple(intlattice.rays_from_vertices(normals, tight, self.dim))
-        return tuple(sorted(intlattice.cone_rays(normals, self.dim)))
+        return tuple(intlattice.rays_from_vertices(normals, list(self._tight_points), self.dim))
 
     @cached_property
     def bounded(self):
@@ -164,12 +167,17 @@ class Polytope:
 
     @cached_property
     def _tight_points(self):
-        """The subset loop's points as {0-based tight positions: point}, found once.
+        """The subset loop's vertices as {0-based tight positions: point}, found once.
 
-        ``_subset_vertices`` finds them; ``rays`` and ``_read_region`` both read them.
+        ``_subset_vertices`` finds them; ``rays`` and ``_read_region`` both
+        read them, so a region with no vertex raises DegenerateError from
+        every reader of its region.
         """
         offsets = [hs.offset for hs in self.halfspaces]
-        return _subset_vertices([hs.normal for hs in self.halfspaces], offsets, self.dim)
+        found = _subset_vertices([hs.normal for hs in self.halfspaces], offsets, self.dim)
+        if not found:
+            raise DegenerateError(_DEGENERATE)
+        return found
 
     def _sorted_by_normal(self):
         """P with its half-spaces sorted by normal, its region recorded from P's.
@@ -221,8 +229,8 @@ def flat_exit_time(P: Polytope, start, direction) -> float:
 def is_bounded(P: Polytope) -> bool:
     """Exact boundedness of the feasible region: it has no ray (``P.rays``).
 
-    On a simple pointed region this reads the vertices' tight sets and calls
-    no ``cone_rays``.
+    A region with no vertex (empty, or containing a line) raises
+    DegenerateError, as ``P.rays`` does.
     """
     return not P.rays
 
@@ -253,10 +261,7 @@ def _read_region(P: Polytope):
         range(P.n_facets), list(found.values()), list(found), P.dim, P.rays, along
     )
     if facets is None:
-        raise DegenerateError(
-            "the half-spaces cut out a region with no vertex or no interior point"
-            " (empty, lower-dimensional or containing a line)"
-        )
+        raise DegenerateError(_DEGENERATE)
     verts = (Vertex(coords=point, active=tuple(i + 1 for i in tight)) for tight, point in found.items())
     return tuple(sorted(verts, key=lambda v: v.coords)), facets
 

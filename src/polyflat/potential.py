@@ -275,10 +275,7 @@ def validity_scan(
         r = int(rng.integers(P.n_facets))
         delta = float(rng.choice(ladder))
         d = -P.normal_matrix[r]
-        t_exit = flat_exit_time(P, z, d)
-        if not np.isfinite(t_exit):
-            continue
-        points.append(z + (1.0 - delta) * t_exit * d)
+        points.append(z + (1.0 - delta) * flat_exit_time(P, z, d) * d)  # finite: P is bounded
     points = np.array(points)
     vals = P.facet_values(points)
     # in P and in phi's domain, which its log terms may cut smaller

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import (
+    boundary_face,
     boundary_point,
     continuity_check,
     open_face_rows,
@@ -28,7 +29,7 @@ from .boundary import (
 from .dually_flat import bregman, bregman_expanded, from_dual, newton_solve, require_facet_potential
 from .errors import InvalidInputError, PolyflatError
 from .mixture import kl, to_mixture, zero_sum_check
-from .polytope import Polytope, face_chart, validate_delzant
+from .polytope import Polytope, validate_delzant
 from .potential import SymplecticPotential
 
 DEFAULT_TOLERANCES = {
@@ -147,7 +148,7 @@ def run_scenario(
     require_facet_potential(phi, P)
     if faces is None:
         faces = [(r,) for r in range(1, P.n_facets + 1)] if P.dim > 1 else []
-    sweep = [(list(active), _sweep_chart(P, tuple(active))) for active in faces]
+    sweep = [(list(active), boundary_face(P, tuple(active))) for active in faces]
     rng = np.random.default_rng(seed)
     results = []
 
@@ -280,16 +281,6 @@ def run_scenario(
         )
 
     return results, all(r.passed for r in results)
-
-
-def _sweep_chart(P, active):
-    """The chart of the face on the facets active; a vertex or an empty name raises."""
-    if not active:
-        raise InvalidInputError("face [] lists no facet; name a face by its vanishing facets")
-    chart = face_chart(P, active)
-    if chart.dim_face < 1:
-        raise InvalidInputError(f"face {list(active)} is a vertex; faces need dimension >= 1")
-    return chart
 
 
 def _moved(feet, steps):

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from polyflat.boundary import (
@@ -244,6 +245,32 @@ def pyramid_prism():
     """The square pyramid times [0, 1]: its apex edge lies on four facets, 2-5."""
     interval = Polytope(dim=1, halfspaces=(halfspace((1,), 0), halfspace((-1,), 1)))
     return product(square_pyramid(), interval)
+
+
+@st.composite
+def cut_polyhedra(draw, simple):
+    """The orthant x >= 0 or the box [0, 2]^n, n = 2 or 3, cut by up to four integer half-spaces.
+
+    Only a region with a vertex is drawn: with ``simple`` one whose vertices
+    all lie on exactly n half-spaces, else one with a vertex on more.
+    Vertices and tight counts come from ``subset_vertices``, not from the
+    library.  Cuts may be redundant, so not every half-space need be a facet.
+    """
+    n = draw(st.integers(2, 3))
+    constraints = {tuple(int(i == j) for i in range(n)): 0 for j in range(n)}
+    if draw(st.booleans()):
+        constraints.update({tuple(-int(i == j) for i in range(n)): 2 for j in range(n)})
+    for _ in range(draw(st.integers(0, 4))):
+        normal = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        assume(any(normal))
+        constraints.setdefault(primitivize(normal)[0], draw(st.integers(-2, 4)))
+    constraints = list(constraints.items())
+    tight = [
+        sum(sum(a * u for a, u in zip(c, x)) + o == 0 for c, o in constraints)
+        for x in set(subset_vertices(constraints, n))
+    ]
+    assume(tight and (all(t == n for t in tight) if simple else max(tight) > n))
+    return Polytope(dim=n, halfspaces=tuple(halfspace(c, o) for c, o in constraints))
 
 
 def pointed_unbounded():

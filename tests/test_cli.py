@@ -445,6 +445,16 @@ def test_a_key_that_nothing_reads_exits_2(tmp_path, capsys, changes, what, key):
 
 
 NO_PAIRS = {"pairs": []}
+AT_THE_ORIGIN = {"pairs": [[[0.0, 0.0], [0.0, 0.0]]]}
+NO_FACET = "face [] lists no facet; name a face by its vanishing facets"
+A_VERTEX = "face [1, 2] is a vertex; faces need dimension >= 1"
+OTHER_DIM = "potential of dimension 3 does not match the polytope's dimension 2"
+SIMPLEX3 = {"dim": 3, "halfspaces": [
+    {"normal": [1, 0, 0], "offset": 0}, {"normal": [0, 1, 0], "offset": 0},
+    {"normal": [0, 0, 1], "offset": 0}, {"normal": [-1, -1, -1], "offset": 1},
+]}
+# the triangle and a half-space that is not a facet of it
+CUT_TRIANGLE = {**TRIANGLE, "halfspaces": [*TRIANGLE["halfspaces"], {"normal": [1, 1], "offset": 5}]}
 
 
 @pytest.mark.parametrize(
@@ -487,8 +497,24 @@ def test_a_key_that_nothing_reads_in_an_input_file_exits_2(
             ["geodesic", "tri", "--spec", {**DUAL_SPEC, "kind": "straight"}],
             "geodesic kind 'straight' must be 'flat' or 'dual'",
         ),
+        # a face is named by one rule: no empty name, no vertex
+        (["boundary", "tri", "--face", "", "--points", AT_THE_ORIGIN], NO_FACET),
+        (["pythagoras", "tri", "--triple", {**TRIPLE, "face": []}], NO_FACET),
+        (["verify-all", small_scenario(faces=[[1], []])], NO_FACET),
+        (["boundary", "tri", "--face", "1,2", "--points", AT_THE_ORIGIN], A_VERTEX),
+        (["pythagoras", "tri", "--triple", {**TRIPLE, "face": [1, 2], "eta": [0.0, 0.0]}], A_VERTEX),
+        # a potential must have its polytope's dimension
+        (["validate", {"polytope": TRIANGLE, "potential": {"guillemin_of": SIMPLEX3}}], OTHER_DIM),
+        (["torify", {"polytope": TRIANGLE, "potential": {"dim": 3, "scale": 1.0}}], OTHER_DIM),
+        (
+            ["divergence", {"polytope": TRIANGLE, "potential": {"guillemin_of": CUT_TRIANGLE}},
+             "--points", NO_PAIRS],
+            "half-space 4 is not a facet of the region",
+        ),
     ],
-    ids=["tol-without-value", "no-potential", "pythagoras-kind", "face-index", "geodesic-kind"],
+    ids=["tol-without-value", "no-potential", "pythagoras-kind", "face-index", "geodesic-kind",
+         "boundary-no-facet", "pythagoras-no-facet", "verify-all-no-facet", "boundary-vertex",
+         "pythagoras-vertex", "validate-potential-dim", "torify-potential-dim", "inline-guillemin-cut"],
 )
 def test_a_refused_input_exits_2_naming_it(tri_input, tmp_path, capsys, args, message):
     # "tri" is the triangle problem file; an object is written to a file of its own
@@ -556,6 +582,16 @@ def test_torify_trapezoid_fails(tmp_path, capsys):
     assert not out["zero_sum"] and out["delzant"]["valid"]
 
 
+def test_an_inline_guillemin_of_reads_as_the_polytope_alongside(tmp_path, capsys):
+    points = write(tmp_path, "pts.json", {"pairs": [[[0.2, 0.3], [0.5, 0.1]], [[0.1, 0.1], [0.3, 0.6]]]})
+    outputs = []
+    for target in ("polytope", TRIANGLE):
+        path = write(tmp_path, "in.json", {"polytope": TRIANGLE, "potential": {**GUILLEMIN, "guillemin_of": target}})
+        assert main(["divergence", path, "--points", points]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_torify_refuses_a_polyhedron_that_contains_a_line(tmp_path, capsys):
     # the strip 0 <= x2 <= 1 has zero-sum normals but no vertex, so it is
     # refused when read, as from_mixture refuses its family
@@ -617,23 +653,26 @@ def test_the_quadrant_is_accepted(tmp_path, command, code):
 
 
 @pytest.mark.parametrize(
-    "alphas, betas",
+    "alphas, betas, message",
     [
-        ([[1, 0], [-1, 0], [0, 0]], [0, "1/2", "1/2"]),
-        ([[1], [1], [-2]], [-5, 5, 1]),
-        ([[1], [-1], [1], [-1]], [0, 0, "1/2", "1/2"]),
-        ([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, "1/2", "1/2"]),
+        ([[1, 0], [-1, 0], [0, 0]], [0, "1/2", "1/2"], NO_VERTEX),
+        ([[1], [1], [-2]], [-5, 5, 1], NO_VERTEX),
+        ([[1], [-1], [1], [-1]], [0, 0, "1/2", "1/2"], NO_VERTEX),
+        ([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, "1/2", "1/2"], NO_VERTEX),
+        ([["1"], ["-1"], ["0"]], ["1/2", "1/2", "0"], "constant outcome weight is nonpositive"),
+        ([["0"], ["0"]], ["1/2", "1/2"], "mixture family has no defining constraints"),
     ],
-    ids=["strip", "empty", "point", "segment"],
+    ids=["strip", "empty", "point", "segment", "zero-weight", "no-constraint"],
 )
-def test_torify_refuses_a_degenerate_family(tmp_path, capsys, alphas, betas):
+def test_torify_refuses_a_degenerate_family(tmp_path, capsys, alphas, betas, message):
     # no open parameter domain, or a closure that contains a line: the region
-    # has no vertex or no interior point, so it is refused, not judged
+    # has no vertex or no interior point, so it is refused, not judged; nor
+    # is a family with a constant outcome of weight 0, or with only constants
     path = write(tmp_path, "mix.json", {"alphas": alphas, "betas": betas})
     assert main(["torify", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "no vertex or no interior point" in captured.err
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_verify_all_bundled_scenarios(capsys):

@@ -10,9 +10,10 @@ from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 
-from helpers import invert_unimodular, reference_cone_rays
+from helpers import cut_polyhedra, invert_unimodular, reference_cone_rays, square_pyramid
 from polyflat import intlattice
-from polyflat.errors import InvalidInputError
+from polyflat.errors import DegenerateError, InvalidInputError
+from polyflat.polytope import Polytope, halfspace, is_bounded
 
 
 def test_primitivize():
@@ -145,11 +146,13 @@ def test_rational_elimination_matches_sympy(system):
         assert x == sympy_particular(square, b)
 
 
-@settings(max_examples=200, deadline=None)
-@given(int_matrices())
-def test_cone_rays_match_reference(matrix):
-    rows, n = matrix
-    assert intlattice.cone_rays(rows, n) == reference_cone_rays(rows, n)
+@settings(max_examples=100, deadline=None)
+@given(cut_polyhedra(simple=False))
+def test_rays_match_reference(P):
+    # the simple cases are in test_polytope; one rule reads both
+    normals = [hs.normal for hs in P.halfspaces]
+    assert P.rays == tuple(sorted(reference_cone_rays(normals, P.dim)))
+    assert P.bounded == is_bounded(P) == (not P.rays)
 
 
 def test_singular_and_inconsistent_systems():
@@ -168,22 +171,27 @@ def test_integer_kernel_canonical_under_row_order():
     assert intlattice.integer_kernel(rows, 3) == intlattice.integer_kernel(rows[::-1], 3)
 
 
-def test_cone_rays_bounded_cases():
-    # triangle normals positively span the plane: trivial cone
-    assert intlattice.cone_rays([(1, 0), (0, 1), (-1, -1)], 2) == []
-    assert intlattice.cone_rays([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) == []
+def _region(*halfspaces):
+    return Polytope(dim=len(halfspaces[0][0]), halfspaces=tuple(halfspace(v, c) for v, c in halfspaces))
 
 
-def test_cone_rays_unbounded_cases():
-    rays = intlattice.cone_rays([(1, 0), (0, 1)], 2)  # positive quadrant
-    assert rays
-    for ray in rays:
-        assert ray[0] >= 0 and ray[1] >= 0
-    # lineality: single constraint in the plane
-    rays = intlattice.cone_rays([(1, 0)], 2)
-    assert any(r[1] > 0 for r in rays) and any(r[1] < 0 for r in rays)
-    # half-line in 1-d
-    assert intlattice.cone_rays([(1,)], 1) == [(1,)]
+def test_rays_bounded_cases():
+    # triangle normals positively span the plane: no ray
+    assert _region(((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)).rays == ()
+    assert _region(((1, 0), 0), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 1)).rays == ()
+    # the apex of the square pyramid lies on four facets
+    assert square_pyramid().rays == ()
+    assert Polytope(dim=0, halfspaces=()).rays == ()
+
+
+def test_rays_unbounded_cases():
+    assert _region(((1, 0), 0), ((0, 1), 0)).rays == ((0, 1), (1, 0))  # positive quadrant
+    assert _region(((1,), 0),).rays == ((1,),)  # half-line in 1-d
+    # a non-simple vertex: three half-planes through the origin, one redundant
+    assert _region(((1, 0), 0), ((0, 1), 0), ((1, 1), 0)).rays == ((0, 1), (1, 0))
+    # a single constraint in the plane has a line and no vertex
+    with pytest.raises(DegenerateError, match="no vertex"):
+        _region(((1, 0), 0),).rays
 
 
 def test_invert_unimodular():

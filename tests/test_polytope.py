@@ -5,16 +5,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
 from helpers import (
     cube,
+    cut_polyhedra,
     delzant_products,
     pointed_unbounded,
     pulled_back,
     pyramid_prism,
     random_unimodular,
+    reference_cone_rays,
     reference_reduced_polytope,
     simplex,
     square_pyramid,
@@ -403,14 +404,14 @@ def test_a_product_records_the_region_a_fresh_read_finds(P):
 
 def test_a_product_of_read_factors_reads_no_region(monkeypatch, triangle, half_line):
     # the product's vertices, rays and facets come from its factors: no
-    # subset loop and no cone_rays, for the product or for its faces
+    # subset loop and no ray read, for the product or for its faces
     vertices(triangle), vertices(half_line)
 
     def no_read(*args):
         raise AssertionError("a product of read factors read its region")
 
     monkeypatch.setattr(polytope, "_feasible_solutions", no_read)
-    monkeypatch.setattr(intlattice, "cone_rays", no_read)
+    monkeypatch.setattr(intlattice, "rays_from_vertices", no_read)
     P = product(triangle, half_line)
     assert len(vertices(P)) == 3 and P.rays == ((0, 0, 1),) and not P.bounded
     assert validate_delzant(P).valid
@@ -420,9 +421,9 @@ def test_a_product_of_read_factors_reads_no_region(monkeypatch, triangle, half_l
 
 
 def _rays_and_reference(P):
-    """The rays a fresh read of P's half-spaces finds, and those of ``cone_rays``, sorted."""
+    """The rays a fresh read of P's half-spaces finds, and the oracle's (``reference_cone_rays``), sorted."""
     fresh = Polytope(dim=P.dim, halfspaces=P.halfspaces)
-    return fresh.rays, tuple(sorted(intlattice.cone_rays([hs.normal for hs in P.halfspaces], P.dim)))
+    return fresh.rays, tuple(sorted(reference_cone_rays([hs.normal for hs in P.halfspaces], P.dim)))
 
 
 def _faces_at_vertices(P):
@@ -442,58 +443,75 @@ def test_rays_from_vertices_equal_cone_rays_on_delzant_products(case):
 
 @pytest.mark.parametrize("name", list(pointed_unbounded()))
 def test_rays_from_vertices_equal_cone_rays_on_unbounded_polyhedra(name):
-    P = pointed_unbounded()[name]  # pyramid x ray takes the cone_rays fallback
+    P = pointed_unbounded()[name]  # pyramid x ray has a non-simple vertex
     for Q in [P] + _faces_at_vertices(P):
         got, want = _rays_and_reference(Q)
         assert got == want and Q.bounded == (not want)
 
 
-@st.composite
-def simple_polyhedra(draw):
-    """The orthant x >= 0 in dimension 2 or 3 cut by up to three integer half-spaces, if simple."""
-    n = draw(st.integers(2, 3))
-    normals = {tuple(int(i == j) for i in range(n)): 0 for j in range(n)}
-    for _ in range(draw(st.integers(0, 3))):
-        normal = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
-        assume(any(normal))
-        normals.setdefault(intlattice.primitivize(normal)[0], draw(st.integers(-2, 4)))
-    P = Polytope(dim=n, halfspaces=tuple(halfspace(v, c) for v, c in normals.items()))
-    tight = list(P._tight_points)
-    assume(tight and all(len(t) == n for t in tight))
-    return P
+@pytest.mark.parametrize("P", [square_pyramid(), pyramid_prism()], ids=["square pyramid", "pyramid prism"])
+def test_rays_equal_the_reference_on_non_simple_polytopes(P):
+    for Q in [P] + _faces_at_vertices(P):
+        got, want = _rays_and_reference(Q)
+        assert got == want == ()
 
 
 @settings(max_examples=80, deadline=None)
-@given(simple_polyhedra())
+@given(cut_polyhedra(simple=True))
 def test_rays_from_vertices_equal_cone_rays_on_simple_polyhedra(P):
     got, want = _rays_and_reference(P)
     assert got == want
 
 
-def test_a_simple_region_calls_no_cone_rays(monkeypatch, half_line, triangle):
-    calls = []
-    original = intlattice.cone_rays
+def test_a_region_is_read_by_one_subset_loop(monkeypatch, half_line, triangle):
+    # bounded then vertices: one subset loop; a bounded simple polytope's
+    # edges are each seen at two vertices, so its rays take no kernel line
+    calls = {"_feasible_solutions": 0, "_kernel_line": 0}
 
-    def counted(normals, n):
-        calls.append(n)
-        return original(normals, n)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(intlattice, "cone_rays", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
 
-    def cone_rays_calls(P, read=vertices):
-        calls.clear()
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(polytope, "_feasible_solutions")
+    counted(intlattice, "_kernel_line")
+
+    def reads(P):
+        calls.update(dict.fromkeys(calls, 0))
         fresh = Polytope(dim=P.dim, halfspaces=P.halfspaces)
         fresh.bounded
-        read(fresh)
-        return len(calls)
+        vertices(fresh)
+        return calls["_feasible_solutions"], calls["_kernel_line"] > 0
 
     point = Polytope(dim=0, halfspaces=())
-    for P in (cube(3), product(triangle, half_line), half_line, point):
-        assert cone_rays_calls(P) == 0
-    assert cone_rays_calls(pointed_unbounded()["pyramid x ray"]) == 1
-    strip = Polytope(dim=2, halfspaces=(halfspace((0, 1), 0), halfspace((0, -1), 1)))
-    assert cone_rays_calls(strip, read=lambda P: P.rays) == 1
-    assert not strip.bounded
+    for P in (cube(3), simplex(3), product(simplex(2), simplex(2)), point):
+        assert reads(P) == (1, False)
+    for P in (product(triangle, half_line), half_line, pointed_unbounded()["pyramid x ray"]):
+        assert reads(P) == (1, True)
+
+
+@pytest.mark.parametrize(
+    "halfspaces",
+    [
+        [((0, 1), 0), ((0, -1), 1)],  # a strip
+        [((1, 0), 0)],  # a half-plane
+        [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0)],  # empty
+    ],
+    ids=["strip", "half-plane", "empty"],
+)
+def test_a_region_with_no_vertex_raises_from_every_reader(halfspaces):
+    hs = tuple(halfspace(v, c) for v, c in halfspaces)
+    reads = (lambda P: P.rays, lambda P: P.bounded, is_bounded, lambda P: P.vertex_list)
+    messages = set()
+    for read in reads:
+        with pytest.raises(DegenerateError) as err:
+            read(Polytope(dim=2, halfspaces=hs))
+        messages.add(str(err.value))
+    assert messages == {polytope._DEGENERATE}
 
 
 def test_a_product_reads_its_factors(triangle, interval):
@@ -571,10 +589,10 @@ def test_faces_of_a_bounded_polytope_take_its_vertices(monkeypatch):
     P = product(simplex(2), simplex(2))
     vertices(P)
 
-    def no_cone_rays(normals, n):
-        raise AssertionError("face restriction of a bounded polytope called cone_rays")
+    def no_ray_read(*args):
+        raise AssertionError("face restriction of a bounded polytope read rays")
 
-    monkeypatch.setattr(intlattice, "cone_rays", no_cone_rays)
+    monkeypatch.setattr(intlattice, "rays_from_vertices", no_ray_read)
     for r in range(1, P.n_facets + 1):
         F = face_chart(P, (r,)).face_polytope
         assert F.bounded and F.n_facets == 5
@@ -621,8 +639,12 @@ def test_interior_point_is_the_vertex_mean_plus_the_rays(triangle, half_line):
 
 def test_a_polyhedron_that_contains_a_line_has_no_chart():
     strip = Polytope(dim=2, halfspaces=(halfspace((0, 1), 0), halfspace((0, -1), 1)))
-    assert not strip.bounded
-    reads = (lambda: strip.interior_point, lambda: face_chart(strip, (1,)), lambda: validate_delzant(strip))
+    reads = (
+        lambda: strip.bounded,
+        lambda: strip.interior_point,
+        lambda: face_chart(strip, (1,)),
+        lambda: validate_delzant(strip),
+    )
     for read in reads:
         with pytest.raises(DegenerateError, match="no vertex or no interior point"):
             read()
