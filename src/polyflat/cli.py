@@ -281,7 +281,7 @@ def cmd_boundary(args):
 def cmd_pythagoras(args):
     P, phi = _load_problem(_load_json(args.file))
     triple = _load_json(args.triple)
-    chart = boundary_face(P, triple["face"])
+    chart = boundary_face(P, jsonio.face_name(triple["face"], "triple key 'face'"))
     kind = triple.get("kind", "boundary_foot")
     if kind not in KIND_TOLERANCE:
         raise PolyflatError(f"unknown pythagoras kind {kind!r}")

@@ -237,6 +237,23 @@ def _line_search(phi, P, x, y, r, r_norm, steps):
     return accepted
 
 
+def require_converged(P: Polytope, Y, solve: NewtonSolve):
+    """Raise what from_dual raises for the first target of Y whose row of solve did not converge.
+
+    Y is one target (n,) with the one-point solve of it, or a batch (m, n)
+    with its batch solve.
+    """
+    if Y.ndim == 1:
+        if solve.status != "converged":
+            raise _unsolved(P, Y, *solve)
+        return
+    for i in np.flatnonzero(solve.status != "converged")[:1]:
+        raise _unsolved(
+            P, Y[i], solve.x[i], float(solve.residual[i]), str(solve.status[i]),
+            int(solve.iterations[i]),
+        )
+
+
 def _unsolved(P: Polytope, y, x, residual, status, iterations) -> NumericalError:
     """The error from_dual raises for a target whose solve ended in `status`."""
     if not P.bounded and (
@@ -259,23 +276,21 @@ def _unsolved(P: Polytope, y, x, residual, status, iterations) -> NumericalError
     )
 
 
-def from_dual(phi: SymplecticPotential, P: Polytope, y, x0=None):
-    """Invert the gradient map: the point x with grad phi(x) = y.
+def from_dual(phi: SymplecticPotential, P: Polytope, y, x0=None) -> DualPair:
+    """Invert the gradient map: the point x with grad phi(x) = y, a target of shape (n,).
 
-    Starts from P.interior_point (the vertex centroid when P is bounded; see
-    newton_solve) and converges to infinity-norm residual <= 1e-10.  A target
-    of shape (n,) gives a DualPair; a batch (m, n) gives a tuple of m pairs,
-    solved together.  The first target that does not converge raises.
+    Starts from x0 or P.interior_point (the vertex centroid when P is
+    bounded; see newton_solve) and converges to infinity-norm residual
+    <= 1e-10, or raises (``require_converged``).  A target of any other
+    shape raises InvalidInputError; a batch of targets is one
+    ``newton_solve``, checked by ``require_converged``.
     """
     y = np.asarray(y, dtype=float)
-    x, res, status, iterations = newton_solve(phi, P, y, X0=x0)
-    if y.ndim == 1:
-        if status != "converged":
-            raise _unsolved(P, y, x, res, status, iterations)
-        return DualPair(x=tuple(x), y=tuple(y))
-    for i in np.flatnonzero(status != "converged")[:1]:
-        raise _unsolved(P, y[i], x[i], float(res[i]), str(status[i]), int(iterations[i]))
-    return tuple(DualPair(x=tuple(a), y=tuple(b)) for a, b in zip(x, y))
+    if y.shape != (P.dim,):
+        raise InvalidInputError(f"from_dual takes one target of shape ({P.dim},), not {y.shape}")
+    solve = newton_solve(phi, P, y, X0=x0)
+    require_converged(P, y, solve)
+    return DualPair(x=tuple(solve.x), y=tuple(y))
 
 
 def bregman(phi: SymplecticPotential, xi, xi2):

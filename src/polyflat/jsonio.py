@@ -63,6 +63,17 @@ def numbers(value, what):
     return value
 
 
+def face_name(value, where):
+    """The facet indices of a face named by value, a JSON list of them, as a tuple.
+
+    Any other value raises InvalidInputError, saying where it was read; the
+    indices themselves are checked where the face is built (``face_chart``).
+    """
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInputError(f"{where} must be a list of facet indices, not {value!r}")
+    return tuple(value)
+
+
 def known_keys(data, keys, what):
     """data, a JSON object whose keys all are in keys; a key nothing reads is refused."""
     if not isinstance(data, dict):

@@ -26,8 +26,16 @@ from .boundary import (
     random_face_point,
     random_interior,
 )
-from .dually_flat import bregman, bregman_expanded, from_dual, newton_solve, require_facet_potential
+from .dually_flat import (
+    NewtonSolve,
+    bregman,
+    bregman_expanded,
+    newton_solve,
+    require_converged,
+    require_facet_potential,
+)
 from .errors import InvalidInputError, PolyflatError
+from .jsonio import face_name
 from .mixture import kl, to_mixture, zero_sum_check
 from .polytope import Polytope, validate_delzant
 from .potential import SymplecticPotential
@@ -123,14 +131,17 @@ def run_scenario(
 
     Every face is validated before the first draw.  The sweep then makes
     each face's draws, in face order, and evaluates after them, each face
-    reading its own block of rows: the ambient identities of all faces in
-    one batch (the orthogonal rebuild's Newton solve and the interior-foot
-    identity on the drawn and on the rebuilt points), and the chart work in
-    one call each of ``continuity_check``, ``project_to_face`` and
+    reading its own block of rows: one ambient Newton solve for the Legendre
+    round trip's targets and, after them, the orthogonal rebuild's of all
+    faces; the interior-foot identity of all faces on the drawn and on the
+    rebuilt points, in one batch each; and the chart work in one call each
+    of ``continuity_check``, ``project_to_face`` and
     ``pythagoras_boundary_foot``, which solve and evaluate the faces of one
     shape together.  No draw reads a result and every batch row gets the
     floats of a one-row call, so batching changes no float: the results are
-    those of a face-by-face sweep.
+    those of a face-by-face sweep.  A round-trip row the solve leaves
+    unconverged raises what ``from_dual`` raises for its target
+    (``require_converged``), after the face draws.
     """
     tol = merge_tolerances(tolerances)
     counts = _merge(
@@ -148,27 +159,33 @@ def run_scenario(
     require_facet_potential(phi, P)
     if faces is None:
         faces = [(r,) for r in range(1, P.n_facets + 1)] if P.dim > 1 else []
-    sweep = [(list(active), boundary_face(P, tuple(active))) for active in faces]
+    if not isinstance(faces, (list, tuple)):
+        raise InvalidInputError(f"scenario key 'faces' must be a list of faces, not {faces!r}")
+    faces = [face_name(active, "a face in scenario key 'faces'") for active in faces]
+    sweep = [(list(active), boundary_face(P, active)) for active in faces]
     rng = np.random.default_rng(seed)
     results = []
 
-    def verdict(check, inputs, residual, tolerance, holds=True):
-        """Record a check; it passes when residual <= tolerance and its own condition holds."""
+    def verdict(check, inputs, residual, tolerance, holds=True, at=None):
+        """Record a check, at the end of results or in the place at.
+
+        It passes when residual <= tolerance and its own condition holds.
+        """
         residual = float(residual)
         passed = residual <= tolerance and holds
-        results.append(CheckResult(check, inputs, residual, tolerance, bool(passed)))
+        result = CheckResult(check, inputs, residual, tolerance, bool(passed))
+        if at is None:
+            results.append(result)
+        else:
+            results[at] = result
 
     report = validate_delzant(P)
     verdict("delzant", {"facets": P.n_facets}, len(report.failures), 0.0, holds=report.valid)
 
+    # the round trip's points; its verdict takes this place after the one solve
     x = random_interior(P, rng, size=counts["legendre_points"])
-    back = np.array([pair.x for pair in from_dual(phi, P, phi.gradient(x))]).reshape(x.shape)
-    verdict(
-        "legendre-roundtrip",
-        {"points": counts["legendre_points"]},
-        _worst(np.abs(back - x)),
-        tol["legendre_roundtrip"],
-    )
+    legendre = len(results)
+    results.append(None)
 
     a, b = _draw_pairs(counts["divergence_pairs"], P, rng)
     verdict(
@@ -206,17 +223,34 @@ def run_scenario(
         w = _orthogonal_directions(etas.ambient - xi, rng)
         ambient_draws.append((etas, xi, xi2, w))
 
+    # one Newton solve: the round trip's targets, then every face's rebuild of
+    # xi2 so that the dual velocity is orthogonal, a block of triples rows per
+    # face; every row gets the floats of a one-row solve
+    targets = [phi.gradient(x)]
+    if sweep:
+        etas, xi, xi2, w = zip(*ambient_draws)
+        etas, xi, xi2, w = list(etas), np.concatenate(xi), np.concatenate(xi2), np.concatenate(w)
+        targets.append(phi.gradient(xi) + 0.3 * w)
+    Y = np.concatenate(targets)
+    X, residual, status, iterations = newton_solve(phi, P, Y)
+    m = len(x)
+    require_converged(P, Y[:m], NewtonSolve(X[:m], residual[:m], status[:m], iterations[:m]))
+    verdict(
+        "legendre-roundtrip",
+        {"points": m},
+        _worst(np.abs(X[:m] - x)),
+        tol["legendre_roundtrip"],
+        at=legendre,
+    )
+
     if sweep:
         # the interior-foot identities of all faces in one batch, a block of
         # triples rows per face; every row gets the floats of a one-row call
-        etas, xi, xi2, w = zip(*ambient_draws)
-        etas, xi, xi2, w = list(etas), np.concatenate(xi), np.concatenate(xi2), np.concatenate(w)
         reps = pythagoras_interior_foot(phi, etas, xi, xi2)
         identity = np.abs(reps.residual - reps.perp_value).reshape(-1, triples)
-        # rebuild xi2 so the dual velocity is orthogonal; a row Newton does not
-        # solve is left out of the residual and fails its face's check
-        x_orth, _, status, _ = newton_solve(phi, P, phi.gradient(xi) + 0.3 * w)
-        ok = status == "converged"
+        # a rebuild row Newton does not solve is left out of the residual and
+        # fails its face's check
+        x_orth, ok = X[m:], status[m:] == "converged"
         solved = ok.reshape(-1, triples)
         solved_etas = [e[mask] for e, mask in zip(etas, solved)]
         reps = pythagoras_interior_foot(phi, solved_etas, xi[ok], x_orth[ok])

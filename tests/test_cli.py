@@ -13,8 +13,9 @@ from polyflat.dually_flat import newton_solve
 from polyflat.errors import DomainError
 from polyflat.jsonio import parse_polytope, parse_potential
 from polyflat.polytope import face_chart
-from polyflat.verify import DEFAULT_TOLERANCES
+from polyflat.verify import DEFAULT_SAMPLES, DEFAULT_TOLERANCES
 
+LEGENDRE_POINTS = DEFAULT_SAMPLES["legendre_points"]
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 TRIANGLE = {
@@ -503,6 +504,16 @@ def test_a_key_that_nothing_reads_in_an_input_file_exits_2(
         (["verify-all", small_scenario(faces=[[1], []])], NO_FACET),
         (["boundary", "tri", "--face", "1,2", "--points", AT_THE_ORIGIN], A_VERTEX),
         (["pythagoras", "tri", "--triple", {**TRIPLE, "face": [1, 2], "eta": [0.0, 0.0]}], A_VERTEX),
+        # a face name is a list of facet indices, and the refusal names the key it was read from
+        (
+            ["pythagoras", "tri", "--triple", {**TRIPLE, "face": 0}],
+            "triple key 'face' must be a list of facet indices, not 0",
+        ),
+        (
+            ["verify-all", small_scenario(faces=[0])],
+            "a face in scenario key 'faces' must be a list of facet indices, not 0",
+        ),
+        (["verify-all", small_scenario(faces=3)], "scenario key 'faces' must be a list of faces, not 3"),
         # a potential must have its polytope's dimension
         (["validate", {"polytope": TRIANGLE, "potential": {"guillemin_of": SIMPLEX3}}], OTHER_DIM),
         (["torify", {"polytope": TRIANGLE, "potential": {"dim": 3, "scale": 1.0}}], OTHER_DIM),
@@ -514,7 +525,8 @@ def test_a_key_that_nothing_reads_in_an_input_file_exits_2(
     ],
     ids=["tol-without-value", "no-potential", "pythagoras-kind", "face-index", "geodesic-kind",
          "boundary-no-facet", "pythagoras-no-facet", "verify-all-no-facet", "boundary-vertex",
-         "pythagoras-vertex", "validate-potential-dim", "torify-potential-dim", "inline-guillemin-cut"],
+         "pythagoras-vertex", "pythagoras-face-int", "verify-all-face-int", "verify-all-faces-int",
+         "validate-potential-dim", "torify-potential-dim", "inline-guillemin-cut"],
 )
 def test_a_refused_input_exits_2_naming_it(tri_input, tmp_path, capsys, args, message):
     # "tri" is the triangle problem file; an object is written to a file of its own
@@ -839,7 +851,7 @@ def test_unsolved_orthogonal_rebuild_fails_its_check(tmp_path, capsys, monkeypat
     def one_row_stalls(*args, **kwargs):
         x, residual, status, iterations = newton_solve(*args, **kwargs)
         status = status.copy()
-        status[0] = "stalled"
+        status[LEGENDRE_POINTS] = "stalled"  # the first rebuild row, after the round trip's
         return x, residual, status, iterations
 
     monkeypatch.setattr("polyflat.verify.newton_solve", one_row_stalls)
@@ -851,8 +863,9 @@ def test_unsolved_orthogonal_rebuild_fails_its_check(tmp_path, capsys, monkeypat
 
 
 def test_unsolved_rebuild_row_fails_only_its_own_face(tmp_path, capsys, monkeypatch):
-    # the rebuild of every face is one solve, a block of interior_triples rows
-    # per face; a row left unsolved in the second block fails the second face
+    # the rebuild of every face is one solve with the Legendre round trip, a
+    # block of interior_triples rows per face after the round trip's rows; a
+    # row left unsolved in the second block fails the second face
     triples = small_scenario()["samples"]["interior_triples"]
     calls = []
 
@@ -860,13 +873,13 @@ def test_unsolved_rebuild_row_fails_only_its_own_face(tmp_path, capsys, monkeypa
         x, residual, status, iterations = newton_solve(*args, **kwargs)
         calls.append(len(status))
         status = status.copy()
-        status[triples] = "stalled"
+        status[LEGENDRE_POINTS + triples] = "stalled"
         return x, residual, status, iterations
 
     monkeypatch.setattr("polyflat.verify.newton_solve", second_face_stalls)
     assert main(["verify-all", write(tmp_path, "in.json", small_scenario())]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
-    assert calls == [3 * triples]  # the triangle's three edges
+    assert calls == [LEGENDRE_POINTS + 3 * triples]  # the round trip, then the triangle's three edges
     failing = [c for c in checks if not c["pass"]]
     assert [(c["check"], c["inputs"]) for c in failing] == [
         ("pythagoras-interior-orthogonal", {"face": [2], "triples": triples, "unconverged": 1})

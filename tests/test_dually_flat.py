@@ -76,18 +76,23 @@ def test_singular_hessian_stalls(triangle):
     assert list(batch.status) == ["stalled"] * 3
     with pytest.raises(NumericalError):
         from_dual(phi, triangle, (0.5, 0.5))
-    with pytest.raises(NumericalError):
-        from_dual(phi, triangle, [(0.5, 0.5), (-1.0, 2.0)])
 
 
 def test_unsolved_error_carries_solver_status(triangle):
     # the singular-Hessian potential above: every row stalls before its first step
     phi = SymplecticPotential(dim=2, scale=1.0, log_terms=(AffineLogTerm((1, 0), 0),))
-    for y in [(0.5, 0.5), [(0.5, 0.5), (-1.0, 2.0)]]:
-        with pytest.raises(NumericalError) as err:
-            from_dual(phi, triangle, y)
-        assert (err.value.status, err.value.iterations) == ("stalled", 0)
-        assert err.value.residual > 0
+    with pytest.raises(NumericalError) as err:
+        from_dual(phi, triangle, (0.5, 0.5))
+    assert (err.value.status, err.value.iterations) == ("stalled", 0)
+    assert err.value.residual > 0
+
+
+@pytest.mark.parametrize("y", [[(0.5, 0.5), (0.2, 0.2)], [(0.5, 0.5)], (0.5, 0.5, 0.5), 0.5])
+def test_from_dual_takes_one_target_of_the_polytope_dimension(triangle, y):
+    # a batch is not read as a tuple of pairs, nor a target of another length truncated
+    with pytest.raises(InvalidInputError) as err:
+        from_dual(guillemin(triangle, 1.0), triangle, y)
+    assert str(err.value) == f"from_dual takes one target of shape (2,), not {np.shape(y)}"
 
 
 def test_singular_hessian_leaves_other_rows_solving(triangle):

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from helpers import cube, cube_faces, pyramid_prism, reference_run_scenario
-from polyflat import boundary
-from polyflat.errors import FaceBoundaryError
+from polyflat import boundary, dually_flat, verify
+from polyflat.dually_flat import from_dual
+from polyflat.errors import FaceBoundaryError, NumericalError
 from polyflat.jsonio import parse_polytope, parse_potential
 from polyflat.potential import guillemin
-from polyflat.verify import run_scenario
+from polyflat.verify import DEFAULT_SAMPLES, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -134,3 +135,59 @@ def test_a_stalled_projection_row_raises_what_the_face_by_face_sweep_raises(monk
         run_scenario(P, phi, product_check=False)
     assert "stalled after" in str(batched.value)
     assert str(batched.value) == str(face_by_face.value)
+
+
+def counted_solves(monkeypatch):
+    """The row counts of verify's Newton solves, one entry per call, as they are made."""
+    calls = []
+    solve = verify.newton_solve
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "newton_solve", counted)
+    return calls
+
+
+def test_a_verdict_makes_one_ambient_newton_solve(monkeypatch):
+    # the Legendre round trip's rows, then the orthogonal rebuild's of every face
+    calls = counted_solves(monkeypatch)
+    sc, P, phi = bundled("triangle")
+    run_scenario(P, phi, samples=sc.get("samples"), product_check=False)
+    samples = {**DEFAULT_SAMPLES, **sc.get("samples", {})}
+    assert calls == [samples["legendre_points"] + 3 * samples["interior_triples"]]
+
+
+def test_a_sweep_without_faces_solves_the_round_trip_alone(monkeypatch, interval):
+    calls = counted_solves(monkeypatch)
+    run_scenario(interval, guillemin(interval), product_check=False)
+    assert calls == [DEFAULT_SAMPLES["legendre_points"]]
+
+
+def test_an_unsolved_legendre_row_raises_what_from_dual_raises(monkeypatch):
+    # the fourth round-trip row stalls in the one solve: the sweep raises the
+    # error from_dual raises when its solve of that target stalls alone
+    sc, P, phi = bundled("triangle")
+    solve = verify.newton_solve
+    targets = []
+
+    def fourth_row_stalls(*args, **kwargs):
+        x, residual, status, iterations = solve(*args, **kwargs)
+        targets.append(np.array(args[2]))
+        status = status.copy()
+        status[3] = "stalled"
+        return x, residual, status, iterations
+
+    monkeypatch.setattr(verify, "newton_solve", fourth_row_stalls)
+    with pytest.raises(NumericalError) as batched:
+        run_scenario(P, phi, samples=sc.get("samples"), product_check=False)
+    monkeypatch.setattr(
+        dually_flat, "newton_solve", lambda *a, **k: solve(*a, **k)._replace(status="stalled")
+    )
+    with pytest.raises(NumericalError) as alone:
+        from_dual(phi, P, targets[0][3])
+    assert str(batched.value).startswith("gradient-map inversion did not converge (stalled after")
+    assert str(batched.value) == str(alone.value)
+    assert (batched.value.status, batched.value.iterations) == ("stalled", alone.value.iterations)
+    assert batched.value.residual == alone.value.residual
